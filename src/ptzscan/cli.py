@@ -22,7 +22,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,10 +35,11 @@ from ptzscan.formats import (
     load_external_predictions,
     read_boundary_config,
     read_plan_json,
+    read_pose_json,
     read_sample_batch,
     read_section_config,
-    record_to_pose,
     write_grid_csv,
+    write_loss_report,
     write_manifest_json,
     write_pantilt_csv,
     write_plan_csv,
@@ -76,7 +76,6 @@ from ptzscan.surface import (
 )
 
 __all__ = [
-    "RunConfig",
     "main",
     "EXIT_OK",
     "EXIT_INTERNAL",
@@ -110,32 +109,14 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved file paths plus scan parameters for one command run."""
-
-    inputs: tuple[Path, ...]
-    scan: ScanConfig = field(default_factory=ScanConfig)
-    quadrant: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        missing = [str(p) for p in self.inputs if not p.is_file()]
-        if missing:
-            raise CliError(EXIT_IO, f"missing input file(s): {', '.join(missing)}")
+def _require_files(*paths) -> None:
+    missing = [str(p) for p in paths if not Path(p).is_file()]
+    if missing:
+        raise CliError(EXIT_IO, f"missing input file(s): {', '.join(missing)}")
 
 
 def _scan_config(args) -> ScanConfig:
     return ScanConfig(hfov_deg=args.hfov_deg, vfov_deg=args.vfov_deg, mu=args.mu)
-
-
-def _read_camera(path) -> CameraPose:
-    text = Path(path).read_text()
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return record_to_pose(record, str(path))
 
 
 def _build_grids(cloud_path, fmt, sections_path):
@@ -160,18 +141,23 @@ def _parse_cylinder(text: str) -> CylinderModel:
     return CylinderModel(axis_height=axis_height, radius=radius)
 
 
-def _setup_for(pose: CameraPose, quadrant: int) -> QuadrantSetup:
-    return QuadrantSetup(quadrant, yaw_from_quaternion(pose.orientation), pose.position)
-
-
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _plan(grids, pose: CameraPose, cfg: ScanConfig, quadrant: int):
+    """Pan/tilt grids of every section as seen from ``pose``, and the plan
+    built over them."""
+    setup = QuadrantSetup(quadrant, yaw_from_quaternion(pose.orientation), pose.position)
+    pantilts = [grid_to_pantilt(grid, setup) for grid in grids]
+    triples = [(u, grid, grid.section.kind) for u, grid in zip(pantilts, grids)]
+    return pantilts, plan_full(triples, cfg, quadrant)
+
+
 def cmd_interpolate(args) -> int:
-    RunConfig(inputs=(Path(args.cloud), Path(args.sections)))
+    _require_files(args.cloud, args.sections)
     grids = _build_grids(args.cloud, args.cloud_format, args.sections)
     out = _out_dir(args.out)
     for grid in grids:
@@ -183,53 +169,32 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    RunConfig(
-        inputs=(Path(args.cloud), Path(args.sections), Path(args.camera)),
-        scan=_scan_config(args),
-        quadrant=args.quadrant,
-    )
     cfg = _scan_config(args)
-    pose = _read_camera(args.camera)
-    setup = _setup_for(pose, args.quadrant)
+    _require_files(args.cloud, args.sections, args.camera)
+    pose = read_pose_json(args.camera)
     grids = _build_grids(args.cloud, args.cloud_format, args.sections)
-    triples = []
-    pantilts = []
-    for grid in grids:
-        u = grid_to_pantilt(grid, setup)
-        triples.append((u, grid, grid.section.kind))
-        pantilts.append((grid.section.name, u))
-    plan = plan_full(triples, cfg, args.quadrant)
+    pantilts, plan = _plan(grids, pose, cfg, args.quadrant)
     write_plan_json(args.out, plan)
     print(f"plan: {len(plan)} points across {len(plan.sections)} sections -> {args.out}")
     if args.csv:
         write_plan_csv(args.csv, plan)
     if args.export_pantilt:
         out = _out_dir(args.export_pantilt)
-        for name, u in pantilts:
-            write_pantilt_csv(out / f"{name}_pantilt.csv", u)
+        for grid, u in zip(grids, pantilts):
+            write_pantilt_csv(out / f"{grid.section.name}_pantilt.csv", u)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     if not args.draws and not args.plan:
         raise CliError(EXIT_CONFIG, "--plan is required unless --draws is given")
-    inputs = [
-        Path(args.cloud),
-        Path(args.sections),
-        Path(args.true_camera),
-        Path(args.estimated_camera),
-    ]
-    if not args.draws:
-        inputs.insert(0, Path(args.plan))
-    RunConfig(
-        inputs=tuple(inputs),
-        scan=_scan_config(args),
-        quadrant=args.quadrant,
-        seed=args.seed,
-    )
     cfg = _scan_config(args)
-    true_pose = _read_camera(args.true_camera)
-    estimated_pose = _read_camera(args.estimated_camera)
+    plan_file = () if args.draws else (args.plan,)
+    _require_files(
+        *plan_file, args.cloud, args.sections, args.true_camera, args.estimated_camera
+    )
+    true_pose = read_pose_json(args.true_camera)
+    estimated_pose = read_pose_json(args.estimated_camera)
     grids = _build_grids(args.cloud, args.cloud_format, args.sections)
     cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
     if args.draws:
@@ -267,7 +232,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_randomize(args) -> int:
-    RunConfig(inputs=(Path(args.boundary),), seed=args.seed)
+    _require_files(args.boundary)
     boundary = read_boundary_config(args.boundary)
     sizes = SplitSizes(train=args.train, val=args.val, test=args.test)
     manifest = generate_manifest(boundary, sizes=sizes, seed=args.seed, hfov_deg=args.hfov_deg)
@@ -280,7 +245,7 @@ def cmd_randomize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    RunConfig(inputs=(Path(args.predictions),))
+    _require_files(args.predictions)
     predictions, truths = load_external_predictions(args.predictions)
     if not predictions:
         raise CliError(EXIT_CONFIG, f"{args.predictions}: no samples to evaluate")
@@ -294,8 +259,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
-    RunConfig(inputs=(Path(args.predictions),))
-    batch = load_batch_for_loss(args.predictions)
+    _require_files(args.predictions)
+    batch = read_sample_batch(args.predictions)
+    if not batch:
+        raise CliError(EXIT_CONFIG, f"{args.predictions}: no samples in batch")
     cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
     l_x, l_q, l_c = [], [], []
@@ -347,38 +314,22 @@ def cmd_loss_check(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        write_loss_report(args.out, report)
     if not report["gradient_check_passed"]:
         raise CliError(EXIT_COMPUTE, "finite-difference gradient check failed")
     return EXIT_OK
 
 
-def load_batch_for_loss(path):
-    batch = read_sample_batch(path)
-    if not batch:
-        raise CliError(EXIT_CONFIG, f"{path}: no samples in batch")
-    return batch
-
-
 def cmd_pipeline(args) -> int:
-    RunConfig(
-        inputs=(Path(args.cloud), Path(args.sections), Path(args.camera)),
-        scan=_scan_config(args),
-        quadrant=args.quadrant,
-        seed=args.seed,
-    )
-    out = _out_dir(args.out)
     cfg = _scan_config(args)
-    estimated_pose = _read_camera(args.camera)
-    true_pose = _read_camera(args.true_camera) if args.true_camera else estimated_pose
-    setup = _setup_for(estimated_pose, args.quadrant)
+    _require_files(args.cloud, args.sections, args.camera)
+    out = _out_dir(args.out)
+    estimated_pose = read_pose_json(args.camera)
+    true_pose = read_pose_json(args.true_camera) if args.true_camera else estimated_pose
     grids = _build_grids(args.cloud, args.cloud_format, args.sections)
-    triples = []
     for grid in grids:
         write_grid_csv(out / f"{grid.section.name}_grid.csv", grid)
-        u = grid_to_pantilt(grid, setup)
-        triples.append((u, grid, grid.section.kind))
-    plan = plan_full(triples, cfg, args.quadrant)
+    _, plan = _plan(grids, estimated_pose, cfg, args.quadrant)
     write_plan_json(out / "plan.json", plan)
     cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
     report = execute_plan(

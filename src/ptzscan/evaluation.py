@@ -83,11 +83,6 @@ class ErrorStats:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _median(values: np.ndarray) -> float:
-    """Median with the even-count convention: mean of the two central values."""
-    return float(np.median(values))
-
-
 def evaluate(
     predictions: list[PoseEstimate], ground_truths: list[CameraPose]
 ) -> ErrorStats:
@@ -117,9 +112,9 @@ def evaluate(
         ]
     )
     return ErrorStats(
-        median_position=_median(pos_err),
+        median_position=float(np.median(pos_err)),
         rmse_position=float(np.sqrt(np.mean(pos_err**2))),
-        median_orientation=_median(ori_err),
+        median_orientation=float(np.median(ori_err)),
         rmse_orientation=float(np.sqrt(np.mean(ori_err**2))),
         n=len(predictions),
     )

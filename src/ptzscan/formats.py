@@ -19,7 +19,7 @@ import io
 import json
 import math
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -47,6 +47,7 @@ __all__ = [
     "BatchSample",
     "pose_to_record",
     "record_to_pose",
+    "read_pose_json",
     "write_sample_batch",
     "read_sample_batch",
     "load_external_predictions",
@@ -68,6 +69,7 @@ __all__ = [
     "format_stats",
     "write_stats_report",
     "write_stats_csv",
+    "write_loss_report",
 ]
 
 
@@ -81,7 +83,10 @@ def _dump_json(obj) -> str:
 
 def _write_text(path: Union[str, Path], text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    # Mode 0o666 lets the umask set the final permissions, as a plain open()
+    # would; mkstemp would force 0o600.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
@@ -110,6 +115,11 @@ def _floats(values, n, context) -> list[float]:
     return out
 
 
+def _finite_or_none(value):
+    """JSON has no NaN: absent or non-finite values are written as null."""
+    return None if value is None or not math.isfinite(value) else value
+
+
 # ---------------------------------------------------------------------------
 # Pose records and batch sample files (JSON Lines)
 
@@ -120,22 +130,32 @@ def pose_to_record(pose: CameraPose) -> dict:
     }
 
 
-def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
+def _pose_fields(record: dict, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """Position and (unvalidated) scalar-first quaternion of a pose record."""
     if not isinstance(record, dict) or "position_m" not in record:
         raise FormatError(f"{context}: missing 'position_m'")
     position = np.array(_floats(record["position_m"], 3, context))
     if "quaternion_wxyz" in record:
-        quat = np.array(_floats(record["quaternion_wxyz"], 4, context))
-    elif "yaw_deg" in record:
+        return position, np.array(_floats(record["quaternion_wxyz"], 4, context))
+    if "yaw_deg" in record:
         quat = quat_from_yaw_pitch(
             float(record["yaw_deg"]), float(record.get("pitch_deg", 0.0))
         )
-    else:
-        raise FormatError(f"{context}: need 'quaternion_wxyz' or 'yaw_deg'")
+        return position, quat
+    raise FormatError(f"{context}: need 'quaternion_wxyz' or 'yaw_deg'")
+
+
+def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
+    position, quat = _pose_fields(record, context)
     try:
         return CameraPose(position, quat)
     except ValueError as exc:
         raise FormatError(f"{context}: {exc}") from exc
+
+
+def read_pose_json(path: Union[str, Path]) -> CameraPose:
+    """A camera pose from a JSON file holding one pose record."""
+    return record_to_pose(_load_json(path), str(path))
 
 
 @dataclass(frozen=True)
@@ -182,16 +202,7 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
         if "true" not in record or "predicted" not in record:
             raise FormatError(f"{context}: need 'true' and 'predicted' records")
         true_pose = record_to_pose(record["true"], f"{context}: true")
-        pred = record["predicted"]
-        if not isinstance(pred, dict) or "position_m" not in pred:
-            raise FormatError(f"{context}: predicted record missing 'position_m'")
-        position = np.array(_floats(pred["position_m"], 3, f"{context}: predicted"))
-        if "quaternion_wxyz" in pred:
-            raw = np.array(_floats(pred["quaternion_wxyz"], 4, f"{context}: predicted"))
-        elif "yaw_deg" in pred:
-            raw = quat_from_yaw_pitch(float(pred["yaw_deg"]), float(pred.get("pitch_deg", 0.0)))
-        else:
-            raise FormatError(f"{context}: predicted needs 'quaternion_wxyz' or 'yaw_deg'")
+        position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
         try:
             sample = PoseSample(true_pose, position, raw)
         except ValueError as exc:
@@ -278,8 +289,8 @@ def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
     return out
 
 
-def write_boundary_config(path: Union[str, Path], boundary: DeploymentBoundary) -> None:
-    payload = {
+def _boundary_to_record(boundary: DeploymentBoundary) -> dict:
+    return {
         "quadrant": boundary.quadrant,
         "x_range_m": list(boundary.x_range),
         "y_range_m": list(boundary.y_range),
@@ -288,27 +299,39 @@ def write_boundary_config(path: Union[str, Path], boundary: DeploymentBoundary) 
         "tilt_center_deg": boundary.tilt_center_deg,
         "tilt_tolerance_deg": boundary.tilt_tolerance_deg,
     }
-    _write_text(path, _dump_json(payload))
+
+
+def _record_to_boundary(record: dict, context: str) -> DeploymentBoundary:
+    """Strict: every field of ``_boundary_to_record`` must be present."""
+    try:
+        return DeploymentBoundary(
+            quadrant=int(record["quadrant"]),
+            x_range=tuple(_floats(record["x_range_m"], 2, context)),
+            y_range=tuple(_floats(record["y_range_m"], 2, context)),
+            height_range=tuple(_floats(record["height_range_m"], 2, context)),
+            yaw_window_deg=float(record["yaw_window_deg"]),
+            tilt_center_deg=float(record["tilt_center_deg"]),
+            tilt_tolerance_deg=float(record["tilt_tolerance_deg"]),
+        )
+    except KeyError as exc:
+        raise FormatError(f"{context}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{context}: {exc}") from exc
+
+
+# Fields a hand-written boundary config may omit.
+_BOUNDARY_DEFAULTS = {"yaw_window_deg": 10.0, "tilt_center_deg": -18.0, "tilt_tolerance_deg": 0.5}
+
+
+def write_boundary_config(path: Union[str, Path], boundary: DeploymentBoundary) -> None:
+    _write_text(path, _dump_json(_boundary_to_record(boundary)))
 
 
 def read_boundary_config(path: Union[str, Path]) -> DeploymentBoundary:
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    try:
-        return DeploymentBoundary(
-            quadrant=int(payload["quadrant"]),
-            x_range=tuple(_floats(payload["x_range_m"], 2, str(path))),
-            y_range=tuple(_floats(payload["y_range_m"], 2, str(path))),
-            height_range=tuple(_floats(payload["height_range_m"], 2, str(path))),
-            yaw_window_deg=float(payload.get("yaw_window_deg", 10.0)),
-            tilt_center_deg=float(payload.get("tilt_center_deg", -18.0)),
-            tilt_tolerance_deg=float(payload.get("tilt_tolerance_deg", 0.5)),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _record_to_boundary({**_BOUNDARY_DEFAULTS, **payload}, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +349,23 @@ def _cell_fields(value: float) -> str:
     return repr(float(value)) if math.isfinite(value) else ""
 
 
-def write_grid_csv(path: Union[str, Path], grid: SurfaceGrid) -> None:
+def _write_lattice_csv(
+    path: Union[str, Path], header: list[str], columns: list[np.ndarray], valid: np.ndarray
+) -> None:
+    """One row per lattice cell in row-major order: i, j, each column's value
+    (blank where non-finite), then the valid flag."""
     rows = []
-    nr, nc = grid.shape
+    nr, nc = valid.shape
     for i in range(nr):
         for j in range(nc):
-            x, y, z = grid.points[i, j]
-            ok = bool(grid.valid[i, j])
-            rows.append(
-                [i, j, _cell_fields(x), _cell_fields(y), _cell_fields(z), int(ok)]
-            )
-    _write_text(path, _csv_text(["i", "j", "x_m", "y_m", "z_m", "valid"], rows))
+            values = [_cell_fields(c[i, j]) for c in columns]
+            rows.append([i, j, *values, int(bool(valid[i, j]))])
+    _write_text(path, _csv_text(["i", "j", *header, "valid"], rows))
+
+
+def write_grid_csv(path: Union[str, Path], grid: SurfaceGrid) -> None:
+    xyz = [grid.points[..., k] for k in range(3)]
+    _write_lattice_csv(path, ["x_m", "y_m", "z_m"], xyz, grid.valid)
 
 
 def read_grid_csv(path: Union[str, Path]) -> np.ndarray:
@@ -375,20 +404,7 @@ def read_grid_csv(path: Union[str, Path]) -> np.ndarray:
 
 
 def write_pantilt_csv(path: Union[str, Path], u: PanTiltGrid) -> None:
-    rows = []
-    nr, nc = u.shape
-    for i in range(nr):
-        for j in range(nc):
-            rows.append(
-                [
-                    i,
-                    j,
-                    _cell_fields(u.pans[i, j]),
-                    _cell_fields(u.tilts[i, j]),
-                    int(bool(u.valid[i, j])),
-                ]
-            )
-    _write_text(path, _csv_text(["i", "j", "pan_deg", "tilt_deg", "valid"], rows))
+    _write_lattice_csv(path, ["pan_deg", "tilt_deg"], [u.pans, u.tilts], u.valid)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +555,7 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
                 "val": manifest.sizes.val,
                 "test": manifest.sizes.test,
             },
-            "boundary": {
-                "quadrant": manifest.boundary.quadrant,
-                "x_range_m": list(manifest.boundary.x_range),
-                "y_range_m": list(manifest.boundary.y_range),
-                "height_range_m": list(manifest.boundary.height_range),
-                "yaw_window_deg": manifest.boundary.yaw_window_deg,
-                "tilt_center_deg": manifest.boundary.tilt_center_deg,
-                "tilt_tolerance_deg": manifest.boundary.tilt_tolerance_deg,
-            },
+            "boundary": _boundary_to_record(manifest.boundary),
         },
         "samples": [_sample_to_record(s) for s in manifest.samples],
         "splits": list(manifest.splits),
@@ -566,16 +574,7 @@ def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
             val=int(header["sizes"]["val"]),
             test=int(header["sizes"]["test"]),
         )
-        b = header["boundary"]
-        boundary = DeploymentBoundary(
-            quadrant=int(b["quadrant"]),
-            x_range=tuple(_floats(b["x_range_m"], 2, str(path))),
-            y_range=tuple(_floats(b["y_range_m"], 2, str(path))),
-            height_range=tuple(_floats(b["height_range_m"], 2, str(path))),
-            yaw_window_deg=float(b["yaw_window_deg"]),
-            tilt_center_deg=float(b["tilt_center_deg"]),
-            tilt_tolerance_deg=float(b["tilt_tolerance_deg"]),
-        )
+        boundary = _record_to_boundary(header["boundary"], str(path))
         samples = tuple(
             _record_to_sample(rec, f"{path}: samples[{k}]")
             for k, rec in enumerate(payload["samples"])
@@ -598,11 +597,8 @@ def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
 # ---------------------------------------------------------------------------
 # Simulation reports and evaluation stats
 
-def report_to_dict(report: SimulationReport) -> dict:
-    def _maybe(value):
-        return None if value is None or not math.isfinite(value) else value
-
-    return {
+def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
+    payload = {
         "sections": [
             {
                 "name": s.name,
@@ -612,8 +608,8 @@ def report_to_dict(report: SimulationReport) -> dict:
             }
             for s in report.sections
         ],
-        "label_error_median_m": _maybe(report.label_error_median_m),
-        "label_error_rmse_m": _maybe(report.label_error_rmse_m),
+        "label_error_median_m": _finite_or_none(report.label_error_median_m),
+        "label_error_rmse_m": _finite_or_none(report.label_error_rmse_m),
         "missed_count": report.missed_count,
         "image_count": report.image_count,
         "images": [
@@ -624,16 +620,13 @@ def report_to_dict(report: SimulationReport) -> dict:
                 "tilt_deg": im.tilt_deg,
                 "label_m": [float(v) for v in im.label],
                 "hit_m": None if im.hit is None else [float(v) for v in im.hit],
-                "error_m": _maybe(im.error_m),
+                "error_m": _finite_or_none(im.error_m),
                 "missed": im.missed,
             }
             for im in report.images
         ],
     }
-
-
-def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
-    _write_text(path, _dump_json(report_to_dict(report)))
+    _write_text(path, _dump_json(payload))
 
 
 def write_report_csv(path: Union[str, Path], report: SimulationReport) -> None:
@@ -670,24 +663,21 @@ def write_report_csv(path: Union[str, Path], report: SimulationReport) -> None:
 
 
 def write_propagation_json(path: Union[str, Path], study: PropagationStudy) -> None:
-    def _maybe(value):
-        return None if not math.isfinite(value) else value
-
     payload = {
         "seed": study.seed,
         "sigma_pos_m": study.sigma_pos_m,
         "sigma_yaw_deg": study.sigma_yaw_deg,
         "n_draws": len(study.draws),
-        "error_median_m": _maybe(study.error_median_m),
-        "error_rmse_m": _maybe(study.error_rmse_m),
+        "error_median_m": _finite_or_none(study.error_median_m),
+        "error_rmse_m": _finite_or_none(study.error_rmse_m),
         "draws": [
             {
                 "draw": d.draw,
                 "position_error_m": d.position_error_m,
                 "yaw_error_deg": d.yaw_error_deg,
                 "image_count": d.image_count,
-                "label_error_median_m": _maybe(d.label_error_median_m),
-                "label_error_rmse_m": _maybe(d.label_error_rmse_m),
+                "label_error_median_m": _finite_or_none(d.label_error_median_m),
+                "label_error_rmse_m": _finite_or_none(d.label_error_rmse_m),
                 "coverage_min": d.coverage_min,
                 "missed_count": d.missed_count,
             }
@@ -697,16 +687,20 @@ def write_propagation_json(path: Union[str, Path], study: PropagationStudy) -> N
     _write_text(path, _dump_json(payload))
 
 
+def _stats_fields(stats) -> list[tuple[str, str]]:
+    """(name, text) of each pose-error statistic, in export order."""
+    return [
+        ("n", repr(stats.n)),
+        ("median_position_m", repr(stats.median_position)),
+        ("rmse_position_m", repr(stats.rmse_position)),
+        ("median_orientation_deg", repr(stats.median_orientation)),
+        ("rmse_orientation_deg", repr(stats.rmse_orientation)),
+    ]
+
+
 def format_stats(stats) -> str:
     """Flat key=value lines for pose-error statistics."""
-    lines = [
-        f"n={stats.n}",
-        f"median_position_m={stats.median_position!r}",
-        f"rmse_position_m={stats.rmse_position!r}",
-        f"median_orientation_deg={stats.median_orientation!r}",
-        f"rmse_orientation_deg={stats.rmse_orientation!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name}={text}\n" for name, text in _stats_fields(stats))
 
 
 def write_stats_report(path: Union[str, Path], stats) -> None:
@@ -714,18 +708,9 @@ def write_stats_report(path: Union[str, Path], stats) -> None:
 
 
 def write_stats_csv(path: Union[str, Path], stats) -> None:
-    header = [
-        "n",
-        "median_position_m",
-        "rmse_position_m",
-        "median_orientation_deg",
-        "rmse_orientation_deg",
-    ]
-    row = [
-        stats.n,
-        repr(stats.median_position),
-        repr(stats.rmse_position),
-        repr(stats.median_orientation),
-        repr(stats.rmse_orientation),
-    ]
-    _write_text(path, _csv_text(header, [row]))
+    names, texts = zip(*_stats_fields(stats))
+    _write_text(path, _csv_text(list(names), [list(texts)]))
+
+
+def write_loss_report(path: Union[str, Path], report: dict) -> None:
+    _write_text(path, _dump_json(report))

@@ -16,7 +16,7 @@ first crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -28,6 +28,7 @@ from ptzscan.geometry import (
     CylinderModel,
     Ray,
     intersect_cylinder,
+    wrap_degrees,
     yaw_from_quaternion,
 )
 from ptzscan.pantilt import (
@@ -43,7 +44,6 @@ from ptzscan.surface import INTERP_Z_OVER_XY, SurfaceGrid
 
 __all__ = [
     "SurfaceMissError",
-    "VirtualPTZ",
     "ImageResult",
     "SectionReport",
     "SimulationReport",
@@ -53,50 +53,11 @@ __all__ = [
     "cast_to_surface",
     "execute_plan",
     "error_propagation",
-    "DEFAULT_ZOOM_TABLE",
 ]
-
-# AW-UE150-like zoom presets: 1x is the wide end (72.5 deg horizontal,
-# 16:9 vertical); 13x matches the scan FOVs used by the planner defaults.
-DEFAULT_ZOOM_TABLE = {1.0: (72.5, 44.9), 13.0: (6.15, 3.46)}
 
 
 class SurfaceMissError(Exception):
     """A commanded ray does not strike the target surface."""
-
-
-@dataclass
-class VirtualPTZ:
-    """A stand-in PTZ head: true pose, zoom presets, current pan/tilt."""
-
-    true_pose: CameraPose
-    zoom_table: dict[float, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_ZOOM_TABLE)
-    )
-    current_pan_deg: float = 0.0
-    current_tilt_deg: float = 0.0
-
-    def __post_init__(self):
-        if not self.zoom_table:
-            raise ValueError("zoom table must not be empty")
-        last = (math.inf, math.inf)
-        for zoom in sorted(self.zoom_table):
-            hfov, vfov = self.zoom_table[zoom]
-            if hfov <= 0.0 or vfov <= 0.0:
-                raise ValueError(f"FOVs at zoom {zoom} must be positive")
-            if hfov > last[0] or vfov > last[1]:
-                raise ValueError("FOVs must not increase with zoom")
-            last = (hfov, vfov)
-
-    def fov_at(self, zoom: float) -> tuple[float, float]:
-        try:
-            return self.zoom_table[zoom]
-        except KeyError:
-            raise ValueError(f"no FOV entry for zoom {zoom}; have {sorted(self.zoom_table)}")
-
-    def move_to(self, shot: PanTilt) -> None:
-        self.current_pan_deg = shot.pan_deg
-        self.current_tilt_deg = shot.tilt_deg
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +227,13 @@ def cast_to_surface(
     return _cast_to_grid(ray, target)
 
 
+def _median_rmse(errors: np.ndarray) -> tuple[float, float]:
+    """Median and RMSE of labelling errors; NaN for an empty array."""
+    if not errors.size:
+        return math.nan, math.nan
+    return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
+
+
 def _overlap_ratio(a: set, b: set) -> float:
     """Shared fraction of the smaller footprint; 0 when either is empty."""
     if not a or not b:
@@ -348,12 +316,7 @@ def execute_plan(
         )
 
     errors = np.array([im.error_m for im in images if im.error_m is not None])
-    if errors.size:
-        median = float(np.median(errors))
-        rmse = float(np.sqrt(np.mean(errors**2)))
-    else:
-        median = math.nan
-        rmse = math.nan
+    median, rmse = _median_rmse(errors)
     return SimulationReport(
         sections=tuple(section_reports),
         images=tuple(images),
@@ -389,13 +352,11 @@ class PropagationStudy:
 
     @property
     def error_median_m(self) -> float:
-        return float(np.median(self.all_errors_m)) if self.all_errors_m.size else math.nan
+        return _median_rmse(self.all_errors_m)[0]
 
     @property
     def error_rmse_m(self) -> float:
-        if not self.all_errors_m.size:
-            return math.nan
-        return float(np.sqrt(np.mean(self.all_errors_m**2)))
+        return _median_rmse(self.all_errors_m)[1]
 
 
 def error_propagation(
@@ -431,8 +392,7 @@ def error_propagation(
         report = execute_plan(
             plan, true_pose, est_pose, sections, cfg, quadrant, cylinder=cylinder
         )
-        errs = report.errors()
-        errors.append(errs)
+        errors.append(report.errors())
         draws.append(
             PropagationDraw(
                 draw=k,
@@ -440,12 +400,14 @@ def error_propagation(
                     np.linalg.norm(est_pose.position - true_pose.position)
                 ),
                 yaw_error_deg=abs(
-                    yaw_from_quaternion(est_pose.orientation)
-                    - yaw_from_quaternion(true_pose.orientation)
+                    wrap_degrees(
+                        yaw_from_quaternion(est_pose.orientation)
+                        - yaw_from_quaternion(true_pose.orientation)
+                    )
                 ),
                 image_count=len(plan),
-                label_error_median_m=float(np.median(errs)) if errs.size else math.nan,
-                label_error_rmse_m=float(np.sqrt(np.mean(errs**2))) if errs.size else math.nan,
+                label_error_median_m=report.label_error_median_m,
+                label_error_rmse_m=report.label_error_rmse_m,
                 coverage_min=min((s.coverage for s in report.sections), default=0.0),
                 missed_count=report.missed_count,
             )

@@ -45,7 +45,6 @@ __all__ = [
     "write_point_cloud",
     "section_points",
     "interpolate_section",
-    "grid_cell",
 ]
 
 # Lattice spacing for interpolated surface grids, metres.
@@ -78,10 +77,9 @@ class DegenerateSectionError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Scattered 3D points (N x 3, metres) with optional per-point tags."""
+    """Scattered 3D points (N x 3, metres)."""
 
     points: np.ndarray
-    tags: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -92,10 +90,6 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
-        if self.tags is not None and len(self.tags) != len(pts):
-            raise ValueError(
-                f"tag count {len(self.tags)} does not match point count {len(pts)}"
-            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -283,10 +277,7 @@ def section_points(cloud: PointCloud, spec: SectionSpec) -> PointCloud:
         warnings.warn(
             f"section {spec.name!r} selected no points", EmptySectionWarning, stacklevel=2
         )
-    tags = None
-    if cloud.tags is not None:
-        tags = tuple(t for t, m in zip(cloud.tags, mask) if m)
-    return PointCloud(selected, tags)
+    return PointCloud(selected)
 
 
 def _lattice(lo: float, hi: float, resolution: float) -> np.ndarray:
@@ -370,7 +361,3 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         valid=valid,
     )
 
-
-def grid_cell(grid: SurfaceGrid, i: int, j: int) -> Optional[np.ndarray]:
-    """Surface point stored at (i, j), or None for an out-of-hull cell."""
-    return grid.cell(i, j)

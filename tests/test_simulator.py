@@ -8,13 +8,13 @@ from ptzscan.pantilt import (
     PanTilt,
     PanTiltGrid,
     QuadrantSetup,
+    YawToleranceWarning,
     grid_to_pantilt,
     point_to_pantilt,
 )
 from ptzscan.planner import ScanConfig, ScanPlan, SectionPlan, plan_full
 from ptzscan.simulator import (
     SurfaceMissError,
-    VirtualPTZ,
     cast_to_surface,
     error_propagation,
     execute_plan,
@@ -96,31 +96,6 @@ def plane_grid():
         box_max=(1.1, 1.1, 4.0),
     )
     return interpolate_section(section_points(cloud, spec), spec)
-
-
-class TestVirtualPTZ:
-    def test_defaults_and_lookup(self, true_pose):
-        cam = VirtualPTZ(true_pose)
-        assert cam.fov_at(13.0) == (6.15, 3.46)
-        assert cam.fov_at(1.0) == (72.5, 44.9)
-
-    def test_unknown_zoom_rejected(self, true_pose):
-        cam = VirtualPTZ(true_pose)
-        with pytest.raises(ValueError, match="no FOV entry"):
-            cam.fov_at(10.0)
-
-    def test_move_to_updates_state(self, true_pose):
-        cam = VirtualPTZ(true_pose)
-        cam.move_to(PanTilt(12.5, -30.0))
-        assert (cam.current_pan_deg, cam.current_tilt_deg) == (12.5, -30.0)
-
-    def test_fov_growing_with_zoom_rejected(self, true_pose):
-        with pytest.raises(ValueError, match="must not increase"):
-            VirtualPTZ(true_pose, zoom_table={1.0: (10.0, 8.0), 2.0: (12.0, 7.0)})
-
-    def test_nonpositive_fov_rejected(self, true_pose):
-        with pytest.raises(ValueError, match="positive"):
-            VirtualPTZ(true_pose, zoom_table={1.0: (10.0, 0.0)})
 
 
 def tiny_u(pans, tilts, valid=None):
@@ -325,6 +300,17 @@ class TestErrorPropagation:
             assert d.missed_count == direct.missed_count
             assert abs(d.label_error_median_m - direct.label_error_median_m) < 1e-9
             assert d.coverage_min == direct.sections[0].coverage
+
+    def test_yaw_error_wraps_across_the_seam(self, small_grid, cfg):
+        # Draws around a true yaw of 179.5 deg land on both sides of +/-180;
+        # unwrapped, those just across the seam read about 359 deg.
+        pose = CameraPose(CAMERA, quat_from_yaw_pitch(179.5))
+        with pytest.warns(YawToleranceWarning):
+            study = error_propagation(
+                pose, [small_grid], cfg, QUADRANT, 0.0, 2.0, 8, seed=1,
+                cylinder=CylinderModel(axis_height=H0, radius=R0),
+            )
+        assert all(d.yaw_error_deg < 20.0 for d in study.draws)
 
     def test_requires_at_least_one_draw(self, small_grid, true_pose, cfg):
         with pytest.raises(ValueError, match="at least one draw"):

@@ -1,0 +1,71 @@
+"""Static checks over the package sources, using only the stdlib ``ast``.
+
+Every imported name must be used, and every ``__all__`` entry must name
+something the module defines or imports. ``__init__.py`` imports purely to
+re-export, so only its ``__all__`` (if any) is checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ptzscan").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imports(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line number."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set(_imports(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_sources_found():
+    assert len(SOURCES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(_dunder_all(tree))
+    unused = {name: line for name, line in _imports(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_dunder_all_resolves(path):
+    tree = _parse(path)
+    missing = [name for name in _dunder_all(tree) if name not in _top_level_names(tree)]
+    assert not missing, f"{path.name}: __all__ names undefined {missing}"

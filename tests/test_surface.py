@@ -13,7 +13,6 @@ from ptzscan.surface import (
     PointCloudParseError,
     SectionSpec,
     SurfaceGrid,
-    grid_cell,
     interpolate_section,
     load_point_cloud,
     section_points,
@@ -143,11 +142,6 @@ class TestSectionPoints:
         out = section_points(cloud, make_spec(kind="tail", lo=(-0.5, 7.5, 2.5), hi=(0.5, 10.5, 6.5)))
         assert len(out) == 50
         assert out.points[:, 2].min() >= 3.0
-
-    def test_tags_follow_points(self):
-        cloud = PointCloud(np.array([[0.0, 0, 0], [5.0, 5, 5]]), tags=("a", "b"))
-        out = section_points(cloud, make_spec(lo=(4, 4, 4), hi=(6, 6, 6)))
-        assert out.tags == ("b",)
 
 
 class TestInterpolateSection:
@@ -297,18 +291,18 @@ class TestGridCell:
     def test_valid_cell_returns_point(self, grid):
         i, j = grid.shape[0] // 2, grid.shape[1] // 2
         assert grid.valid[i, j]
-        cell = grid_cell(grid, i, j)
+        cell = grid.cell(i, j)
         np.testing.assert_allclose(cell[0], grid.row_values[i], atol=1e-12)
         np.testing.assert_allclose(cell[1], grid.col_values[j], atol=1e-12)
 
     def test_out_of_range_raises(self, grid):
         with pytest.raises(IndexError):
-            grid_cell(grid, grid.shape[0], 0)
+            grid.cell(grid.shape[0], 0)
         with pytest.raises(IndexError):
-            grid_cell(grid, -1, 0)
+            grid.cell(-1, 0)
 
     def test_cell_copy_is_isolated(self, grid):
         i, j = grid.shape[0] // 2, grid.shape[1] // 2
-        cell = grid_cell(grid, i, j)
+        cell = grid.cell(i, j)
         cell[0] = 999.0
         assert grid.points[i, j, 0] != 999.0
