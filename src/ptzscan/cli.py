@@ -66,7 +66,7 @@ from ptzscan.losses import (
 from ptzscan.pantilt import QuadrantSetup, grid_to_pantilt
 from ptzscan.planner import ScanConfig, plan_full
 from ptzscan.randomizer import SplitSizes, generate_manifest
-from ptzscan.simulator import SurfaceMissError, error_propagation, execute_plan
+from ptzscan.simulator import error_propagation, execute_plan
 from ptzscan.surface import (
     DegenerateSectionError,
     PointCloudParseError,
@@ -464,7 +464,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (
         DegenerateSectionError,
         CylinderIntersectionError,
-        SurfaceMissError,
         InvalidSetupError,
     ) as exc:
         _report(EXIT_COMPUTE, str(exc))

@@ -8,16 +8,19 @@ label the plan carried is the labelling error this module quantifies,
 together with footprint coverage of the surface grid and realized overlap
 between consecutive images.
 
-Casting is exact for the analytic cylinder; for grid surfaces the ray is
-marched at half the lattice resolution and refined by bisection at the
-first crossing.
+Casting takes all shots of a section at once. It is exact, ray by ray,
+for the analytic cylinder. For grid surfaces every ray is marched at half
+the lattice resolution in one batch, and the first crossing of each is
+refined by bisection, all brackets together; a ray that brackets no
+crossing, or whose bisection reaches a hole in the grid, is a miss.
+Footprints are boolean masks over the section's pan-tilt grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from ptzscan.planner import ScanConfig, ScanPlan, plan_full
 from ptzscan.surface import INTERP_Z_OVER_XY, SurfaceGrid
 
 __all__ = [
-    "SurfaceMissError",
     "ImageResult",
     "SectionReport",
     "SimulationReport",
@@ -54,10 +56,6 @@ __all__ = [
     "execute_plan",
     "error_propagation",
 ]
-
-
-class SurfaceMissError(Exception):
-    """A commanded ray does not strike the target surface."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +104,21 @@ class SimulationReport:
         return np.array([im.error_m for im in self.images if im.error_m is not None])
 
 
-def footprint(
-    u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig
-) -> set[tuple[int, int]]:
-    """Present cells within half a FOV of the shot on the true pan-tilt grid.
+def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray:
+    """Mask of present cells within half a FOV of the shot on the true
+    pan-tilt grid (same shape as ``u_true``).
 
     Boundaries are closed: a cell exactly half an FOV away is included.
     Pan differences are wrapped, so footprints behave across the +/-180
     seam.
     """
-    dpan = np.abs(180.0 - ((180.0 - (u_true.pans - shot.pan_deg)) % 360.0))
-    dtilt = np.abs(u_true.tilts - shot.tilt_deg)
     with np.errstate(invalid="ignore"):
-        inside = u_true.valid & (dpan <= cfg.hfov_deg / 2.0) & (dtilt <= cfg.vfov_deg / 2.0)
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(inside))}
+        inside = u_true.valid & (np.abs(u_true.tilts - shot.tilt_deg) <= cfg.vfov_deg / 2.0)
+        # The float remainder dominates the cost, so pan differences are
+        # wrapped only for cells already inside the tilt band.
+        dpan = np.abs(180.0 - ((180.0 - (u_true.pans[inside] - shot.pan_deg)) % 360.0))
+        inside[inside] = dpan <= cfg.hfov_deg / 2.0
+    return inside
 
 
 def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,56 +174,79 @@ def _grid_offset(grid: SurfaceGrid, pts: np.ndarray) -> np.ndarray:
     return pts[:, 0] - surf
 
 
-def _cast_to_grid(ray: Ray, grid: SurfaceGrid) -> np.ndarray:
-    """First ray--grid crossing by marching at half resolution + bisection."""
+def _cast_to_grid(
+    origin: np.ndarray, directions: np.ndarray, grid: SurfaceGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """First crossing of each ray ``origin + t * directions[i]`` with the
+    grid surface: one march at half resolution for all rays, then
+    bisection of every bracket together.
+
+    A ray misses when no step pair brackets a sign change, or when a
+    bisection midpoint has no surface value (a hole under the crossing).
+    """
+    n = len(directions)
+    hits = np.full((n, 3), np.nan)
+    missed = np.ones(n, dtype=bool)
     finite = grid.points[grid.valid]
-    if finite.size == 0:
-        raise SurfaceMissError("grid has no present cells")
-    t_max = float(np.max(np.linalg.norm(finite - ray.origin, axis=1))) + 1.0
+    if finite.size == 0 or n == 0:
+        return hits, missed
+    t_max = float(np.max(np.linalg.norm(finite - origin, axis=1))) + 1.0
     step = grid.resolution / 2.0
     ts = np.arange(0.0, t_max + step, step)
-    pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
-    f = _grid_offset(grid, pts)
-    both = np.isfinite(f[:-1]) & np.isfinite(f[1:])
-    crossing = both & (f[:-1] * f[1:] <= 0.0) & (ts[1:] > 0.0)
-    idx = np.nonzero(crossing)[0]
-    if idx.size == 0:
-        raise SurfaceMissError("ray does not cross the grid surface")
-    k = int(idx[0])
+    pts = origin + ts[None, :, None] * directions[:, None, :]
+    f = _grid_offset(grid, pts.reshape(-1, 3)).reshape(n, len(ts))
+    crossing = np.isfinite(f[:, :-1]) & np.isfinite(f[:, 1:]) & (f[:, :-1] * f[:, 1:] <= 0.0)
+    rows = np.nonzero(crossing.any(axis=1))[0]
+    k = crossing[rows].argmax(axis=1)
+    d = directions[rows]
     lo, hi = ts[k], ts[k + 1]
-    f_lo = f[k]
-    if f_lo == 0.0:
-        return ray.at(float(lo))
+    f_lo = f[rows, k]
+    on_sample = f_lo == 0.0
+    bisecting = ~on_sample
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        f_mid = _grid_offset(grid, ray.at(mid)[None, :])[0]
-        if not math.isfinite(f_mid):
-            break
-        if f_lo * f_mid > 0.0:
-            lo = mid
-            f_lo = f_mid
-        else:
-            hi = mid
-    return ray.at(0.5 * (lo + hi))
+        f_mid = _grid_offset(grid, origin + mid[:, None] * d)
+        bisecting &= np.isfinite(f_mid)
+        up = bisecting & (f_lo * f_mid > 0.0)
+        lo = np.where(up, mid, lo)
+        f_lo = np.where(up, f_mid, f_lo)
+        hi = np.where(bisecting & ~up, mid, hi)
+    hit = on_sample | bisecting
+    t = np.where(on_sample, lo, 0.5 * (lo + hi))[hit]
+    hits[rows[hit]] = origin + t[:, None] * d[hit]
+    missed[rows[hit]] = False
+    return hits, missed
 
 
 def cast_to_surface(
     true_pose: CameraPose,
-    pan_deg: float,
-    tilt_deg: float,
+    pans_deg: Sequence[float],
+    tilts_deg: Sequence[float],
     alpha_true_deg: float,
     target: Union[CylinderModel, SurfaceGrid],
-) -> np.ndarray:
-    """Where a commanded pan/tilt, executed from the true pose, strikes the
-    target surface. Raises SurfaceMissError on a miss."""
-    direction = direction_from_pantilt(pan_deg, tilt_deg, alpha_true_deg)
-    ray = Ray(true_pose.position, direction)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each commanded pan/tilt, executed from the true pose, strikes
+    the target surface.
+
+    Returns an (n, 3) array of hits and a length-n boolean miss mask; a
+    missed shot's row is NaN. The cylinder is intersected exactly, ray by
+    ray; a grid is marched once for all shots (see ``_cast_to_grid``).
+    """
+    rays = [
+        Ray(true_pose.position, direction_from_pantilt(pan, tilt, alpha_true_deg))
+        for pan, tilt in zip(pans_deg, tilts_deg)
+    ]
     if isinstance(target, CylinderModel):
-        try:
-            return intersect_cylinder(ray, target)
-        except CylinderIntersectionError as exc:
-            raise SurfaceMissError(str(exc)) from exc
-    return _cast_to_grid(ray, target)
+        hits = np.full((len(rays), 3), np.nan)
+        missed = np.zeros(len(rays), dtype=bool)
+        for i, ray in enumerate(rays):
+            try:
+                hits[i] = intersect_cylinder(ray, target)
+            except CylinderIntersectionError:
+                missed[i] = True
+        return hits, missed
+    directions = np.array([ray.direction for ray in rays]).reshape(-1, 3)
+    return _cast_to_grid(true_pose.position, directions, target)
 
 
 def _median_rmse(errors: np.ndarray) -> tuple[float, float]:
@@ -234,11 +256,12 @@ def _median_rmse(errors: np.ndarray) -> tuple[float, float]:
     return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
 
 
-def _overlap_ratio(a: set, b: set) -> float:
+def _overlap_ratio(a: np.ndarray, b: np.ndarray) -> float:
     """Shared fraction of the smaller footprint; 0 when either is empty."""
-    if not a or not b:
+    na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    if not na or not nb:
         return 0.0
-    return len(a & b) / min(len(a), len(b))
+    return int(np.count_nonzero(a & b)) / min(na, nb)
 
 
 def execute_plan(
@@ -272,22 +295,20 @@ def execute_plan(
         if grid is None:
             raise ValueError(f"plan references unknown section {section_plan.name!r}")
         u_true = grid_to_pantilt(grid, true_setup)
-        covered: set[tuple[int, int]] = set()
-        footprints: list[set[tuple[int, int]]] = []
-        for point in section_plan.points:
-            shot = PanTilt(point.pan_deg, point.tilt_deg)
-            fp = footprint(u_true, shot, cfg)
+        points = section_plan.points
+        hits, missed = cast_to_surface(
+            true_pose,
+            [point.pan_deg for point in points],
+            [point.tilt_deg for point in points],
+            alpha_true,
+            cylinder if cylinder is not None else grid,
+        )
+        covered = np.zeros(u_true.valid.shape, dtype=bool)
+        footprints: list[np.ndarray] = []
+        for point, hit, miss in zip(points, hits, missed):
+            fp = footprint(u_true, PanTilt(point.pan_deg, point.tilt_deg), cfg)
             covered |= fp
             footprints.append(fp)
-            target = cylinder if cylinder is not None else grid
-            try:
-                hit = cast_to_surface(
-                    true_pose, point.pan_deg, point.tilt_deg, alpha_true, target
-                )
-                error = float(np.linalg.norm(hit - point.label))
-                missed = False
-            except SurfaceMissError:
-                hit, error, missed = None, None, True
             images.append(
                 ImageResult(
                     sequence=sequence,
@@ -295,14 +316,14 @@ def execute_plan(
                     pan_deg=point.pan_deg,
                     tilt_deg=point.tilt_deg,
                     label=point.label,
-                    hit=hit,
-                    error_m=error,
-                    missed=missed,
+                    hit=None if miss else hit,
+                    error_m=None if miss else float(np.linalg.norm(hit - point.label)),
+                    missed=bool(miss),
                 )
             )
             sequence += 1
         present = int(grid.valid.sum())
-        coverage = len(covered) / present if present else 0.0
+        coverage = int(np.count_nonzero(covered)) / present if present else 0.0
         overlaps = tuple(
             _overlap_ratio(a, b) for a, b in zip(footprints, footprints[1:])
         )
