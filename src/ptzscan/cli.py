@@ -235,7 +235,8 @@ def cmd_randomize(args) -> int:
     _require_files(args.boundary)
     boundary = read_boundary_config(args.boundary)
     sizes = SplitSizes(train=args.train, val=args.val, test=args.test)
-    manifest = generate_manifest(boundary, sizes=sizes, seed=args.seed, hfov_deg=args.hfov_deg)
+    fov = {} if args.hfov_deg is None else {"hfov_deg": args.hfov_deg}
+    manifest = generate_manifest(boundary, sizes=sizes, seed=args.seed, **fov)
     write_manifest_json(args.out, manifest)
     print(
         f"manifest: {sizes.total} samples (train {sizes.train} / val {sizes.val} / "
@@ -347,9 +348,13 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_scan_flags(parser):
-    parser.add_argument("--hfov-deg", type=float, default=6.15, help="horizontal FOV at scan zoom")
-    parser.add_argument("--vfov-deg", type=float, default=3.46, help="vertical FOV at scan zoom")
-    parser.add_argument("--mu", type=float, default=0.15, help="overlap ratio in [0, 1)")
+    parser.add_argument(
+        "--hfov-deg", type=float, default=ScanConfig.hfov_deg, help="horizontal FOV at scan zoom"
+    )
+    parser.add_argument(
+        "--vfov-deg", type=float, default=ScanConfig.vfov_deg, help="vertical FOV at scan zoom"
+    )
+    parser.add_argument("--mu", type=float, default=ScanConfig.mu, help="overlap ratio in [0, 1)")
 
 
 def _add_cloud_flags(parser):
@@ -405,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randomize", help="generate a domain-randomised dataset manifest")
     p.add_argument("--boundary", required=True, help="per-quadrant boundary config JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train", type=int, default=4000)
-    p.add_argument("--val", type=int, default=700)
-    p.add_argument("--test", type=int, default=300)
-    p.add_argument("--hfov-deg", type=float, default=72.5, help="recorded render FOV")
+    p.add_argument("--train", type=int, default=SplitSizes.train)
+    p.add_argument("--val", type=int, default=SplitSizes.val)
+    p.add_argument("--test", type=int, default=SplitSizes.test)
+    p.add_argument("--hfov-deg", type=float, help="recorded render FOV")
     p.add_argument("--out", required=True, help="manifest JSON output")
     p.set_defaults(func=cmd_randomize)
 
@@ -434,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-camera", help="true pose JSON (defaults to --camera)")
     p.add_argument("--quadrant", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--cylinder", help="analytic cast target as 'radius,axis-height'")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

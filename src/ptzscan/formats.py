@@ -31,14 +31,7 @@ from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
-from ptzscan.randomizer import (
-    DatasetManifest,
-    DeploymentBoundary,
-    MaterialColor,
-    RandomizationSample,
-    SplitSizes,
-    TexturePlacement,
-)
+from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, RandomizationSample
 from ptzscan.simulator import PropagationStudy, SimulationReport
 from ptzscan.surface import SectionSpec, SurfaceGrid
 
@@ -56,13 +49,11 @@ __all__ = [
     "write_boundary_config",
     "read_boundary_config",
     "write_grid_csv",
-    "read_grid_csv",
     "write_pantilt_csv",
     "write_plan_json",
     "read_plan_json",
     "write_plan_csv",
     "write_manifest_json",
-    "read_manifest_json",
     "write_report_json",
     "write_report_csv",
     "write_propagation_json",
@@ -138,10 +129,8 @@ def _pose_fields(record: dict, context: str) -> tuple[np.ndarray, np.ndarray]:
     if "quaternion_wxyz" in record:
         return position, np.array(_floats(record["quaternion_wxyz"], 4, context))
     if "yaw_deg" in record:
-        quat = quat_from_yaw_pitch(
-            float(record["yaw_deg"]), float(record.get("pitch_deg", 0.0))
-        )
-        return position, quat
+        yaw, pitch = _floats([record["yaw_deg"], record.get("pitch_deg", 0.0)], 2, context)
+        return position, quat_from_yaw_pitch(yaw, pitch)
     raise FormatError(f"{context}: need 'quaternion_wxyz' or 'yaw_deg'")
 
 
@@ -199,7 +188,7 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{context}: invalid JSON ({exc})") from exc
-        if "true" not in record or "predicted" not in record:
+        if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
             raise FormatError(f"{context}: need 'true' and 'predicted' records")
         true_pose = record_to_pose(record["true"], f"{context}: true")
         position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
@@ -368,41 +357,6 @@ def write_grid_csv(path: Union[str, Path], grid: SurfaceGrid) -> None:
     _write_lattice_csv(path, ["x_m", "y_m", "z_m"], xyz, grid.valid)
 
 
-def read_grid_csv(path: Union[str, Path]) -> np.ndarray:
-    """Grid export rows as a structured array (i, j, x, y, z, valid)."""
-    text = Path(path).read_text()
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty file") from None
-    if header != ["i", "j", "x_m", "y_m", "z_m", "valid"]:
-        raise FormatError(f"{path}: unexpected header {header!r}")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise FormatError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-        try:
-            records.append(
-                (
-                    int(row[0]),
-                    int(row[1]),
-                    float(row[2]) if row[2] else math.nan,
-                    float(row[3]) if row[3] else math.nan,
-                    float(row[4]) if row[4] else math.nan,
-                    bool(int(row[5])),
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(
-        records,
-        dtype=[("i", int), ("j", int), ("x", float), ("y", float), ("z", float), ("valid", bool)],
-    )
-
-
 def write_pantilt_csv(path: Union[str, Path], u: PanTiltGrid) -> None:
     _write_lattice_csv(path, ["pan_deg", "tilt_deg"], [u.pans, u.tilts], u.valid)
 
@@ -511,39 +465,6 @@ def _sample_to_record(sample: RandomizationSample) -> dict:
     }
 
 
-def _record_to_sample(record: dict, context: str) -> RandomizationSample:
-    try:
-        colors = {
-            name: MaterialColor(
-                ambient_rgb=tuple(_floats(c["ambient_rgb"], 3, context)),
-                specular_rgb=tuple(_floats(c["specular_rgb"], 3, context)),
-            )
-            for name, c in record["colors"].items()
-        }
-        textures = {
-            name: TexturePlacement(
-                offset_u=float(t["offset_u"]),
-                offset_v=float(t["offset_v"]),
-                rotation_deg=float(t["rotation_deg"]),
-                scale_u=float(t["scale_u"]),
-                scale_v=float(t["scale_v"]),
-            )
-            for name, t in record["textures"].items()
-        }
-        return RandomizationSample(
-            position=np.array(_floats(record["position_m"], 3, context)),
-            yaw_deg=float(record["yaw_deg"]),
-            pan_deg=float(record["pan_deg"]),
-            tilt_deg=float(record["tilt_deg"]),
-            colors=colors,
-            textures=textures,
-        )
-    except KeyError as exc:
-        raise FormatError(f"{context}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{context}: {exc}") from exc
-
-
 def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> None:
     payload = {
         "header": {
@@ -561,37 +482,6 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
         "splits": list(manifest.splits),
     }
     _write_text(path, _dump_json(payload))
-
-
-def read_manifest_json(path: Union[str, Path]) -> DatasetManifest:
-    payload = _load_json(path)
-    if not isinstance(payload, dict) or "header" not in payload:
-        raise FormatError(f"{path}: expected an object with a 'header'")
-    header = payload["header"]
-    try:
-        sizes = SplitSizes(
-            train=int(header["sizes"]["train"]),
-            val=int(header["sizes"]["val"]),
-            test=int(header["sizes"]["test"]),
-        )
-        boundary = _record_to_boundary(header["boundary"], str(path))
-        samples = tuple(
-            _record_to_sample(rec, f"{path}: samples[{k}]")
-            for k, rec in enumerate(payload["samples"])
-        )
-        return DatasetManifest(
-            seed=int(header["seed"]),
-            sizes=sizes,
-            boundary=boundary,
-            samples=samples,
-            splits=tuple(str(s) for s in payload["splits"]),
-            hfov_deg=float(header["hfov_deg"]),
-            generator=str(header["generator"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "ICSC_HIT",
     "ICSC_SKIPPED",
     "InvalidSetupError",
-    "PredictedRayMissError",
     "PoseSample",
     "LossWeights",
     "LossBreakdown",
@@ -54,11 +53,6 @@ ICSC_SKIPPED = "fallback-skipped"
 class InvalidSetupError(Exception):
     """The true-pose view ray does not hit the cylinder; the sample is
     outside the geometry this loss is defined for."""
-
-
-class PredictedRayMissError(Exception):
-    """The predicted view ray misses the cylinder and the fallback policy
-    is set to raise rather than skip the ICSC component."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +111,8 @@ class LossWeights:
 class LossBreakdown:
     """Raw per-component losses and the weighted total.
 
-    ``l_c`` is None when the ICSC component was excluded or skipped by the
-    fallback policy; ``icsc_status`` records which.
+    ``l_c`` is None when the ICSC component was excluded or skipped because
+    the predicted ray missed; ``icsc_status`` records which.
     """
 
     l_x: float
@@ -144,32 +138,24 @@ def orientation_loss(sample: PoseSample) -> float:
     )
 
 
-def icsc_loss(
-    sample: PoseSample, cylinder: CylinderModel, fallback: str = "skip"
-) -> tuple[Optional[float], str]:
+def icsc_loss(sample: PoseSample, cylinder: CylinderModel) -> tuple[Optional[float], str]:
     """Distance between true and predicted optical-axis hits on the cylinder.
 
-    Returns ``(distance_m, "hit")`` normally. When the predicted ray misses
-    the surface: ``fallback="skip"`` returns ``(None, "fallback-skipped")``
-    and ``fallback="error"`` raises PredictedRayMissError.
+    Returns ``(distance_m, "hit")`` normally, and ``(None,
+    "fallback-skipped")`` when the predicted ray misses the surface: a bad
+    prediction drops the component rather than failing the sample.
 
     Raises InvalidSetupError if the *true* ray misses — that indicates a
     sample outside the intended deployment geometry, not a bad prediction.
     """
-    if fallback not in ("skip", "error"):
-        raise ValueError(f"fallback must be 'skip' or 'error', got {fallback!r}")
     try:
         true_hit = intersect_cylinder(view_ray(sample.true_pose), cylinder)
     except CylinderIntersectionError as exc:
         raise InvalidSetupError(f"true-pose view ray misses the cylinder: {exc}") from exc
     try:
         pred_hit = intersect_cylinder(view_ray(sample.predicted_pose), cylinder)
-    except CylinderIntersectionError as exc:
-        if fallback == "skip":
-            return None, ICSC_SKIPPED
-        raise PredictedRayMissError(
-            f"predicted view ray misses the cylinder: {exc}"
-        ) from exc
+    except CylinderIntersectionError:
+        return None, ICSC_SKIPPED
     return float(np.linalg.norm(true_hit - pred_hit)), ICSC_HIT
 
 
@@ -178,7 +164,6 @@ def combined_loss(
     weights: LossWeights,
     cylinder: Optional[CylinderModel] = None,
     include_icsc: bool = True,
-    fallback: str = "skip",
 ) -> LossBreakdown:
     """Log-variance-weighted multi-task total for one sample.
 
@@ -186,8 +171,8 @@ def combined_loss(
 
     With all weights zero the total reduces exactly to the plain sum of the
     raw components. The ICSC term requires ``cylinder``; it is dropped when
-    ``include_icsc`` is false or the fallback policy skips a missing
-    predicted intersection.
+    ``include_icsc`` is false or the predicted ray misses the cylinder
+    (``icsc_loss`` then reports it skipped).
     """
     l_x = position_loss(sample)
     l_q = orientation_loss(sample)
@@ -196,7 +181,7 @@ def combined_loss(
     if include_icsc:
         if cylinder is None:
             raise ValueError("cylinder is required when include_icsc is true")
-        l_c, status = icsc_loss(sample, cylinder, fallback=fallback)
+        l_c, status = icsc_loss(sample, cylinder)
     total = l_x * math.exp(-weights.s_x) + weights.s_x + l_q * math.exp(-weights.s_q) + weights.s_q
     if l_c is not None:
         total = total + l_c * math.exp(-weights.s_c) + weights.s_c

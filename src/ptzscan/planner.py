@@ -38,7 +38,6 @@ from ptzscan.surface import (
 
 __all__ = [
     "SECTION_SCAN_ORDER",
-    "LabelConsistencyError",
     "SectionMismatchWarning",
     "ScanConfig",
     "ScanPoint",
@@ -46,7 +45,6 @@ __all__ = [
     "ScanPlan",
     "plan_section",
     "plan_full",
-    "attach_labels",
     "quadrant_half",
     "estimate_image_count",
 ]
@@ -56,10 +54,6 @@ SECTION_SCAN_ORDER = (KIND_FUSELAGE, KIND_TAIL, KIND_STABILISER, KIND_WING)
 
 # Sections whose image rows advance along pan instead of tilt.
 _PAN_MAJOR_KINDS = (KIND_WING, KIND_STABILISER)
-
-
-class LabelConsistencyError(Exception):
-    """A scan point's grid indices do not resolve to a present cell."""
 
 
 class SectionMismatchWarning(UserWarning):
@@ -239,37 +233,6 @@ def plan_full(
         points = plan_section(u, grid, cfg, kind)
         plans.append(SectionPlan(name=grid.section.name, kind=kind, points=tuple(points)))
     return ScanPlan(sections=tuple(plans))
-
-
-def attach_labels(points: list[ScanPoint], grid: SurfaceGrid) -> list[ScanPoint]:
-    """Refresh each point's label from its (i, j) cell of ``grid``.
-
-    Raises LabelConsistencyError when an index is out of range or resolves
-    to an absent cell — a plan and grid that disagree are corrupt.
-    """
-    relabeled = []
-    for p in points:
-        try:
-            label = grid.cell(p.i, p.j)
-        except IndexError as exc:
-            raise LabelConsistencyError(
-                f"scan point ({p.i}, {p.j}) outside grid {grid.shape}"
-            ) from exc
-        if label is None:
-            raise LabelConsistencyError(
-                f"scan point ({p.i}, {p.j}) refers to an absent cell"
-            )
-        relabeled.append(
-            ScanPoint(
-                pan_deg=p.pan_deg,
-                tilt_deg=p.tilt_deg,
-                label=label,
-                section=p.section,
-                i=p.i,
-                j=p.j,
-            )
-        )
-    return relabeled
 
 
 def estimate_image_count(

@@ -43,7 +43,7 @@ from ptzscan.pantilt import (
     grid_to_pantilt,
 )
 from ptzscan.planner import ScanConfig, ScanPlan, plan_full
-from ptzscan.surface import INTERP_Z_OVER_XY, SurfaceGrid
+from ptzscan.surface import SurfaceGrid
 
 __all__ = [
     "ImageResult",
@@ -122,7 +122,7 @@ def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray
 
 
 def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the grid's dependent coordinate.
+    """Bilinear interpolation of the grid's value axis.
 
     ``a`` indexes the row axis, ``b`` the column axis (both in metres).
     Returns NaN where any of the four surrounding lattice cells is absent
@@ -150,7 +150,7 @@ def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         & grid.valid[i0k, j0k + 1]
         & grid.valid[i0k + 1, j0k + 1]
     )
-    vi = 2 if grid.section.interpolated_coordinate == INTERP_Z_OVER_XY else 0
+    vi = grid.section.value_axis
     wa = fr[ok] - i0k
     wb = fc[ok] - j0k
     vals = (
@@ -165,13 +165,10 @@ def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _grid_offset(grid: SurfaceGrid, pts: np.ndarray) -> np.ndarray:
-    """Signed offset of points from the grid surface along the dependent
-    axis (NaN off-lattice)."""
-    if grid.section.interpolated_coordinate == INTERP_Z_OVER_XY:
-        surf = _grid_value(grid, pts[:, 0], pts[:, 1])
-        return pts[:, 2] - surf
-    surf = _grid_value(grid, pts[:, 2], pts[:, 1])
-    return pts[:, 0] - surf
+    """Signed offset of points from the grid surface along its value axis
+    (NaN off-lattice)."""
+    spec = grid.section
+    return pts[:, spec.value_axis] - _grid_value(grid, pts[:, spec.row_axis], pts[:, 1])
 
 
 def _cast_to_grid(
@@ -179,7 +176,9 @@ def _cast_to_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First crossing of each ray ``origin + t * directions[i]`` with the
     grid surface: one march at half resolution for all rays, then
-    bisection of every bracket together.
+    bisection of every bracket together, for at most 60 steps. Bisection
+    stops early once every open bracket spans adjacent floats, since its
+    midpoint can then only repeat an end.
 
     A ray misses when no step pair brackets a sign change, or when a
     bisection midpoint has no surface value (a hole under the crossing).
@@ -205,6 +204,8 @@ def _cast_to_grid(
     bisecting = ~on_sample
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if not (bisecting & (lo < mid) & (mid < hi)).any():
+            break
         f_mid = _grid_offset(grid, origin + mid[:, None] * d)
         bisecting &= np.isfinite(f_mid)
         up = bisecting & (f_lo * f_mid > 0.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "SectionSpec",
     "SurfaceGrid",
     "load_point_cloud",
-    "write_point_cloud",
     "section_points",
     "interpolate_section",
 ]
@@ -97,12 +96,14 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class SectionSpec:
-    """A named axis-aligned box cut of the cloud plus interpolation layout.
+    """A named axis-aligned box cut of the cloud; its kind fixes the layout.
 
-    ``interpolated_coordinate`` is fixed by ``kind``: the tail interpolates
-    x over (y, z), everything else z over (x, y). ``relevance`` records
-    which half of the vehicle a camera must occupy for this section to be
-    worth scanning.
+    The tail interpolates x over (y, z), everything else z over (x, y).
+    ``interpolated_coordinate`` names that layout, ``value_axis`` is the
+    scene axis interpolated, and ``row_axis`` the one grid rows step along
+    (z for the tail, x otherwise); grid columns always step along y.
+    ``relevance`` records which half of the vehicle a camera must occupy
+    for this section to be worth scanning.
     """
 
     name: str
@@ -110,7 +111,6 @@ class SectionSpec:
     box_min: tuple[float, float, float]
     box_max: tuple[float, float, float]
     relevance: str = RELEVANCE_BACK
-    interpolated_coordinate: str = field(default="")
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -126,14 +126,18 @@ class SectionSpec:
                 raise ValueError(f"box must satisfy min < max on axis {axis}: {a} vs {b}")
         object.__setattr__(self, "box_min", lo)
         object.__setattr__(self, "box_max", hi)
-        expected = INTERP_X_OVER_YZ if self.kind == KIND_TAIL else INTERP_Z_OVER_XY
-        if self.interpolated_coordinate == "":
-            object.__setattr__(self, "interpolated_coordinate", expected)
-        elif self.interpolated_coordinate != expected:
-            raise ValueError(
-                f"section kind {self.kind!r} requires interpolated coordinate "
-                f"{expected!r}, got {self.interpolated_coordinate!r}"
-            )
+
+    @property
+    def interpolated_coordinate(self) -> str:
+        return INTERP_X_OVER_YZ if self.kind == KIND_TAIL else INTERP_Z_OVER_XY
+
+    @property
+    def value_axis(self) -> int:
+        return 0 if self.kind == KIND_TAIL else 2
+
+    @property
+    def row_axis(self) -> int:
+        return 2 if self.kind == KIND_TAIL else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,26 +247,6 @@ def _load_ply(path: Path) -> PointCloud:
     return PointCloud(points)
 
 
-def write_point_cloud(path: str | Path, cloud: PointCloud, fmt: str = "xyz-ascii") -> None:
-    """Write a cloud in a form ``load_point_cloud`` reads back exactly."""
-    path = Path(path)
-    if fmt == "xyz-ascii":
-        with open(path, "w", encoding="utf-8") as fh:
-            for x, y, z in cloud.points:
-                fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        return
-    if fmt == "ply-ascii-subset":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(f"element vertex {len(cloud)}\n")
-            fh.write("property double x\nproperty double y\nproperty double z\n")
-            fh.write("end_header\n")
-            for x, y, z in cloud.points:
-                fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        return
-    raise ValueError(f"unknown point-cloud format {fmt!r}")
-
-
 def section_points(cloud: PointCloud, spec: SectionSpec) -> PointCloud:
     """Points of ``cloud`` inside the section's closed box (bounds included).
 
@@ -306,52 +290,35 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     # Canonical ordering, then first-wins de-duplication of projected
     # coordinates, so triangulation ties never depend on input order.
     pts = sub.points[np.lexsort((sub.points[:, 2], sub.points[:, 1], sub.points[:, 0]))]
-    if spec.interpolated_coordinate == INTERP_Z_OVER_XY:
-        proj = pts[:, :2]
-        values = pts[:, 2]
-    else:
-        proj = pts[:, 1:]
-        values = pts[:, 0]
-    _, keep = np.unique(proj, axis=0, return_index=True)
+    # The projection keeps the other two axes in scene order: (x, y) or (y, z).
+    axes = [a for a in range(3) if a != spec.value_axis]
+    _, keep = np.unique(pts[:, axes], axis=0, return_index=True)
     keep.sort()
-    proj = proj[keep]
-    values = values[keep]
+    pts = pts[keep]
+    # Column indexing yields Fortran order; the interpolator would keep a C copy.
+    proj = np.ascontiguousarray(pts[:, axes])
 
     if len(proj) < 3 or np.linalg.matrix_rank(proj[1:] - proj[0], tol=1e-12) < 2:
         raise DegenerateSectionError(
             f"section {spec.name!r}: need >= 3 non-collinear projected points"
         )
     try:
-        interp = LinearNDInterpolator(proj, values)
+        interp = LinearNDInterpolator(proj, pts[:, spec.value_axis])
     except QhullError as exc:
         raise DegenerateSectionError(
             f"section {spec.name!r}: triangulation failed ({exc})"
         ) from exc
 
-    if spec.interpolated_coordinate == INTERP_Z_OVER_XY:
-        row_axis, col_axis = 0, 1  # rows over x, columns over y
-    else:
-        row_axis, col_axis = 1, 0  # rows over z, columns over y
-    row_values = _lattice(proj[:, row_axis].min(), proj[:, row_axis].max(), GRID_RESOLUTION)
-    col_values = _lattice(proj[:, col_axis].min(), proj[:, col_axis].max(), GRID_RESOLUTION)
+    rows, cols = pts[:, spec.row_axis], pts[:, 1]
+    row_values = _lattice(rows.min(), rows.max(), GRID_RESOLUTION)
+    col_values = _lattice(cols.min(), cols.max(), GRID_RESOLUTION)
 
-    rr, cc = np.meshgrid(row_values, col_values, indexing="ij")
-    if spec.interpolated_coordinate == INTERP_Z_OVER_XY:
-        queries = np.column_stack([rr.ravel(), cc.ravel()])
-    else:
-        queries = np.column_stack([cc.ravel(), rr.ravel()])
-    interpolated = interp(queries).reshape(rr.shape)
+    points = np.empty((len(row_values), len(col_values), 3), dtype=np.float64)
+    points[..., spec.row_axis] = row_values[:, None]
+    points[..., 1] = col_values[None, :]
+    interpolated = interp(points[..., axes].reshape(-1, 2)).reshape(points.shape[:2])
     valid = np.isfinite(interpolated)
-
-    points = np.empty(rr.shape + (3,), dtype=np.float64)
-    if spec.interpolated_coordinate == INTERP_Z_OVER_XY:
-        points[..., 0] = rr
-        points[..., 1] = cc
-        points[..., 2] = interpolated
-    else:
-        points[..., 0] = interpolated
-        points[..., 1] = cc
-        points[..., 2] = rr
+    points[..., spec.value_axis] = interpolated
     points[~valid] = np.nan
     return SurfaceGrid(
         section=spec,

@@ -6,23 +6,20 @@ line on stderr for failure paths. A small cylinder-section world is
 built once per module and shared.
 """
 
+import inspect
 import json
 import math
+from csv import DictReader
 
 import numpy as np
 import pytest
 
-from ptzscan.cli import main
-from ptzscan.formats import (
-    read_grid_csv,
-    read_manifest_json,
-    read_plan_json,
-    write_boundary_config,
-    write_sample_batch,
-)
+from ptzscan.cli import build_parser, main
+from ptzscan.formats import read_plan_json, write_boundary_config, write_sample_batch
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
 from ptzscan.losses import PoseSample
-from ptzscan.randomizer import DeploymentBoundary
+from ptzscan.planner import ScanConfig
+from ptzscan.randomizer import DeploymentBoundary, SplitSizes, generate_manifest
 
 RADIUS = 2.0
 AXIS_HEIGHT = 2.0
@@ -115,8 +112,9 @@ class TestInterpolate:
         assert code == 0
         target = out / "fuselage_grid.csv"
         assert target.exists()
-        grid = read_grid_csv(target)
-        assert grid["valid"].sum() > 100
+        with open(target, newline="") as fh:
+            rows = list(DictReader(fh))
+        assert sum(int(r["valid"]) for r in rows) > 100
         assert "fuselage" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, world, tmp_path):
@@ -240,9 +238,12 @@ class TestRandomize:
         assert main([*argv, "--out", str(a)]) == 0
         assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        manifest = read_manifest_json(a)
-        assert len(manifest.samples) == 13
-        assert manifest.sizes.train == 8
+        manifest = json.loads(a.read_text())
+        assert len(manifest["samples"]) == 13
+        assert manifest["header"]["sizes"]["train"] == 8
+        # Without --hfov-deg the library's default render FOV is recorded.
+        render_hfov = inspect.signature(generate_manifest).parameters["hfov_deg"].default
+        assert manifest["header"]["hfov_deg"] == render_hfov
 
     def test_unparsable_boundary_exits_parse_error(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -332,7 +333,69 @@ class TestPipeline:
         assert "pipeline:" in capsys.readouterr().out
 
 
+class TestMalformedPoseRecords:
+    """Bad pose records are parse errors that name the file and line."""
+
+    POSE = {"position_m": [-7.0, 1.0, 6.0], "yaw_deg": 0.0, "pitch_deg": 24.0}
+
+    @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "42",
+            '"true predicted"',
+            json.dumps({"true": {**POSE, "yaw_deg": "abc"}, "predicted": POSE}),
+            json.dumps({"true": POSE, "predicted": {**POSE, "yaw_deg": [1.0]}}),
+            json.dumps({"true": POSE, "predicted": {**POSE, "pitch_deg": "abc"}}),
+        ],
+        ids=["number", "string", "text-yaw", "list-yaw", "text-pitch"],
+    )
+    def test_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, line):
+        path = tmp_path / "bad.jsonl"
+        good = (world / "batch.jsonl").read_text().splitlines()[0]
+        path.write_text(f"{good}\n{line}\n")
+        assert main([command, "--predictions", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "category=parse-error" in err
+        assert f"{path}:2" in err
+
+    @pytest.mark.parametrize("yaw", ['"abc"', "[20.0]"], ids=["text", "list"])
+    def test_pose_file_exits_parse_error(self, world, tmp_path, capsys, yaw):
+        camera = tmp_path / "camera.json"
+        camera.write_text('{"position_m": [-7.0, 1.0, 6.75], "yaw_deg": %s}\n' % yaw)
+        code = main(
+            ["plan", *_base(world), "--camera", str(camera),
+             "--quadrant", "3", "--out", str(tmp_path / "p.json")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "category=parse-error" in err
+        assert str(camera) in err
+
+
 class TestParsing:
+    def test_defaults_match_the_library(self):
+        parser = build_parser()
+        cfg, sizes = ScanConfig(), SplitSizes()
+        scan_args = ["--cloud", "c", "--sections", "s", "--quadrant", "3", "--out", "o"]
+        for argv in (
+            ["plan", *scan_args, "--camera", "e"],
+            ["simulate", *scan_args, "--true-camera", "t", "--estimated-camera", "e"],
+            ["pipeline", *scan_args, "--camera", "e"],
+        ):
+            args = parser.parse_args(argv)
+            assert (args.hfov_deg, args.vfov_deg, args.mu) == (cfg.hfov_deg, cfg.vfov_deg, cfg.mu)
+        args = parser.parse_args(["randomize", "--boundary", "b", "--out", "o"])
+        assert (args.train, args.val, args.test) == (sizes.train, sizes.val, sizes.test)
+
+    def test_pipeline_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["pipeline", "--cloud", "c", "--sections", "s", "--camera", "e",
+                 "--quadrant", "3", "--out", "o", "--seed", "1"]
+            )
+        capsys.readouterr()
+
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -1,5 +1,8 @@
 """Tests for file formats: batches, configs, grids, plans, manifests."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,6 @@ from ptzscan.formats import (
     load_external_predictions,
     pose_to_record,
     read_boundary_config,
-    read_grid_csv,
-    read_manifest_json,
     read_plan_json,
     read_sample_batch,
     read_section_config,
@@ -32,7 +33,13 @@ from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
-from ptzscan.randomizer import DeploymentBoundary, SplitSizes, generate_manifest
+from ptzscan.randomizer import (
+    DeploymentBoundary,
+    MaterialColor,
+    SplitSizes,
+    TexturePlacement,
+    generate_manifest,
+)
 from ptzscan.simulator import ImageResult, SectionReport, SimulationReport
 
 
@@ -196,19 +203,17 @@ class TestGridCsv:
         grid = toy_grid()
         path = tmp_path / "grid.csv"
         write_grid_csv(path, grid)
-        table = read_grid_csv(path)
-        assert len(table) == 6
-        assert table["valid"].sum() == 5
-        row = table[(table["i"] == 0) & (table["j"] == 1)][0]
-        assert (row["x"], row["y"], row["z"]) == (0.0, 0.05, 3.0)
-        absent = table[(table["i"] == 1) & (table["j"] == 2)][0]
-        assert not absent["valid"] and np.isnan(absent["z"])
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(FormatError, match="unexpected header"):
-            read_grid_csv(path)
+        with open(path, newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert list(table[0]) == ["i", "j", "x_m", "y_m", "z_m", "valid"]
+        cells = [(i, j) for i in range(2) for j in range(3)]
+        assert [(int(r["i"]), int(r["j"])) for r in table] == cells
+        assert sum(int(r["valid"]) for r in table) == 5
+        row = table[1]
+        assert (float(row["x_m"]), float(row["y_m"]), float(row["z_m"])) == (0.0, 0.05, 3.0)
+        absent = table[5]
+        assert absent["valid"] == "0"
+        assert (absent["x_m"], absent["y_m"], absent["z_m"]) == ("", "", "")
 
     def test_pantilt_csv_layout(self, tmp_path):
         u = PanTiltGrid(
@@ -278,25 +283,36 @@ class TestManifestJson:
         manifest = generate_manifest(boundary, sizes=SplitSizes(train=4, val=2, test=1), seed=9)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_manifest_json(a, manifest)
-        back = read_manifest_json(a)
-        assert back.seed == manifest.seed
-        assert back.generator == manifest.generator
-        assert back.splits == manifest.splits
-        assert back.boundary == manifest.boundary
-        assert len(back.samples) == 7
-        for orig, got in zip(manifest.samples, back.samples):
-            np.testing.assert_array_equal(got.position, orig.position)
-            assert got.yaw_deg == orig.yaw_deg
-            assert got.colors == orig.colors
-            assert got.textures == orig.textures
-        write_manifest_json(b, back)
+        back = json.loads(a.read_text())
+        header = back["header"]
+        assert header["seed"] == manifest.seed
+        assert header["generator"] == manifest.generator
+        assert header["hfov_deg"] == manifest.hfov_deg
+        assert header["sizes"] == {"train": 4, "val": 2, "test": 1}
+        assert tuple(back["splits"]) == manifest.splits
+        assert header["boundary"] == {
+            "quadrant": 3,
+            "x_range_m": [-10.5, -8.5],
+            "y_range_m": [11.5, 14.5],
+            "height_range_m": [6.25, 7.25],
+            "yaw_window_deg": 10.0,
+            "tilt_center_deg": -18.0,
+            "tilt_tolerance_deg": 0.5,
+        }
+        assert len(back["samples"]) == 7
+        for orig, got in zip(manifest.samples, back["samples"]):
+            assert got["position_m"] == orig.position.tolist()
+            assert (got["yaw_deg"], got["pan_deg"], got["tilt_deg"]) == (
+                orig.yaw_deg, orig.pan_deg, orig.tilt_deg
+            )
+            assert {
+                name: MaterialColor(tuple(c["ambient_rgb"]), tuple(c["specular_rgb"]))
+                for name, c in got["colors"].items()
+            } == orig.colors
+            textures = {name: TexturePlacement(**t) for name, t in got["textures"].items()}
+            assert textures == orig.textures
+        write_manifest_json(b, manifest)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"samples": []}')
-        with pytest.raises(FormatError, match="header"):
-            read_manifest_json(path)
 
 
 class TestReportExports:

@@ -18,7 +18,6 @@ from ptzscan.losses import (
     InvalidSetupError,
     LossWeights,
     PoseSample,
-    PredictedRayMissError,
     combined_loss,
     finite_difference_grad,
     icsc_loss,
@@ -110,27 +109,15 @@ class TestIcscLoss:
     def test_predicted_miss_skips(self, cylinder):
         q = quat_from_yaw_pitch(0.0)
         s = make_sample((-10, 0, 2), q, (-10, 0, 20), q)
-        value, status = icsc_loss(s, cylinder, fallback="skip")
+        value, status = icsc_loss(s, cylinder)
         assert value is None
         assert status == ICSC_SKIPPED
-
-    def test_predicted_miss_errors_when_strict(self, cylinder):
-        q = quat_from_yaw_pitch(0.0)
-        s = make_sample((-10, 0, 2), q, (-10, 0, 20), q)
-        with pytest.raises(PredictedRayMissError):
-            icsc_loss(s, cylinder, fallback="error")
 
     def test_true_miss_is_setup_error(self, cylinder):
         q = quat_from_yaw_pitch(0.0)
         s = make_sample((-10, 0, 20), q, (-10, 0, 2), q)
         with pytest.raises(InvalidSetupError):
             icsc_loss(s, cylinder)
-
-    def test_bad_policy_rejected(self, cylinder):
-        q = quat_from_yaw_pitch(0.0)
-        s = make_sample((-10, 0, 2), q, (-10, 0, 2), q)
-        with pytest.raises(ValueError):
-            icsc_loss(s, cylinder, fallback="ignore")
 
 
 class TestCombinedLoss:
@@ -159,7 +146,7 @@ class TestCombinedLoss:
                 (-10, 0, 2), q, (-10 + rng.normal(0, 0.3), rng.normal(0, 0.3), 2), raw
             )
             w = LossWeights(*rng.uniform(-2, 2, size=3))
-            b = combined_loss(s, w, cylinder, fallback="skip")
+            b = combined_loss(s, w, cylinder)
             sig = sigma_weighted_total(
                 b.l_x,
                 b.l_q,
@@ -199,7 +186,7 @@ class TestCombinedLoss:
         q = quat_from_yaw_pitch(0.0)
         s = make_sample((-10, 0, 2), q, (-10, 0, 20), q)
         w = LossWeights(0.3, 0.3, 0.3)
-        b = combined_loss(s, w, cylinder, fallback="skip")
+        b = combined_loss(s, w, cylinder)
         assert b.l_c is None and b.icsc_status == ICSC_SKIPPED
         expected = b.l_x * math.exp(-0.3) + 0.3 + b.l_q * math.exp(-0.3) + 0.3
         assert b.total == pytest.approx(expected, abs=1e-15)

@@ -6,11 +6,9 @@ import pytest
 from ptzscan.geometry import vec3
 from ptzscan.pantilt import PanTiltGrid, QuadrantSetup, grid_to_pantilt
 from ptzscan.planner import (
-    LabelConsistencyError,
     ScanConfig,
     ScanPlan,
     SectionMismatchWarning,
-    attach_labels,
     estimate_image_count,
     plan_full,
     plan_section,
@@ -269,32 +267,29 @@ class TestPlanFull:
 
 
 class TestAttachLabels:
+    """Planning attaches to each point the surface point of its (i, j) cell.
+
+    An index off the grid, or on an absent cell, resolves to no label.
+    """
+
     def test_labels_match_cells(self):
         u, grid = make_pair(np.array([[0.0, 3.0]]), np.array([[-18.0, -17.0]]))
         points = plan_section(u, grid, ScanConfig())
-        for p in attach_labels(points, grid):
+        assert points
+        for p in points:
             np.testing.assert_array_equal(p.label, grid.cell(p.i, p.j))
 
     def test_tampered_index_rejected(self):
         u, grid = make_pair(np.array([[0.0]]), np.array([[-18.0]]))
         [point] = plan_section(u, grid, ScanConfig())
-        bad = type(point)(
-            pan_deg=point.pan_deg, tilt_deg=point.tilt_deg, label=point.label,
-            section=point.section, i=5, j=0,
-        )
-        with pytest.raises(LabelConsistencyError):
-            attach_labels([bad], grid)
+        with pytest.raises(IndexError):
+            grid.cell(point.i + 5, point.j)
 
     def test_absent_cell_rejected(self):
-        pans = np.array([[0.0, np.nan]])
-        u, grid = make_pair(pans, np.array([[-18.0, np.nan]]))
+        u, grid = make_pair(np.array([[0.0, np.nan]]), np.array([[-18.0, np.nan]]))
         [point] = plan_section(u, grid, ScanConfig())
-        bad = type(point)(
-            pan_deg=point.pan_deg, tilt_deg=point.tilt_deg, label=point.label,
-            section=point.section, i=0, j=1,
-        )
-        with pytest.raises(LabelConsistencyError):
-            attach_labels([bad], grid)
+        assert (point.i, point.j) == (0, 0)
+        assert grid.cell(point.i, point.j + 1) is None
 
     def test_cylinder_plan_labels_on_surface(self):
         # End to end on an interpolated arc: every selected label obeys the

@@ -426,6 +426,27 @@ class TestBatchedCastMatchesReference:
             else:
                 assert row.tobytes() == hit.tobytes()
 
+    def test_bisection_stops_once_brackets_close(self, cyl_grid, cyl_plan, true_pose, monkeypatch):
+        # One march call plus one call per bisection step: brackets reach
+        # adjacent floats well before the 60-step cap on a 5 cm grid.
+        import ptzscan.simulator as simulator
+
+        calls = []
+
+        def counting(grid, pts):
+            calls.append(len(pts))
+            return _grid_offset(grid, pts)
+
+        monkeypatch.setattr(simulator, "_grid_offset", counting)
+        pans = [p.pan_deg for p in cyl_plan]
+        tilts = [p.tilt_deg for p in cyl_plan]
+        hits, missed = cast_to_surface(true_pose, pans, tilts, 0.0, cyl_grid)
+        assert 1 < len(calls) < 61
+        assert not missed.any()
+        for row, pan, tilt in zip(hits, pans, tilts):
+            expected = _reference_cast(Ray(CAMERA, direction_from_pantilt(pan, tilt)), cyl_grid)
+            assert row.tobytes() == expected.tobytes()
+
 
 @pytest.fixture(scope="module")
 def report(cyl_plan, true_pose, cyl_grid, cfg):

@@ -16,8 +16,11 @@ from ptzscan.surface import (
     interpolate_section,
     load_point_cloud,
     section_points,
-    write_point_cloud,
 )
+
+
+def _xyz_text(points):
+    return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist())
 
 
 def make_spec(name="patch", kind="fuselage", lo=(-10, -10, -10), hi=(10, 10, 10), **kw):
@@ -53,17 +56,21 @@ class TestPointCloudIO:
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.uniform(-20, 20, size=(50, 3)))
         p = tmp_path / "cloud.ply"
-        write_point_cloud(p, cloud, "ply-ascii-subset")
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 50\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n" + _xyz_text(cloud.points)
+        )
         back = load_point_cloud(p, "ply-ascii-subset")
-        np.testing.assert_allclose(back.points, cloud.points, atol=1e-9)
+        np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_xyz_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         cloud = PointCloud(rng.uniform(-20, 20, size=(50, 3)))
         p = tmp_path / "cloud.xyz"
-        write_point_cloud(p, cloud, "xyz-ascii")
+        p.write_text(_xyz_text(cloud.points))
         back = load_point_cloud(p, "xyz-ascii")
-        np.testing.assert_allclose(back.points, cloud.points, atol=1e-9)
+        np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_ply_vertex_count_mismatch(self, tmp_path):
         p = tmp_path / "bad.ply"
@@ -94,13 +101,17 @@ class TestSectionSpec:
     def test_tail_uses_x_over_yz(self):
         spec = make_spec(kind="tail")
         assert spec.interpolated_coordinate == "x-over-yz"
+        assert (spec.value_axis, spec.row_axis) == (0, 2)
 
     def test_others_use_z_over_xy(self):
         for kind in ("fuselage", "wing", "stabiliser"):
-            assert make_spec(kind=kind).interpolated_coordinate == "z-over-xy"
+            spec = make_spec(kind=kind)
+            assert spec.interpolated_coordinate == "z-over-xy"
+            assert (spec.value_axis, spec.row_axis) == (2, 0)
 
     def test_conflicting_coordinate_rejected(self):
-        with pytest.raises(ValueError):
+        # The layout follows from the kind alone; it cannot be given.
+        with pytest.raises(TypeError):
             make_spec(kind="tail", interpolated_coordinate="z-over-xy")
 
     def test_inverted_box_rejected(self):
