@@ -68,9 +68,10 @@ def main():
           f"(1 mm jitter in the cloud)\n")
 
     print("--- 4. Exporting ---\n")
-    out = Path(tempfile.mkdtemp(prefix="ptzscan_demo_")) / "fuselage_grid.csv"
-    write_grid_csv(out, grid)
-    print(f"wrote {out} ({out.stat().st_size} bytes)")
+    with tempfile.TemporaryDirectory(prefix="ptzscan_demo_") as tmp:
+        out = Path(tmp) / "fuselage_grid.csv"
+        write_grid_csv(out, grid)
+        print(f"wrote {out} ({out.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

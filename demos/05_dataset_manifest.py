@@ -53,12 +53,13 @@ def main():
           "samples inside the boundary\n")
 
     print("--- 4. Reproducibility ---\n")
-    out = Path(tempfile.mkdtemp(prefix="ptzscan_demo_"))
-    write_manifest_json(out / "a.json", manifest)
-    write_manifest_json(out / "b.json", generate_manifest(boundary, sizes=sizes, seed=2718))
-    identical = (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
-    print(f"two generations from seed 2718 -> identical files: {identical}")
-    print(f"manifest at {out / 'a.json'} ({(out / 'a.json').stat().st_size} bytes)")
+    with tempfile.TemporaryDirectory(prefix="ptzscan_demo_") as tmp:
+        out = Path(tmp)
+        write_manifest_json(out / "a.json", manifest)
+        write_manifest_json(out / "b.json", generate_manifest(boundary, sizes=sizes, seed=2718))
+        identical = (out / "a.json").read_bytes() == (out / "b.json").read_bytes()
+        print(f"two generations from seed 2718 -> identical files: {identical}")
+        print(f"manifest at {out / 'a.json'} ({(out / 'a.json').stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

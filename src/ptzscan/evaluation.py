@@ -20,6 +20,7 @@ from ptzscan.geometry import (
     quat_from_axis_angle,
     quat_multiply,
     vec3,
+    vector_norm,
 )
 
 __all__ = [
@@ -100,10 +101,7 @@ def evaluate(
     if not predictions:
         raise ValueError("cannot evaluate an empty batch")
     pos_err = np.array(
-        [
-            float(np.linalg.norm(p.position - g.position))
-            for p, g in zip(predictions, ground_truths)
-        ]
+        [vector_norm(p.position - g.position) for p, g in zip(predictions, ground_truths)]
     )
     ori_err = np.array(
         [
@@ -146,5 +144,5 @@ def noisy_oracle(
     orientation = quat_multiply(
         quat_from_axis_angle(_Z_AXIS, yaw_delta), ground_truth.orientation
     )
-    orientation = orientation / np.linalg.norm(orientation)
+    orientation = orientation / vector_norm(orientation)
     return PoseEstimate(position, orientation, SOURCE_NOISY_ORACLE)

@@ -418,20 +418,15 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
     return ScanPlan(sections=tuple(sections))
 
 
+def _float_fields(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
 def write_plan_csv(path: Union[str, Path], plan: ScanPlan) -> None:
-    rows = []
-    for sequence, p in enumerate(plan):
-        rows.append(
-            [
-                p.section,
-                sequence,
-                repr(p.pan_deg),
-                repr(p.tilt_deg),
-                repr(float(p.label[0])),
-                repr(float(p.label[1])),
-                repr(float(p.label[2])),
-            ]
-        )
+    rows = [
+        [p.section, sequence, repr(p.pan_deg), repr(p.tilt_deg), *_float_fields(p.label)]
+        for sequence, p in enumerate(plan)
+    ]
     header = ["section", "sequence", "pan_deg", "tilt_deg", "label_x_m", "label_y_m", "label_z_m"]
     _write_text(path, _csv_text(header, rows))
 
@@ -520,35 +515,20 @@ def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
 
 
 def write_report_csv(path: Union[str, Path], report: SimulationReport) -> None:
-    rows = []
-    for im in report.images:
-        hit = ["", "", ""] if im.hit is None else [repr(float(v)) for v in im.hit]
-        rows.append(
-            [
-                im.sequence,
-                im.section,
-                repr(im.pan_deg),
-                repr(im.tilt_deg),
-                repr(float(im.label[0])),
-                repr(float(im.label[1])),
-                repr(float(im.label[2])),
-                *hit,
-                "" if im.error_m is None else repr(im.error_m),
-            ]
-        )
-    header = [
-        "sequence",
-        "section",
-        "pan_deg",
-        "tilt_deg",
-        "label_x_m",
-        "label_y_m",
-        "label_z_m",
-        "hit_x_m",
-        "hit_y_m",
-        "hit_z_m",
-        "error_m",
+    rows = [
+        [
+            im.sequence,
+            im.section,
+            repr(im.pan_deg),
+            repr(im.tilt_deg),
+            *_float_fields(im.label),
+            *(["", "", ""] if im.hit is None else _float_fields(im.hit)),
+            "" if im.error_m is None else repr(im.error_m),
+        ]
+        for im in report.images
     ]
+    header = ["sequence", "section", "pan_deg", "tilt_deg", "label_x_m", "label_y_m", "label_z_m"]
+    header += ["hit_x_m", "hit_y_m", "hit_z_m", "error_m"]
     _write_text(path, _csv_text(header, rows))
 
 

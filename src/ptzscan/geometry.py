@@ -30,6 +30,7 @@ __all__ = [
     "AxisParallelRayError",
     "GimbalLockWarning",
     "vec3",
+    "vector_norm",
     "unit_quaternion",
     "quat_multiply",
     "quat_conjugate",
@@ -79,17 +80,26 @@ class GimbalLockWarning(UserWarning):
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a finite 3-vector (metres, scene frame)."""
     v = np.array([x, y, z], dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"vector components must be finite, got {v}")
     return v
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector, bit for bit ``np.linalg.norm(v)``.
+
+    For 1-D input ``np.linalg.norm`` computes ``sqrt(v.dot(v))``; this is
+    that expression without numpy's per-call dispatch.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def unit_quaternion(w: float, x: float, y: float, z: float) -> np.ndarray:
     """Build a normalized scalar-first quaternion from components."""
     q = np.array([w, x, y, z], dtype=np.float64)
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError(f"quaternion components must be finite, got {q}")
-    n = np.linalg.norm(q)
+    n = vector_norm(q)
     if n == 0.0:
         raise ValueError("cannot normalize a zero quaternion")
     return q / n
@@ -99,7 +109,7 @@ def _as_unit_quaternion(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    n = np.linalg.norm(q)
+    n = vector_norm(q)
     if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
         raise ValueError(f"quaternion is not normalized (norm {n})")
     return q
@@ -126,7 +136,7 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 def quat_from_axis_angle(axis: np.ndarray, angle_deg: float) -> np.ndarray:
     """Unit quaternion rotating by ``angle_deg`` about ``axis``."""
     axis = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(axis)
+    n = vector_norm(axis)
     if n == 0.0:
         raise ValueError("rotation axis must be nonzero")
     half = math.radians(angle_deg) / 2.0
@@ -200,7 +210,7 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "origin", vec3(*np.asarray(self.origin, dtype=np.float64)))
         d = np.asarray(self.direction, dtype=np.float64)
-        n = np.linalg.norm(d)
+        n = vector_norm(d)
         if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"ray direction must be unit length (norm {n})")
         object.__setattr__(self, "direction", d)
@@ -210,16 +220,22 @@ class Ray:
 
 
 def rotate_vector(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector ``v`` by unit quaternion ``q``; preserves the norm."""
-    q = _as_unit_quaternion(q)
+    """Rotate 3-vector ``v`` by unit quaternion ``q``; preserves the norm.
+
+    Computes ``q v q*`` as ``v + 2 (w c + u x c)``, ``c = u x v``, on Python
+    floats with ``np.cross``'s multiply-then-subtract steps: bit for bit the
+    ``np.cross`` formula, without numpy's per-call dispatch.
+    """
+    w, ux, uy, uz = _as_unit_quaternion(q).tolist()
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"vector components must be finite, got {v}")
-    # q v q* expanded via the twice-cross-product identity.
-    u = q[1:]
-    w = q[0]
-    c = np.cross(u, v)
-    return v + 2.0 * (w * c + np.cross(u, c))
+    vx, vy, vz = v.tolist()
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    dx, dy, dz = uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx
+    return np.array(
+        [vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)]
+    )
 
 
 def view_ray(pose: CameraPose) -> Ray:
@@ -297,7 +313,7 @@ def angular_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     q1 = _as_unit_quaternion(q1)
     q2 = _as_unit_quaternion(q2)
     r = quat_multiply(quat_conjugate(q1), q2)
-    return math.degrees(2.0 * math.atan2(float(np.linalg.norm(r[1:])), abs(float(r[0]))))
+    return math.degrees(2.0 * math.atan2(vector_norm(r[1:]), abs(float(r[0]))))
 
 
 def wrap_degrees(angle: float) -> float:

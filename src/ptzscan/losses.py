@@ -27,6 +27,7 @@ from ptzscan.geometry import (
     CylinderModel,
     intersect_cylinder,
     vec3,
+    vector_norm,
     view_ray,
 )
 
@@ -59,9 +60,9 @@ class InvalidSetupError(Exception):
 class PoseSample:
     """One evaluation sample: ground-truth pose plus raw network outputs.
 
-    ``predicted_orientation_raw`` is a 4-vector of any nonzero norm; it is
-    normalized on use, mirroring how an unconstrained regression head is
-    consumed.
+    ``predicted_orientation_raw`` is a 4-vector of any finite, nonzero
+    norm; it is normalized on use, mirroring how an unconstrained
+    regression head is consumed.
     """
 
     true_pose: CameraPose
@@ -77,15 +78,15 @@ class PoseSample:
         raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
         if raw.shape != (4,):
             raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
-        if not np.all(np.isfinite(raw)) or np.linalg.norm(raw) == 0.0:
-            raise ValueError("raw orientation must be finite with nonzero norm")
+        if not np.isfinite(raw).all() or not 0.0 < vector_norm(raw) < math.inf:
+            raise ValueError("raw orientation must be finite with a finite, nonzero norm")
         object.__setattr__(self, "predicted_orientation_raw", raw)
 
     @property
     def predicted_orientation(self) -> np.ndarray:
         """Normalized predicted quaternion."""
         raw = self.predicted_orientation_raw
-        return raw / np.linalg.norm(raw)
+        return raw / vector_norm(raw)
 
     @property
     def predicted_pose(self) -> CameraPose:
@@ -124,7 +125,7 @@ class LossBreakdown:
 
 def position_loss(sample: PoseSample) -> float:
     """Euclidean distance between true and predicted position, metres."""
-    return float(np.linalg.norm(sample.true_pose.position - sample.predicted_position))
+    return vector_norm(sample.true_pose.position - sample.predicted_position)
 
 
 def orientation_loss(sample: PoseSample) -> float:
@@ -133,9 +134,7 @@ def orientation_loss(sample: PoseSample) -> float:
     Literal quaternion-difference norm: no hemisphere correction, so a
     sign-flipped prediction of the true rotation scores up to 2.
     """
-    return float(
-        np.linalg.norm(sample.true_pose.orientation - sample.predicted_orientation)
-    )
+    return vector_norm(sample.true_pose.orientation - sample.predicted_orientation)
 
 
 def icsc_loss(sample: PoseSample, cylinder: CylinderModel) -> tuple[Optional[float], str]:
@@ -156,7 +155,7 @@ def icsc_loss(sample: PoseSample, cylinder: CylinderModel) -> tuple[Optional[flo
         pred_hit = intersect_cylinder(view_ray(sample.predicted_pose), cylinder)
     except CylinderIntersectionError:
         return None, ICSC_SKIPPED
-    return float(np.linalg.norm(true_hit - pred_hit)), ICSC_HIT
+    return vector_norm(true_hit - pred_hit), ICSC_HIT
 
 
 def combined_loss(

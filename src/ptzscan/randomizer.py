@@ -157,7 +157,7 @@ class RandomizationSample:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+        if pos.shape != (3,) or not np.isfinite(pos).all():
             raise ValueError("position must be a finite 3-vector")
         object.__setattr__(self, "position", pos)
         if set(self.colors) != set(SCENE_OBJECTS) or set(self.textures) != set(SCENE_OBJECTS):

@@ -31,6 +31,7 @@ from ptzscan.geometry import (
     CylinderModel,
     Ray,
     intersect_cylinder,
+    vector_norm,
     wrap_degrees,
     yaw_from_quaternion,
 )
@@ -318,7 +319,7 @@ def execute_plan(
                     tilt_deg=point.tilt_deg,
                     label=point.label,
                     hit=None if miss else hit,
-                    error_m=None if miss else float(np.linalg.norm(hit - point.label)),
+                    error_m=None if miss else vector_norm(hit - point.label),
                     missed=bool(miss),
                 )
             )
@@ -418,9 +419,7 @@ def error_propagation(
         draws.append(
             PropagationDraw(
                 draw=k,
-                position_error_m=float(
-                    np.linalg.norm(est_pose.position - true_pose.position)
-                ),
+                position_error_m=vector_norm(est_pose.position - true_pose.position),
                 yaw_error_deg=abs(
                     wrap_degrees(
                         yaw_from_quaternion(est_pose.orientation)

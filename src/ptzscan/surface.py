@@ -22,8 +22,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
-from scipy.spatial import QhullError
 
 __all__ = [
     "GRID_RESOLUTION",
@@ -302,6 +300,10 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         raise DegenerateSectionError(
             f"section {spec.name!r}: need >= 3 non-collinear projected points"
         )
+    # Imported on first use: only the commands that interpolate load SciPy.
+    from scipy.interpolate import LinearNDInterpolator
+    from scipy.spatial import QhullError
+
     try:
         interp = LinearNDInterpolator(proj, pts[:, spec.value_axis])
     except QhullError as exc:

@@ -9,7 +9,11 @@ built once per module and shared.
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from csv import DictReader
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,8 +351,12 @@ class TestMalformedPoseRecords:
             json.dumps({"true": {**POSE, "yaw_deg": "abc"}, "predicted": POSE}),
             json.dumps({"true": POSE, "predicted": {**POSE, "yaw_deg": [1.0]}}),
             json.dumps({"true": POSE, "predicted": {**POSE, "pitch_deg": "abc"}}),
+            # The norm overflows to inf; normalising would give all zeros.
+            json.dumps(
+                {"true": POSE, "predicted": {**POSE, "quaternion_wxyz": [1e200, 0, 0, 0]}}
+            ),
         ],
-        ids=["number", "string", "text-yaw", "list-yaw", "text-pitch"],
+        ids=["number", "string", "text-yaw", "list-yaw", "text-pitch", "overflow-quaternion"],
     )
     def test_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, line):
         path = tmp_path / "bad.jsonl"
@@ -371,6 +379,31 @@ class TestMalformedPoseRecords:
         err = capsys.readouterr().err
         assert "category=parse-error" in err
         assert str(camera) in err
+
+
+def test_dataset_commands_never_load_scipy(world, tmp_path):
+    """randomize, evaluate and loss-check do not interpolate, so they must not
+    pay for importing SciPy."""
+    script = f"""
+import sys
+import ptzscan, ptzscan.cli
+for argv in (
+    ["randomize", "--boundary", {str(world / "boundary.json")!r}, "--train", "8",
+     "--val", "1", "--test", "1", "--out", {str(tmp_path / "manifest.json")!r}],
+    ["evaluate", "--predictions", {str(world / "batch.jsonl")!r}],
+    ["loss-check", "--predictions", {str(world / "batch.jsonl")!r}, "--cylinder", "2.0,2.0"],
+):
+    assert ptzscan.cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestParsing:

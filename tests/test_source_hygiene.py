@@ -2,7 +2,9 @@
 
 Every imported name must be used, and every ``__all__`` entry must name
 something the module defines or imports. ``__init__.py`` imports purely to
-re-export, so only its ``__all__`` (if any) is checked.
+re-export, so only its ``__all__`` (if any) is checked. SciPy may only be
+imported inside a function, so commands that never interpolate skip its
+import cost.
 """
 
 import ast
@@ -69,3 +71,28 @@ def test_dunder_all_resolves(path):
     tree = _parse(path)
     missing = [name for name in _dunder_all(tree) if name not in _top_level_names(tree)]
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+def _module_level_imports(tree: ast.Module):
+    """Import statements that run on import: everything outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_is_not_imported_at_module_level(path):
+    lines = sorted(
+        node.lineno
+        for node in _module_level_imports(_parse(path))
+        for module in (
+            [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        )
+        if module.split(".")[0] == "scipy"
+    )
+    assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"

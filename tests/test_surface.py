@@ -283,6 +283,20 @@ class TestInterpolateSection:
         with pytest.raises(DegenerateSectionError):
             interpolate_section(PointCloud(np.empty((0, 3))), make_spec())
 
+    def test_qhull_failure_is_degenerate_section(self, monkeypatch):
+        # SciPy is imported inside interpolate_section, so patching the
+        # class where it lives reaches the call.
+        import scipy.interpolate
+        from scipy.spatial import QhullError
+
+        def failing(*args, **kwargs):
+            raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
+
+        monkeypatch.setattr(scipy.interpolate, "LinearNDInterpolator", failing)
+        pts = np.array([[0.0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
+        with pytest.raises(DegenerateSectionError, match="triangulation failed"):
+            interpolate_section(PointCloud(pts), make_spec())
+
     def test_duplicate_projected_points_handled(self):
         pts = np.array(
             [[0.0, 0, 1], [0.0, 0, 5], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
