@@ -1,10 +1,10 @@
 """Pose-estimate abstraction and error statistics.
 
-A PoseEstimate stands in for whatever produced a camera-pose guess — a
-perfect oracle, a noise-injected oracle, or predictions loaded from a file.
-``evaluate`` reduces paired estimates and ground truths to median / RMSE
-statistics over position error (metres) and orientation error (degrees,
-quaternion angular distance).
+A PoseEstimate is a camera-pose guess tagged with its source: a perfect
+oracle, ``noisy_oracle`` or a predictions file. ``median_rmse`` is the one
+median / RMSE formula: ``evaluate`` applies it to position error (metres)
+and orientation error (degrees, quaternion angular distance), and the
+simulator to labelling errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "PoseEstimate",
     "ErrorStats",
     "evaluate",
-    "oracle",
+    "median_rmse",
     "noisy_oracle",
 ]
 
@@ -84,6 +84,13 @@ class ErrorStats:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def median_rmse(errors: np.ndarray) -> tuple[float, float]:
+    """Median and RMSE of an error array; NaN for an empty array."""
+    if not errors.size:
+        return math.nan, math.nan
+    return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
+
+
 def evaluate(
     predictions: list[PoseEstimate], ground_truths: list[CameraPose]
 ) -> ErrorStats:
@@ -109,18 +116,7 @@ def evaluate(
             for p, g in zip(predictions, ground_truths)
         ]
     )
-    return ErrorStats(
-        median_position=float(np.median(pos_err)),
-        rmse_position=float(np.sqrt(np.mean(pos_err**2))),
-        median_orientation=float(np.median(ori_err)),
-        rmse_orientation=float(np.sqrt(np.mean(ori_err**2))),
-        n=len(predictions),
-    )
-
-
-def oracle(ground_truth: CameraPose) -> PoseEstimate:
-    """Perfect estimate: the ground truth itself, tagged as oracle."""
-    return PoseEstimate(ground_truth.position, ground_truth.orientation, SOURCE_ORACLE)
+    return ErrorStats(*median_rmse(pos_err), *median_rmse(ori_err), n=len(predictions))
 
 
 def noisy_oracle(

@@ -7,9 +7,9 @@ so rewriting unchanged data reproduces the file byte for byte. Writers
 also go through a temp-file rename, so a failed write never leaves a
 truncated file behind.
 
-Pose records use ``position_m`` plus either ``quaternion_wxyz`` (scalar
-first) or ``yaw_deg``/optional ``pitch_deg``; writers always emit the
-quaternion form.
+Pose records, read from pose files and batch lines, use ``position_m``
+plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
+``pitch_deg``; no writer emits them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,20 +33,16 @@ from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
 from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, RandomizationSample
 from ptzscan.simulator import PropagationStudy, SimulationReport
-from ptzscan.surface import SectionSpec, SurfaceGrid
+from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
 
 __all__ = [
     "FormatError",
     "BatchSample",
-    "pose_to_record",
     "record_to_pose",
     "read_pose_json",
-    "write_sample_batch",
     "read_sample_batch",
     "load_external_predictions",
-    "write_section_config",
     "read_section_config",
-    "write_boundary_config",
     "read_boundary_config",
     "write_grid_csv",
     "write_pantilt_csv",
@@ -88,8 +84,15 @@ def _write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _load_json(path: Union[str, Path]):
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -113,13 +116,6 @@ def _finite_or_none(value):
 
 # ---------------------------------------------------------------------------
 # Pose records and batch sample files (JSON Lines)
-
-def pose_to_record(pose: CameraPose) -> dict:
-    return {
-        "position_m": [float(v) for v in pose.position],
-        "quaternion_wxyz": [float(v) for v in pose.orientation],
-    }
-
 
 def _pose_fields(record: dict, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Position and (unvalidated) scalar-first quaternion of a pose record."""
@@ -155,32 +151,9 @@ class BatchSample:
     weights: Optional[LossWeights] = None
 
 
-def write_sample_batch(
-    path: Union[str, Path],
-    samples: Sequence[PoseSample],
-    weights: Optional[Sequence[Optional[LossWeights]]] = None,
-) -> None:
-    if weights is not None and len(weights) != len(samples):
-        raise ValueError("weights, when given, must align with samples")
-    lines = []
-    for k, sample in enumerate(samples):
-        record = {
-            "true": pose_to_record(sample.true_pose),
-            "predicted": {
-                "position_m": [float(v) for v in sample.predicted_position],
-                "quaternion_wxyz": [float(v) for v in sample.predicted_orientation_raw],
-            },
-        }
-        w = weights[k] if weights is not None else None
-        if w is not None:
-            record["weights"] = {"s_x": w.s_x, "s_q": w.s_q, "s_c": w.s_c}
-        lines.append(json.dumps(record, sort_keys=True))
-    _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         context = f"{path}:{lineno}"
@@ -236,22 +209,6 @@ def load_external_predictions(
 # ---------------------------------------------------------------------------
 # Section and boundary configs (JSON)
 
-def write_section_config(path: Union[str, Path], sections: Sequence[SectionSpec]) -> None:
-    payload = {
-        "sections": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "box_min_m": list(s.box_min),
-                "box_max_m": list(s.box_max),
-                "relevance": s.relevance,
-            }
-            for s in sections
-        ]
-    }
-    _write_text(path, _dump_json(payload))
-
-
 def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
     payload = _load_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("sections"), list):
@@ -268,7 +225,7 @@ def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
                     kind=str(entry["kind"]),
                     box_min=tuple(_floats(entry["box_min_m"], 3, context)),
                     box_max=tuple(_floats(entry["box_max_m"], 3, context)),
-                    relevance=str(entry.get("relevance", "back-half")),
+                    relevance=str(entry.get("relevance", RELEVANCE_BACK)),
                 )
             )
         except KeyError as exc:
@@ -308,12 +265,11 @@ def _record_to_boundary(record: dict, context: str) -> DeploymentBoundary:
         raise FormatError(f"{context}: {exc}") from exc
 
 
-# Fields a hand-written boundary config may omit.
-_BOUNDARY_DEFAULTS = {"yaw_window_deg": 10.0, "tilt_center_deg": -18.0, "tilt_tolerance_deg": 0.5}
-
-
-def write_boundary_config(path: Union[str, Path], boundary: DeploymentBoundary) -> None:
-    _write_text(path, _dump_json(_boundary_to_record(boundary)))
+# Fields a hand-written boundary config may omit, with DeploymentBoundary's defaults.
+_BOUNDARY_DEFAULTS = {
+    name: getattr(DeploymentBoundary, name)
+    for name in ("yaw_window_deg", "tilt_center_deg", "tilt_tolerance_deg")
+}
 
 
 def read_boundary_config(path: Union[str, Path]) -> DeploymentBoundary:

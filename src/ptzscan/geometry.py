@@ -31,7 +31,6 @@ __all__ = [
     "GimbalLockWarning",
     "vec3",
     "vector_norm",
-    "unit_quaternion",
     "quat_multiply",
     "quat_conjugate",
     "quat_from_axis_angle",
@@ -92,17 +91,6 @@ def vector_norm(v: np.ndarray) -> float:
     that expression without numpy's per-call dispatch.
     """
     return math.sqrt(v.dot(v))
-
-
-def unit_quaternion(w: float, x: float, y: float, z: float) -> np.ndarray:
-    """Build a normalized scalar-first quaternion from components."""
-    q = np.array([w, x, y, z], dtype=np.float64)
-    if not np.isfinite(q).all():
-        raise ValueError(f"quaternion components must be finite, got {q}")
-    n = vector_norm(q)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / n
 
 
 def _as_unit_quaternion(q: np.ndarray) -> np.ndarray:
@@ -195,10 +183,6 @@ class CylinderModel:
         if not math.isfinite(self.axis_height):
             raise ValueError(f"axis_height must be finite, got {self.axis_height}")
 
-    def surface_residual(self, point: np.ndarray) -> float:
-        """Signed residual of the surface equation at ``point`` (m^2)."""
-        return float(point[0] ** 2 + (point[2] - self.axis_height) ** 2 - self.radius**2)
-
 
 @dataclass(frozen=True, eq=False)
 class Ray:
@@ -280,7 +264,8 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
     for t in roots:
         if t > T_MIN:
             return ray.at(t)
-    raise BehindCameraError(f"both intersections behind the camera (t = {roots})")
+    plain = [float(t) for t in roots]
+    raise BehindCameraError(f"both intersections behind the camera (t = {plain})")
 
 
 def yaw_from_quaternion(q: np.ndarray) -> float:

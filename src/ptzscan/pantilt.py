@@ -137,6 +137,18 @@ def compute_alpha(setup: QuadrantSetup) -> float:
     return alpha
 
 
+def _pantilt(d: np.ndarray, alpha_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pan and tilt (degrees) of displacements ``d`` (..., 3) under mount
+    offset alpha; pan is wrapped like ``wrap_degrees``, leaving in-range
+    values untouched."""
+    with np.errstate(invalid="ignore"):
+        horizontal = np.hypot(d[..., 0], d[..., 1])
+        pans = np.degrees(np.arctan2(d[..., 1], d[..., 0])) - alpha_deg
+        wrapped = 180.0 - ((180.0 - pans) % 360.0)
+        pans = np.where((pans > -180.0) & (pans <= 180.0), pans, wrapped)
+        return pans, np.degrees(np.arctan2(d[..., 2], horizontal))
+
+
 def point_to_pantilt(
     point: np.ndarray, camera_position: np.ndarray, alpha_deg: float
 ) -> PanTilt:
@@ -146,14 +158,10 @@ def point_to_pantilt(
     (-180, 180]; tilt is the signed elevation of the displacement.
     """
     d = np.asarray(point, dtype=np.float64) - np.asarray(camera_position, dtype=np.float64)
-    # numpy transcendentals throughout so that the vectorized grid path
-    # produces bit-identical pans and tilts.
-    horizontal = float(np.hypot(d[0], d[1]))
-    if horizontal == 0.0 and d[2] == 0.0:
+    if not d.any():
         raise ValueError("point coincides with the camera position")
-    pan = wrap_degrees(float(np.degrees(np.arctan2(d[1], d[0]))) - alpha_deg)
-    tilt = float(np.degrees(np.arctan2(d[2], horizontal)))
-    return PanTilt(pan, tilt)
+    pan, tilt = _pantilt(d, alpha_deg)
+    return PanTilt(float(pan), float(tilt))
 
 
 def grid_to_pantilt(grid, setup: QuadrantSetup) -> PanTiltGrid:
@@ -162,16 +170,7 @@ def grid_to_pantilt(grid, setup: QuadrantSetup) -> PanTiltGrid:
     Alpha comes from the setup (with its out-of-tolerance warning); absent
     cells stay absent. Index alignment with the source grid is preserved.
     """
-    alpha = compute_alpha(setup)
-    d = grid.points - setup.camera_position
-    with np.errstate(invalid="ignore"):
-        horizontal = np.hypot(d[..., 0], d[..., 1])
-        pans = np.degrees(np.arctan2(d[..., 1], d[..., 0])) - alpha
-        # Same fast path as wrap_degrees: in-range values untouched, so the
-        # vectorized result matches per-cell point_to_pantilt bitwise.
-        wrapped = 180.0 - ((180.0 - pans) % 360.0)
-        pans = np.where((pans > -180.0) & (pans <= 180.0), pans, wrapped)
-        tilts = np.degrees(np.arctan2(d[..., 2], horizontal))
+    pans, tilts = _pantilt(grid.points - setup.camera_position, compute_alpha(setup))
     pans = np.where(grid.valid, pans, np.nan)
     tilts = np.where(grid.valid, tilts, np.nan)
     return PanTiltGrid(pans=pans, tilts=tilts, valid=grid.valid.copy())

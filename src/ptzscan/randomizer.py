@@ -202,9 +202,6 @@ class DatasetManifest:
         if len(self.samples) != self.sizes.total or len(self.splits) != self.sizes.total:
             raise ValueError("sample and split counts must match the declared sizes")
 
-    def split_indices(self, split: str) -> list[int]:
-        return [i for i, s in enumerate(self.splits) if s == split]
-
 
 @dataclass(frozen=True)
 class ConstraintViolation:
@@ -265,7 +262,7 @@ def generate_manifest(
     boundary: DeploymentBoundary,
     sizes: SplitSizes = SplitSizes(),
     seed: int = 0,
-    hfov_deg: float = 72.5,
+    hfov_deg: float = DatasetManifest.hfov_deg,
 ) -> DatasetManifest:
     """Deterministic manifest: one PCG64 stream, samples drawn sequentially
     and assigned to the train, val, and test blocks in that order."""

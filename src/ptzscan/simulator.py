@@ -18,13 +18,12 @@ Footprints are boolean masks over the section's pan-tilt grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ptzscan.evaluation import noisy_oracle
+from ptzscan.evaluation import median_rmse, noisy_oracle
 from ptzscan.geometry import (
     CameraPose,
     CylinderIntersectionError,
@@ -251,13 +250,6 @@ def cast_to_surface(
     return _cast_to_grid(true_pose.position, directions, target)
 
 
-def _median_rmse(errors: np.ndarray) -> tuple[float, float]:
-    """Median and RMSE of labelling errors; NaN for an empty array."""
-    if not errors.size:
-        return math.nan, math.nan
-    return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
-
-
 def _overlap_ratio(a: np.ndarray, b: np.ndarray) -> float:
     """Shared fraction of the smaller footprint; 0 when either is empty."""
     na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
@@ -339,7 +331,7 @@ def execute_plan(
         )
 
     errors = np.array([im.error_m for im in images if im.error_m is not None])
-    median, rmse = _median_rmse(errors)
+    median, rmse = median_rmse(errors)
     return SimulationReport(
         sections=tuple(section_reports),
         images=tuple(images),
@@ -375,11 +367,11 @@ class PropagationStudy:
 
     @property
     def error_median_m(self) -> float:
-        return _median_rmse(self.all_errors_m)[0]
+        return median_rmse(self.all_errors_m)[0]
 
     @property
     def error_rmse_m(self) -> float:
-        return _median_rmse(self.all_errors_m)[1]
+        return median_rmse(self.all_errors_m)[1]
 
 
 def error_propagation(

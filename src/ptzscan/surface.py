@@ -29,8 +29,6 @@ __all__ = [
     "KIND_TAIL",
     "KIND_WING",
     "KIND_STABILISER",
-    "INTERP_Z_OVER_XY",
-    "INTERP_X_OVER_YZ",
     "RELEVANCE_BACK",
     "RELEVANCE_FRONT",
     "PointCloudParseError",
@@ -52,9 +50,6 @@ KIND_TAIL = "tail"
 KIND_WING = "wing"
 KIND_STABILISER = "stabiliser"
 _KINDS = (KIND_FUSELAGE, KIND_TAIL, KIND_WING, KIND_STABILISER)
-
-INTERP_Z_OVER_XY = "z-over-xy"
-INTERP_X_OVER_YZ = "x-over-yz"
 
 RELEVANCE_BACK = "back-half"
 RELEVANCE_FRONT = "front-half"
@@ -96,10 +91,10 @@ class PointCloud:
 class SectionSpec:
     """A named axis-aligned box cut of the cloud; its kind fixes the layout.
 
-    The tail interpolates x over (y, z), everything else z over (x, y).
-    ``interpolated_coordinate`` names that layout, ``value_axis`` is the
-    scene axis interpolated, and ``row_axis`` the one grid rows step along
-    (z for the tail, x otherwise); grid columns always step along y.
+    The tail interpolates x over (y, z), everything else z over (x, y):
+    ``value_axis`` is the scene axis interpolated and ``row_axis`` the one
+    grid rows step along (z for the tail, x otherwise); grid columns always
+    step along y.
     ``relevance`` records which half of the vehicle a camera must occupy
     for this section to be worth scanning.
     """
@@ -124,10 +119,6 @@ class SectionSpec:
                 raise ValueError(f"box must satisfy min < max on axis {axis}: {a} vs {b}")
         object.__setattr__(self, "box_min", lo)
         object.__setattr__(self, "box_max", hi)
-
-    @property
-    def interpolated_coordinate(self) -> str:
-        return INTERP_X_OVER_YZ if self.kind == KIND_TAIL else INTERP_Z_OVER_XY
 
     @property
     def value_axis(self) -> int:
@@ -170,12 +161,13 @@ class SurfaceGrid:
 def load_point_cloud(path: str | Path, fmt: str = "xyz-ascii") -> PointCloud:
     """Read a cloud from ``xyz-ascii`` (one `x y z` per line, `#` comments)
     or ``ply-ascii-subset`` (ASCII ply header + vertex positions)."""
-    path = Path(path)
-    if fmt == "xyz-ascii":
-        return _load_xyz(path)
-    if fmt == "ply-ascii-subset":
-        return _load_ply(path)
-    raise ValueError(f"unknown point-cloud format {fmt!r}")
+    loaders = {"xyz-ascii": _load_xyz, "ply-ascii-subset": _load_ply}
+    if fmt not in loaders:
+        raise ValueError(f"unknown point-cloud format {fmt!r}")
+    try:
+        return loaders[fmt](Path(path))
+    except UnicodeDecodeError as exc:
+        raise PointCloudParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_xyz(path: Path) -> PointCloud:

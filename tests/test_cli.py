@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from ptzscan.cli import build_parser, main
-from ptzscan.formats import read_plan_json, write_boundary_config, write_sample_batch
-from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
-from ptzscan.losses import PoseSample
+from ptzscan.formats import read_plan_json
+from ptzscan.geometry import quat_from_yaw_pitch
 from ptzscan.planner import ScanConfig
-from ptzscan.randomizer import DeploymentBoundary, SplitSizes, generate_manifest
+from ptzscan.randomizer import SplitSizes, generate_manifest
 
 RADIUS = 2.0
 AXIS_HEIGHT = 2.0
@@ -41,23 +40,21 @@ def _write_cloud(path, step=0.02):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _make_batch(n, seed, pitch_deg):
-    """Pose pairs near the camera region; pitch > 0 aims down at the surface."""
+def _write_batch(path, n, seed, pitch_deg):
+    """JSON-lines pose pairs near the camera region; pitch > 0 aims down at
+    the surface."""
     rng = np.random.default_rng(seed)
-    samples = []
+    lines = []
     for _ in range(n):
         pos = np.array([-7.0, 1.0, 6.0]) + rng.normal(0.0, 0.3, 3)
-        true = CameraPose(
-            pos, quat_from_yaw_pitch(rng.normal(0.0, 3.0), pitch_deg + rng.normal(0.0, 2.0))
-        )
-        samples.append(
-            PoseSample(
-                true,
-                pos + rng.normal(0.0, 0.1, 3),
-                true.orientation + rng.normal(0.0, 0.01, 4),
-            )
-        )
-    return samples
+        quat = quat_from_yaw_pitch(rng.normal(0.0, 3.0), pitch_deg + rng.normal(0.0, 2.0))
+        true = {"position_m": pos.tolist(), "quaternion_wxyz": quat.tolist()}
+        predicted = {
+            "position_m": (pos + rng.normal(0.0, 0.1, 3)).tolist(),
+            "quaternion_wxyz": (quat + rng.normal(0.0, 0.01, 4)).tolist(),
+        }
+        lines.append(json.dumps({"true": true, "predicted": predicted}) + "\n")
+    path.write_text("".join(lines))
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +79,16 @@ def world(tmp_path_factory):
     (root / "true_camera.json").write_text(
         json.dumps({"position_m": [-7.05, 1.06, 6.72], "yaw_deg": 20.4}) + "\n"
     )
-    write_boundary_config(
-        root / "boundary.json",
-        DeploymentBoundary(quadrant=3, x_range=(-10.5, -8.5), y_range=(11.5, 14.5)),
-    )
-    write_sample_batch(root / "batch.jsonl", _make_batch(20, seed=0, pitch_deg=24.0))
-    write_sample_batch(root / "level_batch.jsonl", _make_batch(5, seed=1, pitch_deg=0.0))
+    # The yaw window and tilt fields are left to their defaults.
+    boundary = {
+        "quadrant": 3,
+        "x_range_m": [-10.5, -8.5],
+        "y_range_m": [11.5, 14.5],
+        "height_range_m": [6.25, 7.25],
+    }
+    (root / "boundary.json").write_text(json.dumps(boundary) + "\n")
+    _write_batch(root / "batch.jsonl", 20, seed=0, pitch_deg=24.0)
+    _write_batch(root / "level_batch.jsonl", 5, seed=1, pitch_deg=0.0)
     return root
 
 
@@ -379,6 +380,28 @@ class TestMalformedPoseRecords:
         err = capsys.readouterr().err
         assert "category=parse-error" in err
         assert str(camera) in err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["randomize", "--boundary", "{bad}", "--out", "{out}/m.json"], "boundary.json"),
+        (["interpolate", "--cloud", "{bad}", "--sections", "{sections}", "--out", "{out}"],
+         "cloud.xyz"),
+        (["evaluate", "--predictions", "{bad}"], "batch.jsonl"),
+    ],
+    ids=["boundary", "cloud", "batch"],
+)
+def test_non_utf8_input_exits_parse_error_naming_the_file(
+    world, tmp_path, capsys, command, name
+):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff" + (world / name).read_bytes())
+    fields = {"bad": bad, "out": tmp_path / "out", "sections": world / "sections.json"}
+    assert main([arg.format(**fields) for arg in command]) == 3
+    err = capsys.readouterr().err
+    assert "category=parse-error" in err
+    assert str(bad) in err
 
 
 def test_dataset_commands_never_load_scipy(world, tmp_path):

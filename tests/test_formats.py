@@ -11,13 +11,11 @@ from ptzscan.formats import (
     FormatError,
     format_stats,
     load_external_predictions,
-    pose_to_record,
     read_boundary_config,
     read_plan_json,
     read_sample_batch,
     read_section_config,
     record_to_pose,
-    write_boundary_config,
     write_grid_csv,
     write_manifest_json,
     write_pantilt_csv,
@@ -25,8 +23,6 @@ from ptzscan.formats import (
     write_plan_json,
     write_report_csv,
     write_report_json,
-    write_sample_batch,
-    write_section_config,
     write_stats_report,
 )
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
@@ -41,12 +37,33 @@ from ptzscan.randomizer import (
     generate_manifest,
 )
 from ptzscan.simulator import ImageResult, SectionReport, SimulationReport
+from ptzscan.surface import RELEVANCE_BACK, RELEVANCE_FRONT
 
 
 def random_pose(rng):
     quat = rng.normal(size=4)
     quat /= np.linalg.norm(quat)
     return CameraPose(rng.normal(size=3), quat)
+
+
+def pose_record(position, quaternion):
+    return {"position_m": position.tolist(), "quaternion_wxyz": quaternion.tolist()}
+
+
+def write_batch(path, samples, weights=None):
+    """A JSON-lines batch: one line per sample, with its weights when given."""
+    lines = []
+    for sample, w in zip(samples, weights or [None] * len(samples)):
+        record = {
+            "true": pose_record(sample.true_pose.position, sample.true_pose.orientation),
+            "predicted": pose_record(
+                sample.predicted_position, sample.predicted_orientation_raw
+            ),
+        }
+        if w is not None:
+            record["weights"] = {"s_x": w.s_x, "s_q": w.s_q, "s_c": w.s_c}
+        lines.append(json.dumps(record) + "\n")
+    path.write_text("".join(lines))
 
 
 def make_samples(n, seed=0):
@@ -66,7 +83,8 @@ def make_samples(n, seed=0):
 class TestPoseRecords:
     def test_round_trip_is_bitwise(self):
         pose = CameraPose(np.array([-9.5, 13.0, 6.75]), quat_from_yaw_pitch(20.0, -5.0))
-        back = record_to_pose(pose_to_record(pose))
+        record = json.loads(json.dumps(pose_record(pose.position, pose.orientation)))
+        back = record_to_pose(record)
         np.testing.assert_array_equal(back.position, pose.position)
         np.testing.assert_array_equal(back.orientation, pose.orientation)
 
@@ -89,7 +107,7 @@ class TestSampleBatch:
         samples = make_samples(5, seed=1)
         weights = [LossWeights(0.1, -0.2, 0.3), None, LossWeights(), None, None]
         path = tmp_path / "batch.jsonl"
-        write_sample_batch(path, samples, weights)
+        write_batch(path, samples, weights)
         back = read_sample_batch(path)
         assert len(back) == 5
         for orig, got, w in zip(samples, back, weights):
@@ -104,7 +122,9 @@ class TestSampleBatch:
 
     def test_empty_batch(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_sample_batch(path, [])
+        path.write_text("")
+        assert read_sample_batch(path) == []
+        path.write_text("\n  \n")
         assert read_sample_batch(path) == []
 
     def test_bad_line_reports_location(self, tmp_path):
@@ -113,19 +133,12 @@ class TestSampleBatch:
         with pytest.raises(FormatError, match="bad.jsonl:1"):
             read_sample_batch(path)
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        samples = make_samples(3, seed=2)
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_sample_batch(a, samples)
-        write_sample_batch(b, samples)
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestExternalPredictions:
     def test_load_and_evaluate(self, tmp_path):
         samples = make_samples(8, seed=3)
         path = tmp_path / "pred.jsonl"
-        write_sample_batch(path, samples)
+        write_batch(path, samples)
         predictions, truths = load_external_predictions(path)
         assert len(predictions) == len(truths) == 8
         assert all(p.source == SOURCE_EXTERNAL for p in predictions)
@@ -138,21 +151,20 @@ class TestExternalPredictions:
 class TestSectionConfig:
     def test_round_trip(self, tmp_path):
         sections = [
-            {"name": "fuselage", "kind": "fuselage", "lo": (-2.0, 9.9, 0.0), "hi": (0.1, 20.1, 5.0)},
-            {"name": "fin", "kind": "tail", "lo": (-1.0, 18.0, 4.0), "hi": (1.0, 20.5, 9.0)},
-        ]
-        from ptzscan.surface import SectionSpec
-
-        specs = [
-            SectionSpec(name=s["name"], kind=s["kind"], box_min=s["lo"], box_max=s["hi"])
-            for s in sections
+            {"name": "fuselage", "kind": "fuselage",
+             "box_min_m": [-2.0, 9.9, 0.0], "box_max_m": [0.1, 20.1, 5.0]},
+            {"name": "fin", "kind": "tail", "relevance": "front-half",
+             "box_min_m": [-1.0, 18.0, 4.0], "box_max_m": [1.0, 20.5, 9.0]},
         ]
         path = tmp_path / "sections.json"
-        write_section_config(path, specs)
+        path.write_text(json.dumps({"sections": sections}))
         back = read_section_config(path)
         assert [s.name for s in back] == ["fuselage", "fin"]
-        assert back[0].box_min == specs[0].box_min
-        assert back[1].interpolated_coordinate == "x-over-yz"
+        assert back[0].box_min == (-2.0, 9.9, 0.0)
+        assert back[1].box_max == (1.0, 20.5, 9.0)
+        # An omitted relevance takes SectionSpec's default.
+        assert [s.relevance for s in back] == [RELEVANCE_BACK, RELEVANCE_FRONT]
+        assert (back[1].value_axis, back[1].row_axis) == (0, 2)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "sections.json"
@@ -166,12 +178,36 @@ class TestSectionConfig:
 
 class TestBoundaryConfig:
     def test_round_trip(self, tmp_path):
-        boundary = DeploymentBoundary(
-            quadrant=3, x_range=(-10.5, -8.5), y_range=(11.5, 14.5)
-        )
+        record = {
+            "quadrant": 1,
+            "x_range_m": [-10.5, -8.5],
+            "y_range_m": [11.5, 14.5],
+            "height_range_m": [6.0, 7.0],
+            "yaw_window_deg": 4.0,
+            "tilt_center_deg": -20.0,
+            "tilt_tolerance_deg": 1.5,
+        }
         path = tmp_path / "boundary.json"
-        write_boundary_config(path, boundary)
-        assert read_boundary_config(path) == boundary
+        path.write_text(json.dumps(record))
+        assert read_boundary_config(path) == DeploymentBoundary(
+            quadrant=1,
+            x_range=(-10.5, -8.5),
+            y_range=(11.5, 14.5),
+            height_range=(6.0, 7.0),
+            yaw_window_deg=4.0,
+            tilt_center_deg=-20.0,
+            tilt_tolerance_deg=1.5,
+        )
+
+    def test_optional_fields_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "boundary.json"
+        path.write_text(
+            '{"quadrant": 3, "x_range_m": [-10.5, -8.5], "y_range_m": [11.5, 14.5],'
+            ' "height_range_m": [6.25, 7.25]}'
+        )
+        assert read_boundary_config(path) == DeploymentBoundary(
+            quadrant=3, x_range=(-10.5, -8.5), y_range=(11.5, 14.5), height_range=(6.25, 7.25)
+        )
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "boundary.json"

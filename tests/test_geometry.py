@@ -22,7 +22,6 @@ from ptzscan.geometry import (
     quat_multiply,
     quat_to_matrix,
     rotate_vector,
-    unit_quaternion,
     vec3,
     view_ray,
     wrap_degrees,
@@ -35,20 +34,22 @@ def random_unit_quaternion(rng):
     return q / np.linalg.norm(q)
 
 
+def normalized(*q):
+    q = np.array(q, dtype=np.float64)
+    return q / np.linalg.norm(q)
+
+
+def surface_residual(cyl, point):
+    """Signed residual of the cylinder's surface equation at ``point`` (m^2)."""
+    return point[0] ** 2 + (point[2] - cyl.axis_height) ** 2 - cyl.radius**2
+
+
 def random_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
 
 
 class TestQuaternionToolkit:
-    def test_unit_quaternion_normalizes(self):
-        q = unit_quaternion(2.0, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(q, [1.0, 0.0, 0.0, 0.0])
-
-    def test_zero_quaternion_rejected(self):
-        with pytest.raises(ValueError):
-            unit_quaternion(0.0, 0.0, 0.0, 0.0)
-
     def test_rotate_matches_matrix(self):
         # Oracle: quaternion rotation must agree with the equivalent
         # rotation matrix applied to the same vector.
@@ -119,11 +120,11 @@ class TestYawExtraction:
 
 class TestAngularDistance:
     def test_identical_is_zero(self):
-        q = unit_quaternion(0.3, 0.1, -0.4, 0.8)
+        q = normalized(0.3, 0.1, -0.4, 0.8)
         assert angular_distance(q, q) == 0.0
 
     def test_sign_flip_is_zero(self):
-        q = unit_quaternion(0.3, 0.1, -0.4, 0.8)
+        q = normalized(0.3, 0.1, -0.4, 0.8)
         assert angular_distance(q, -q) == 0.0
 
     def test_known_rotation_angle(self):
@@ -172,7 +173,7 @@ class TestWrapDegrees:
 
 class TestViewRay:
     def test_identity_orientation_points_forward(self):
-        pose = CameraPose(vec3(-10.0, 0.0, 2.0), unit_quaternion(1, 0, 0, 0))
+        pose = CameraPose(vec3(-10.0, 0.0, 2.0), normalized(1, 0, 0, 0))
         ray = view_ray(pose)
         np.testing.assert_allclose(ray.origin, [-10.0, 0.0, 2.0])
         np.testing.assert_allclose(ray.direction, FORWARD)
@@ -206,6 +207,13 @@ class TestCylinderIntersection:
         with pytest.raises(BehindCameraError):
             intersect_cylinder(ray, cyl)
 
+    def test_behind_camera_message_names_plain_roots(self):
+        cyl = CylinderModel(axis_height=2.0, radius=2.0)
+        ray = Ray(vec3(-10.0, 0.0, 2.0), np.array([-1.0, 0.0, 0.0]))
+        with pytest.raises(BehindCameraError) as info:
+            intersect_cylinder(ray, cyl)
+        assert str(info.value) == "both intersections behind the camera (t = [-12.0, -8.0])"
+
     def test_axis_parallel_raises(self):
         cyl = CylinderModel(axis_height=2.0, radius=2.0)
         ray = Ray(vec3(0.0, -10.0, 2.0), np.array([0.0, 1.0, 0.0]))
@@ -232,7 +240,7 @@ class TestCylinderIntersection:
                 p = intersect_cylinder(ray, cyl)
             except NoIntersectionError:
                 continue
-            assert abs(cyl.surface_residual(p)) < 1e-9
+            assert abs(surface_residual(cyl, p)) < 1e-9
             # Nearest hit: the point faces the camera side of the axis.
             assert np.dot(p - origin, ray.direction) > T_MIN
             hits += 1
@@ -263,7 +271,7 @@ class TestRayMarchOracle:
         if sign_change.size == 0:
             return None
         lo, hi = ts[sign_change[0]], ts[sign_change[0] + 1]
-        f = lambda t: cyl.surface_residual(ray.at(t))
+        f = lambda t: surface_residual(cyl, ray.at(t))
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:

@@ -9,7 +9,6 @@ from ptzscan.geometry import (
     CameraPose,
     CylinderModel,
     quat_from_yaw_pitch,
-    unit_quaternion,
     vec3,
 )
 from ptzscan.losses import (
@@ -27,7 +26,7 @@ from ptzscan.losses import (
     sigma_weighted_total,
 )
 
-IDENTITY = unit_quaternion(1, 0, 0, 0)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
 """Tests for Cartesian-to-pan/tilt conversion and quadrant setup."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptzscan.geometry import vec3, wrap_degrees
 from ptzscan.pantilt import (
@@ -17,7 +20,38 @@ from ptzscan.pantilt import (
     grid_to_pantilt,
     point_to_pantilt,
 )
-from ptzscan.surface import PointCloud, SectionSpec, interpolate_section
+from ptzscan.surface import PointCloud, SectionSpec, SurfaceGrid, interpolate_section
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def _reference_pantilt(d, alpha_deg):
+    """Pan and tilt of one displacement, the scalar way: numpy atan2, hypot
+    and degrees on scalars, then ``wrap_degrees``."""
+    horizontal = float(np.hypot(d[0], d[1]))
+    pan = wrap_degrees(float(np.degrees(np.arctan2(d[1], d[0]))) - alpha_deg)
+    tilt = float(np.degrees(np.arctan2(d[2], horizontal)))
+    return pan, tilt
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# Axis-aligned components put pans exactly on 0, +/-90 and +/-180 degrees.
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0))
+DISPLACEMENT = st.tuples(COORD, COORD, COORD).map(np.array).filter(lambda d: d.any())
+CAMERA = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-20.0, 20.0)] * 3))
+# Yaws giving each quadrant alpha = 0 or alpha = 180 (the wrapped -180).
+YAWS_AT_SEAM = {y for b in QUADRANT_PAN_OFFSETS.values() for y in (b, b - 180.0, b + 180.0)}
+
+
+def _alphas(azimuth):
+    """Alpha anywhere, or putting pan = azimuth - alpha on or beside the seam."""
+    seam = st.sampled_from([-180.0, 180.0, 540.0])
+    offset = st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9])
+    at_seam = st.tuples(seam, offset).map(lambda so: azimuth - so[0] + so[1])
+    return st.one_of(st.floats(-720.0, 720.0), at_seam)
 
 
 class TestComputeAlpha:
@@ -88,6 +122,17 @@ class TestPointToPanTilt:
             miss = np.linalg.norm(r - np.dot(r, d) * d)
             assert miss < 1e-9
 
+    @SETTINGS
+    @given(DISPLACEMENT, CAMERA, st.data())
+    def test_matches_reference_bit_for_bit(self, d, camera, data):
+        camera = np.array(camera)
+        point = camera + d
+        d = point - camera
+        assume(d.any())
+        alpha = data.draw(_alphas(float(np.degrees(np.arctan2(d[1], d[0])))))
+        pt = point_to_pantilt(point, camera, alpha)
+        assert _bits(pt.pan_deg, pt.tilt_deg) == _bits(*_reference_pantilt(d, alpha))
+
     def test_alpha_equivariance_is_exact(self):
         # Pan depends on alpha only through one wrapped subtraction, so
         # shifting by alpha reproduces the alpha = 0 pan bit-for-bit.
@@ -138,9 +183,34 @@ class TestGridToPanTilt:
                 if cell is None:
                     assert not grid.valid[i, j]
                     continue
-                expected = point_to_pantilt(grid.points[i, j], setup.camera_position, alpha)
-                assert cell.pan_deg == expected.pan_deg
-                assert cell.tilt_deg == expected.tilt_deg
+                expected = _reference_pantilt(grid.points[i, j] - setup.camera_position, alpha)
+                assert _bits(cell.pan_deg, cell.tilt_deg) == _bits(*expected)
+
+    @SETTINGS
+    @given(
+        st.lists(DISPLACEMENT, min_size=1, max_size=12),
+        st.lists(st.booleans(), min_size=12, max_size=12),
+        st.sampled_from(sorted(QUADRANT_PAN_OFFSETS)),
+        st.one_of(st.sampled_from(sorted(YAWS_AT_SEAM)), st.floats(-180.0, 180.0)),
+        CAMERA,
+    )
+    def test_matches_reference_bit_for_bit(self, ds, valid, quadrant, yaw, camera):
+        n = len(ds)
+        valid = np.array(valid[:n]).reshape(n, 1)
+        points = (np.array(camera) + np.array(ds)).reshape(n, 1, 3)
+        points[~valid] = np.nan
+        spec = SectionSpec("s", "fuselage", (-100, -100, -100), (100, 100, 100))
+        grid = SurfaceGrid(spec, np.arange(n) * 0.05, np.zeros(1), points, valid)
+        setup = QuadrantSetup(quadrant, yaw, np.array(camera))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", YawToleranceWarning)
+            u = grid_to_pantilt(grid, setup)
+            alpha = compute_alpha(setup)
+        np.testing.assert_array_equal(u.valid, valid)
+        assert np.isnan(u.pans[~valid]).all() and np.isnan(u.tilts[~valid]).all()
+        for i in np.flatnonzero(valid):
+            expected = _reference_pantilt(points[i, 0] - setup.camera_position, alpha)
+            assert _bits(u.pans[i, 0], u.tilts[i, 0]) == _bits(*expected)
 
     def test_elevated_camera_sees_negative_tilts(self):
         # Camera mounted well above a low horizontal patch: every present

@@ -115,9 +115,9 @@ class TestGenerateManifest:
         sizes = SplitSizes(train=40, val=7, test=3)
         m = generate_manifest(q3_boundary, sizes, seed=5)
         assert len(m.samples) == 50
-        assert len(m.split_indices("train")) == 40
-        assert len(m.split_indices("val")) == 7
-        assert len(m.split_indices("test")) == 3
+        assert m.splits.count("train") == 40
+        assert m.splits.count("val") == 7
+        assert m.splits.count("test") == 3
 
     def test_splits_disjoint_and_ordered(self, q3_boundary):
         sizes = SplitSizes(train=5, val=3, test=2)

@@ -4,7 +4,9 @@ Every imported name must be used, and every ``__all__`` entry must name
 something the module defines or imports. ``__init__.py`` imports purely to
 re-export, so only its ``__all__`` (if any) is checked. SciPy may only be
 imported inside a function, so commands that never interpolate skip its
-import cost.
+import cost. Every public name (``__all__`` entries and public methods)
+must have a caller outside the unit tests: the package itself, the demos,
+the benchmark or the acceptance suite.
 """
 
 import ast
@@ -12,8 +14,15 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ptzscan").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ptzscan").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+CALLERS = [
+    *MODULES,
+    *sorted((ROOT / "demos").glob("*.py")),
+    *sorted((ROOT / "ptzbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 def _parse(path: Path) -> ast.Module:
@@ -40,6 +49,31 @@ def _dunder_all(tree: ast.Module) -> list[str]:
         ):
             return list(ast.literal_eval(node.value))
     return []
+
+
+def _public_surface(tree: ast.Module) -> set[str]:
+    """``__all__`` entries plus the public methods of top-level classes."""
+    names = set(_dunder_all(tree))
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            names.update(
+                f.name
+                for f in cls.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not f.name.startswith("_")
+            )
+    return names
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name and attribute a module uses."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
@@ -96,3 +130,10 @@ def test_scipy_is_not_imported_at_module_level(path):
         if module.split(".")[0] == "scipy"
     )
     assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"
+
+
+def test_public_names_have_a_caller():
+    used = set().union(*(_references(_parse(p)) for p in CALLERS))
+    uncalled = {p.name: sorted(_public_surface(_parse(p)) - used) for p in MODULES}
+    uncalled = {name: names for name, names in uncalled.items() if names}
+    assert not uncalled, f"public names only tests use: {uncalled}"

@@ -100,13 +100,11 @@ class TestPointCloudIO:
 class TestSectionSpec:
     def test_tail_uses_x_over_yz(self):
         spec = make_spec(kind="tail")
-        assert spec.interpolated_coordinate == "x-over-yz"
         assert (spec.value_axis, spec.row_axis) == (0, 2)
 
     def test_others_use_z_over_xy(self):
         for kind in ("fuselage", "wing", "stabiliser"):
             spec = make_spec(kind=kind)
-            assert spec.interpolated_coordinate == "z-over-xy"
             assert (spec.value_axis, spec.row_axis) == (2, 0)
 
     def test_conflicting_coordinate_rejected(self):
