@@ -1,112 +1,16 @@
-"""Geometric planning and evaluation toolkit for PTZ-camera surface scans."""
+"""Geometric planning and evaluation toolkit for PTZ-camera surface scans.
 
-from ptzscan.geometry import (
-    FORWARD,
-    T_MIN,
-    AxisParallelRayError,
-    BehindCameraError,
-    CameraPose,
-    CylinderIntersectionError,
-    CylinderModel,
-    GimbalLockWarning,
-    NoIntersectionError,
-    Ray,
-    angular_distance,
-    intersect_cylinder,
-    quat_from_axis_angle,
-    quat_from_yaw_pitch,
-    quat_multiply,
-    rotate_vector,
-    vec3,
-    view_ray,
-    wrap_degrees,
-    yaw_from_quaternion,
-)
-from ptzscan.losses import (
-    ICSC_HIT,
-    ICSC_SKIPPED,
-    InvalidSetupError,
-    LossBreakdown,
-    LossWeights,
-    PoseSample,
-    combined_loss,
-    finite_difference_grad,
-    icsc_loss,
-    optimal_log_variance,
-    orientation_loss,
-    position_loss,
-    sigma_weighted_total,
-)
-from ptzscan.evaluation import (
-    SOURCE_EXTERNAL,
-    SOURCE_NOISY_ORACLE,
-    SOURCE_ORACLE,
-    ErrorStats,
-    PoseEstimate,
-    evaluate,
-    noisy_oracle,
-)
-from ptzscan.surface import (
-    GRID_RESOLUTION,
-    KIND_FUSELAGE,
-    KIND_STABILISER,
-    KIND_TAIL,
-    KIND_WING,
-    DegenerateSectionError,
-    EmptySectionWarning,
-    PointCloud,
-    PointCloudParseError,
-    SectionSpec,
-    SurfaceGrid,
-    interpolate_section,
-    load_point_cloud,
-    section_points,
-)
-from ptzscan.pantilt import (
-    QUADRANT_PAN_OFFSETS,
-    PanTilt,
-    PanTiltGrid,
-    QuadrantSetup,
-    YawToleranceWarning,
-    compute_alpha,
-    direction_from_pantilt,
-    grid_to_pantilt,
-    point_to_pantilt,
-)
-from ptzscan.planner import (
-    SECTION_SCAN_ORDER,
-    ScanConfig,
-    ScanPlan,
-    ScanPoint,
-    SectionMismatchWarning,
-    SectionPlan,
-    estimate_image_count,
-    plan_full,
-    plan_section,
-    quadrant_half,
-)
-from ptzscan.randomizer import (
-    GENERATOR_NAME,
-    SCENE_OBJECTS,
-    DatasetManifest,
-    DeploymentBoundary,
-    DeploymentReport,
-    MaterialColor,
-    RandomizationSample,
-    SplitSizes,
-    TexturePlacement,
-    generate_manifest,
-    sample_pose,
-    sample_setup,
-    validate_deployment,
-)
-from ptzscan.simulator import (
-    PropagationStudy,
-    SimulationReport,
-    cast_to_surface,
-    error_propagation,
-    execute_plan,
-    footprint,
-)
+The namespace is the ``__all__`` of each module imported below, and no name
+is in two of them. ``formats`` and ``cli`` are imported by module path.
+"""
+
+from ptzscan.geometry import *
+from ptzscan.losses import *
+from ptzscan.evaluation import *
+from ptzscan.surface import *
+from ptzscan.pantilt import *
+from ptzscan.planner import *
+from ptzscan.randomizer import *
+from ptzscan.simulator import *
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Pose-estimate abstraction and error statistics.
 
-A PoseEstimate is a camera-pose guess tagged with its source: a perfect
-oracle, ``noisy_oracle`` or a predictions file. ``median_rmse`` is the one
+A PoseEstimate is a camera-pose guess tagged with its source,
+``noisy_oracle`` or a predictions file. ``median_rmse`` is the one
 median / RMSE formula: ``evaluate`` applies it to position error (metres)
 and orientation error (degrees, quaternion angular distance), and the
 simulator to labelling errors.
@@ -24,7 +24,6 @@ from ptzscan.geometry import (
 )
 
 __all__ = [
-    "SOURCE_ORACLE",
     "SOURCE_NOISY_ORACLE",
     "SOURCE_EXTERNAL",
     "PoseEstimate",
@@ -34,7 +33,6 @@ __all__ = [
     "noisy_oracle",
 ]
 
-SOURCE_ORACLE = "oracle"
 SOURCE_NOISY_ORACLE = "noisy-oracle"
 SOURCE_EXTERNAL = "external-file"
 
@@ -43,7 +41,7 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True, eq=False)
 class PoseEstimate:
-    """A pose guess with provenance: position, unit quaternion, source tag."""
+    """A pose guess: position, unit quaternion and a ``SOURCE_*`` tag."""
 
     position: np.ndarray
     orientation: np.ndarray
@@ -53,7 +51,7 @@ class PoseEstimate:
         pose = CameraPose(self.position, self.orientation)  # validates both
         object.__setattr__(self, "position", pose.position)
         object.__setattr__(self, "orientation", pose.orientation)
-        if self.source not in (SOURCE_ORACLE, SOURCE_NOISY_ORACLE, SOURCE_EXTERNAL):
+        if self.source not in (SOURCE_NOISY_ORACLE, SOURCE_EXTERNAL):
             raise ValueError(f"unknown source tag {self.source!r}")
 
     @property

@@ -138,6 +138,8 @@ def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
         raise FormatError(f"{context}: {exc}") from exc
 
 
+# Pose readers reject an overflowing quaternion norm without numpy's warning.
+@np.errstate(over="ignore")
 def read_pose_json(path: Union[str, Path]) -> CameraPose:
     """A camera pose from a JSON file holding one pose record."""
     return record_to_pose(_load_json(path), str(path))
@@ -151,6 +153,7 @@ class BatchSample:
     weights: Optional[LossWeights] = None
 
 
+@np.errstate(over="ignore")
 def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):

@@ -225,15 +225,14 @@ def optimal_log_variance(mean_component_loss: float) -> float:
 
 
 def finite_difference_grad(
-    loss_fn: Callable[[np.ndarray], float], at: np.ndarray, h: float = 1e-5
+    loss_fn: Callable[[np.ndarray], float], at: np.ndarray
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function at a point.
+    """Central-difference gradient, step 1e-5, of a scalar function at a point.
 
     ``loss_fn`` maps a parameter vector (e.g. the three log-variances, or a
-    predicted position) to a scalar. Step ``h`` must lie in [1e-7, 1e-3].
+    predicted position) to a scalar.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"step h must be in [1e-7, 1e-3], got {h}")
+    h = 1e-5
     at = np.asarray(at, dtype=np.float64)
     grad = np.empty_like(at)
     for i in range(at.size):

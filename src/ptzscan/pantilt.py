@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -111,13 +110,6 @@ class PanTiltGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
-
-    def cell(self, i: int, j: int) -> Optional[PanTilt]:
-        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
-            raise IndexError(f"cell ({i}, {j}) outside grid of shape {self.shape}")
-        if not self.valid[i, j]:
-            return None
-        return PanTilt(float(self.pans[i, j]), float(self.tilts[i, j]))
 
 
 def compute_alpha(setup: QuadrantSetup) -> float:

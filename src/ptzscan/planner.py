@@ -118,12 +118,19 @@ class ScanPlan:
         return sum(len(s) for s in self.sections)
 
 
+def _roles(u: PanTiltGrid, cfg: ScanConfig, kind: Optional[str]):
+    """Row channel, column channel, row FOV and column FOV of a section kind."""
+    if kind in _PAN_MAJOR_KINDS:
+        return u.pans, u.tilts, cfg.hfov_deg, cfg.vfov_deg
+    return u.tilts, u.pans, cfg.vfov_deg, cfg.hfov_deg
+
+
 def _select_cells(
     row_channel: np.ndarray,
     col_channel: np.ndarray,
-    valid: np.ndarray,
     row_fov: float,
     col_fov: float,
+    valid: np.ndarray,
     lam: float,
 ) -> list[tuple[int, int]]:
     """Row-major cell selection.
@@ -179,11 +186,7 @@ def plan_section(
     if not np.array_equal(u.valid, grid.valid):
         raise ValueError("pan-tilt and surface grids disagree on present cells")
     kind = grid.section.kind if kind is None else kind
-    lam = cfg.spacing_factor
-    if kind in _PAN_MAJOR_KINDS:
-        cells = _select_cells(u.pans, u.tilts, u.valid, cfg.hfov_deg, cfg.vfov_deg, lam)
-    else:
-        cells = _select_cells(u.tilts, u.pans, u.valid, cfg.vfov_deg, cfg.hfov_deg, lam)
+    cells = _select_cells(*_roles(u, cfg, kind), u.valid, cfg.spacing_factor)
     name = grid.section.name
     points = []
     for i, j in cells:
@@ -250,12 +253,7 @@ def estimate_image_count(
     """
     if kind is not None and kind not in SECTION_SCAN_ORDER:
         raise ValueError(f"unknown section kind {kind!r}")
-    if kind in _PAN_MAJOR_KINDS:
-        row_channel, col_channel = u.pans, u.tilts
-        row_fov, col_fov = cfg.hfov_deg, cfg.vfov_deg
-    else:
-        row_channel, col_channel = u.tilts, u.pans
-        row_fov, col_fov = cfg.vfov_deg, cfg.hfov_deg
+    row_channel, col_channel, row_fov, col_fov = _roles(u, cfg, kind)
     lam = cfg.spacing_factor
     medians = []
     spans = []

@@ -43,7 +43,7 @@ from ptzscan.pantilt import (
     grid_to_pantilt,
 )
 from ptzscan.planner import ScanConfig, ScanPlan, plan_full
-from ptzscan.surface import SurfaceGrid
+from ptzscan.surface import GRID_RESOLUTION, SurfaceGrid
 
 __all__ = [
     "ImageResult",
@@ -128,9 +128,8 @@ def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Returns NaN where any of the four surrounding lattice cells is absent
     or the query leaves the lattice.
     """
-    res = grid.resolution
-    fr = (a - grid.row_values[0]) / res
-    fc = (b - grid.col_values[0]) / res
+    fr = (a - grid.row_values[0]) / GRID_RESOLUTION
+    fc = (b - grid.col_values[0]) / GRID_RESOLUTION
     nr, nc = grid.shape
     out = np.full(fr.shape, np.nan)
     i0 = np.floor(fr).astype(int)
@@ -190,7 +189,7 @@ def _cast_to_grid(
     if finite.size == 0 or n == 0:
         return hits, missed
     t_max = float(np.max(np.linalg.norm(finite - origin, axis=1))) + 1.0
-    step = grid.resolution / 2.0
+    step = GRID_RESOLUTION / 2.0
     ts = np.arange(0.0, t_max + step, step)
     pts = origin + ts[None, :, None] * directions[:, None, :]
     f = _grid_offset(grid, pts.reshape(-1, 3)).reshape(n, len(ts))

@@ -143,7 +143,6 @@ class SurfaceGrid:
     col_values: np.ndarray
     points: np.ndarray
     valid: np.ndarray
-    resolution: float = GRID_RESOLUTION
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -214,7 +213,7 @@ def _load_ply(path: Path) -> PointCloud:
             break
     if vertex_count is None or body_start is None:
         raise PointCloudParseError(f"{path}: header lacks vertex count or end_header")
-    body = [ln for ln in lines[body_start:] if ln.strip()]
+    body = [(n, ln) for n, ln in enumerate(lines[body_start:], body_start + 1) if ln.strip()]
     if len(body) != vertex_count:
         raise PointCloudParseError(
             f"{path}: header declares {vertex_count} vertices, body has {len(body)}"
@@ -222,17 +221,17 @@ def _load_ply(path: Path) -> PointCloud:
     if vertex_count == 0:
         raise PointCloudParseError(f"{path}: empty vertex list")
     points = np.empty((vertex_count, 3), dtype=np.float64)
-    for row, line in enumerate(body):
+    for row, (lineno, line) in enumerate(body):
         parts = line.split()
         if len(parts) < 3:
             raise PointCloudParseError(
-                f"{path}:{body_start + 1 + row}: vertex line has fewer than 3 values"
+                f"{path}:{lineno}: vertex line has fewer than 3 values"
             )
         try:
             points[row] = [float(v) for v in parts[:3]]
         except ValueError as exc:
             raise PointCloudParseError(
-                f"{path}:{body_start + 1 + row}: {exc}"
+                f"{path}:{lineno}: {exc}"
             ) from exc
     return PointCloud(points)
 

@@ -356,8 +356,14 @@ class TestMalformedPoseRecords:
             json.dumps(
                 {"true": POSE, "predicted": {**POSE, "quaternion_wxyz": [1e200, 0, 0, 0]}}
             ),
+            json.dumps(
+                {"true": {**POSE, "quaternion_wxyz": [1e200, 0, 0, 0]}, "predicted": POSE}
+            ),
         ],
-        ids=["number", "string", "text-yaw", "list-yaw", "text-pitch", "overflow-quaternion"],
+        ids=[
+            "number", "string", "text-yaw", "list-yaw", "text-pitch",
+            "overflow-quaternion", "overflow-true-quaternion",
+        ],
     )
     def test_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, line):
         path = tmp_path / "bad.jsonl"
@@ -368,10 +374,14 @@ class TestMalformedPoseRecords:
         assert "category=parse-error" in err
         assert f"{path}:2" in err
 
-    @pytest.mark.parametrize("yaw", ['"abc"', "[20.0]"], ids=["text", "list"])
-    def test_pose_file_exits_parse_error(self, world, tmp_path, capsys, yaw):
+    @pytest.mark.parametrize(
+        "orientation",
+        ['"yaw_deg": "abc"', '"yaw_deg": [20.0]', '"quaternion_wxyz": [1e200, 0, 0, 0]'],
+        ids=["text", "list", "overflow-quaternion"],
+    )
+    def test_pose_file_exits_parse_error(self, world, tmp_path, capsys, orientation):
         camera = tmp_path / "camera.json"
-        camera.write_text('{"position_m": [-7.0, 1.0, 6.75], "yaw_deg": %s}\n' % yaw)
+        camera.write_text('{"position_m": [-7.0, 1.0, 6.75], %s}\n' % orientation)
         code = main(
             ["plan", *_base(world), "--camera", str(camera),
              "--quadrant", "3", "--out", str(tmp_path / "p.json")]

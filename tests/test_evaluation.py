@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ptzscan.evaluation import (
+    SOURCE_EXTERNAL,
     SOURCE_NOISY_ORACLE,
-    SOURCE_ORACLE,
     ErrorStats,
     PoseEstimate,
     evaluate,
@@ -29,7 +29,7 @@ def pose(x, y, z, yaw=0.0, pitch=0.0):
 
 
 def estimate_from(p: CameraPose) -> PoseEstimate:
-    return PoseEstimate(p.position, p.orientation, SOURCE_ORACLE)
+    return PoseEstimate(p.position, p.orientation, SOURCE_EXTERNAL)
 
 
 class TestEvaluate:

@@ -179,12 +179,11 @@ class TestGridToPanTilt:
         alpha = compute_alpha(setup)
         for i in range(grid.shape[0]):
             for j in range(grid.shape[1]):
-                cell = u.cell(i, j)
-                if cell is None:
-                    assert not grid.valid[i, j]
+                if not grid.valid[i, j]:
+                    assert np.isnan(u.pans[i, j]) and np.isnan(u.tilts[i, j])
                     continue
                 expected = _reference_pantilt(grid.points[i, j] - setup.camera_position, alpha)
-                assert _bits(cell.pan_deg, cell.tilt_deg) == _bits(*expected)
+                assert _bits(u.pans[i, j], u.tilts[i, j]) == _bits(*expected)
 
     @SETTINGS
     @given(
@@ -226,8 +225,3 @@ class TestGridToPanTilt:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             PanTiltGrid(np.zeros((2, 2)), np.zeros((2, 3)), np.ones((2, 2), dtype=bool))
-
-    def test_out_of_range_cell_raises(self):
-        u = PanTiltGrid(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
-        with pytest.raises(IndexError):
-            u.cell(2, 0)

@@ -122,7 +122,7 @@ def _reference_cast(ray, grid):
     if finite.size == 0:
         return None
     t_max = float(np.max(np.linalg.norm(finite - ray.origin, axis=1))) + 1.0
-    step = grid.resolution / 2.0
+    step = GRID_RESOLUTION / 2.0
     ts = np.arange(0.0, t_max + step, step)
     pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
     f = _grid_offset(grid, pts)

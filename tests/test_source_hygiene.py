@@ -1,4 +1,4 @@
-"""Static checks over the package sources, using only the stdlib ``ast``.
+"""Checks over the package sources, made with the stdlib ``ast``.
 
 Every imported name must be used, and every ``__all__`` entry must name
 something the module defines or imports. ``__init__.py`` imports purely to
@@ -6,17 +6,24 @@ re-export, so only its ``__all__`` (if any) is checked. SciPy may only be
 imported inside a function, so commands that never interpolate skip its
 import cost. Every public name (``__all__`` entries and public methods)
 must have a caller outside the unit tests: the package itself, the demos,
-the benchmark or the acceptance suite.
+the benchmark or the acceptance suite. The package namespace is the
+``__all__`` of every module but ``formats`` and ``cli``, and no name is in
+two of those lists, since a star import would silently shadow one; this
+check imports the package.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ptzscan
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ptzscan").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+REEXPORTED = [p for p in MODULES if p.stem not in ("formats", "cli")]
 CALLERS = [
     *MODULES,
     *sorted((ROOT / "demos").glob("*.py")),
@@ -137,3 +144,18 @@ def test_public_names_have_a_caller():
     uncalled = {p.name: sorted(_public_surface(_parse(p)) - used) for p in MODULES}
     uncalled = {name: names for name, names in uncalled.items() if names}
     assert not uncalled, f"public names only tests use: {uncalled}"
+
+
+def test_package_namespace_is_every_reexported_all():
+    missing = {
+        p.stem: names
+        for p in REEXPORTED
+        if (names := [n for n in _dunder_all(_parse(p)) if not hasattr(ptzscan, n)])
+    }
+    assert not missing, f"__all__ names missing from the ptzscan namespace: {missing}"
+
+
+def test_no_name_is_exported_twice():
+    counts = Counter(n for p in REEXPORTED for n in _dunder_all(_parse(p)))
+    twice = sorted(n for n, c in counts.items() if c > 1)
+    assert not twice, f"names in two modules' __all__: {twice}"

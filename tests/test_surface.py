@@ -82,6 +82,17 @@ class TestPointCloudIO:
         with pytest.raises(PointCloudParseError, match="declares 3"):
             load_point_cloud(p, "ply-ascii-subset")
 
+    @pytest.mark.parametrize("bad", ["2 2 x", "2 2"], ids=["text", "short"])
+    def test_ply_bad_vertex_after_blank_line_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "bad.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            f"end_header\n0 0 0\n\n1 1 1\n{bad}\n"
+        )
+        with pytest.raises(PointCloudParseError, match=r"bad\.ply:11: "):
+            load_point_cloud(p, "ply-ascii-subset")
+
     def test_ply_missing_header_end(self, tmp_path):
         p = tmp_path / "bad.ply"
         p.write_text("ply\nformat ascii 1.0\nelement vertex 1\n0 0 0\n")
