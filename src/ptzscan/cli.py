@@ -17,7 +17,6 @@ one rewrites byte-identical outputs. The only environment influence is
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -31,6 +30,7 @@ from ptzscan import __version__
 from ptzscan.evaluation import evaluate
 from ptzscan.formats import (
     FormatError,
+    _dump_json,
     format_stats,
     load_external_predictions,
     read_boundary_config,
@@ -260,6 +260,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
+    """Per channel: mean loss, optimal log-variance ln(mean) and the gradient
+    there, which must vanish. A perfect channel (mean loss 0) has no finite
+    optimum: its optimum and gradient are null and the check skips it."""
     _require_files(args.predictions)
     batch = read_sample_batch(args.predictions)
     if not batch:
@@ -267,7 +270,6 @@ def cmd_loss_check(args) -> int:
     cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
     l_x, l_q, l_c = [], [], []
-    skipped = 0
     totals = []
     for entry in batch:
         weights = entry.weights if entry.weights is not None else default_weights
@@ -281,39 +283,33 @@ def cmd_loss_check(args) -> int:
         l_q.append(breakdown.l_q)
         if breakdown.l_c is not None:
             l_c.append(breakdown.l_c)
-        elif cylinder is not None:
-            skipped += 1
         totals.append(breakdown.total)
 
-    def _channel_report(losses):
-        mean = float(np.mean(losses))
-        s_star = optimal_log_variance(mean)
-        gradient = finite_difference_grad(
-            lambda s: mean * math.exp(-float(s[0])) + float(s[0]), np.array([s_star])
-        )
-        return mean, s_star, float(gradient[0])
-
-    mean_x, star_x, grad_x = _channel_report(l_x)
-    mean_q, star_q, grad_q = _channel_report(l_q)
+    optima, gradients = {}, {}
     report = {
         "n": len(batch),
-        "mean_position_loss": mean_x,
-        "mean_orientation_loss": mean_q,
         "mean_total": float(np.mean(totals)),
-        "optimal_log_variance": {"s_x": star_x, "s_q": star_q},
-        "gradient_at_optimum": {"s_x": grad_x, "s_q": grad_q},
+        "optimal_log_variance": optima,
+        "gradient_at_optimum": gradients,
     }
+    channels = {"s_x": ("mean_position_loss", l_x), "s_q": ("mean_orientation_loss", l_q)}
     if cylinder is not None:
-        report["surface_skipped"] = skipped
+        report["surface_skipped"] = len(batch) - len(l_c)
         if l_c:
-            mean_c, star_c, grad_c = _channel_report(l_c)
-            report["mean_surface_loss"] = mean_c
-            report["optimal_log_variance"]["s_c"] = star_c
-            report["gradient_at_optimum"]["s_c"] = grad_c
-    grads = report["gradient_at_optimum"].values()
-    report["gradient_check_passed"] = all(abs(g) < 1e-5 for g in grads)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
+            channels["s_c"] = ("mean_surface_loss", l_c)
+    for weight, (key, losses) in channels.items():
+        report[key] = mean = float(np.mean(losses))
+        if mean == 0.0:
+            optima[weight] = gradients[weight] = None
+            continue
+        optima[weight] = optimal_log_variance(mean)
+        gradient = finite_difference_grad(
+            lambda s: mean * math.exp(-float(s[0])) + float(s[0]), np.array([optima[weight]])
+        )
+        gradients[weight] = float(gradient[0])
+    checked = [abs(g) < 1e-5 for g in gradients.values() if g is not None]
+    report["gradient_check_passed"] = all(checked)
+    sys.stdout.write(_dump_json(report))
     if args.out:
         write_loss_report(args.out, report)
     if not report["gradient_check_passed"]:
@@ -355,6 +351,7 @@ def _add_scan_flags(parser):
         "--vfov-deg", type=float, default=ScanConfig.vfov_deg, help="vertical FOV at scan zoom"
     )
     parser.add_argument("--mu", type=float, default=ScanConfig.mu, help="overlap ratio in [0, 1)")
+    parser.add_argument("--quadrant", type=int, choices=(1, 2, 3, 4), required=True)
 
 
 def _add_cloud_flags(parser):
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cloud_flags(p)
     _add_scan_flags(p)
     p.add_argument("--camera", required=True, help="estimated camera pose JSON")
-    p.add_argument("--quadrant", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--out", required=True, help="plan JSON output")
     p.add_argument("--csv", help="optional plan CSV output")
     p.add_argument("--export-pantilt", help="optional directory for pan-tilt CSVs")
@@ -397,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="plan JSON (required unless --draws is given)")
     p.add_argument("--true-camera", required=True, help="true camera pose JSON")
     p.add_argument("--estimated-camera", required=True, help="estimated camera pose JSON")
-    p.add_argument("--quadrant", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--cylinder", help="analytic cast target as 'radius,axis-height'")
     p.add_argument("--draws", type=int, default=0, help="Monte-Carlo draws (0 = single run)")
     p.add_argument("--sigma-pos", type=float, default=0.24, help="position noise sigma, m")
@@ -437,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_flags(p)
     p.add_argument("--camera", required=True, help="estimated camera pose JSON")
     p.add_argument("--true-camera", help="true pose JSON (defaults to --camera)")
-    p.add_argument("--quadrant", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--cylinder", help="analytic cast target as 'radius,axis-height'")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)

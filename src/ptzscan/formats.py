@@ -3,9 +3,9 @@
 Everything here is plain text — JSON, JSON Lines, or CSV — with metres for
 positions and degrees for angles. Writers are deterministic functions of
 their inputs (keys sorted, shortest round-trip float repr, no timestamps),
-so rewriting unchanged data reproduces the file byte for byte. Writers
-also go through a temp-file rename, so a failed write never leaves a
-truncated file behind.
+so rewriting unchanged data reproduces the file byte for byte. JSON never
+holds NaN or Infinity. Writers also go through a temp-file rename, so a
+failed write never leaves a truncated file behind.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
@@ -19,10 +19,11 @@ import io
 import json
 import math
 import os
+import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
-from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, RandomizationSample
+from ptzscan.randomizer import SCENE_OBJECTS, TEXTURE_RANGES, DatasetManifest, DeploymentBoundary
 from ptzscan.simulator import PropagationStudy, SimulationReport
 from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
 
@@ -65,10 +66,10 @@ class FormatError(Exception):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: Union[str, Path], text: str) -> None:
+def _write_text(path: Union[str, Path], text: Union[str, Iterable[str]]) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     # Mode 0o666 lets the umask set the final permissions, as a plain open()
@@ -76,7 +77,7 @@ def _write_text(path: Union[str, Path], text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -393,28 +394,30 @@ def write_plan_csv(path: Union[str, Path], plan: ScanPlan) -> None:
 # ---------------------------------------------------------------------------
 # Dataset manifests
 
-def _sample_to_record(sample: RandomizationSample) -> dict:
+def _sample_values(sample) -> list:
+    """A sample's 39 values in ``_sample_record``'s slot order."""
+    values = [*sample.position.tolist(), sample.yaw_deg, sample.pan_deg, sample.tilt_deg]
+    for obj in SCENE_OBJECTS:
+        values += sample.colors[obj].ambient_rgb + sample.colors[obj].specular_rgb
+    for obj in SCENE_OBJECTS:
+        values += [getattr(sample.textures[obj], key) for key in TEXTURE_RANGES]
+    return values
+
+
+def _sample_record(v) -> dict:
+    """A sample's JSON record holding ``v[k]`` in slot k (k < 39)."""
     return {
-        "position_m": [float(v) for v in sample.position],
-        "yaw_deg": sample.yaw_deg,
-        "pan_deg": sample.pan_deg,
-        "tilt_deg": sample.tilt_deg,
+        "position_m": v[:3],
+        "yaw_deg": v[3],
+        "pan_deg": v[4],
+        "tilt_deg": v[5],
         "colors": {
-            name: {
-                "ambient_rgb": list(color.ambient_rgb),
-                "specular_rgb": list(color.specular_rgb),
-            }
-            for name, color in sample.colors.items()
+            obj: {"ambient_rgb": v[i : i + 3], "specular_rgb": v[i + 3 : i + 6]}
+            for obj, i in zip(SCENE_OBJECTS, range(6, 24, 6))
         },
         "textures": {
-            name: {
-                "offset_u": tex.offset_u,
-                "offset_v": tex.offset_v,
-                "rotation_deg": tex.rotation_deg,
-                "scale_u": tex.scale_u,
-                "scale_v": tex.scale_v,
-            }
-            for name, tex in sample.textures.items()
+            obj: dict(zip(TEXTURE_RANGES, v[i : i + 5]))
+            for obj, i in zip(SCENE_OBJECTS, range(24, 39, 5))
         },
     }
 
@@ -432,10 +435,23 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
             },
             "boundary": _boundary_to_record(manifest.boundary),
         },
-        "samples": [_sample_to_record(s) for s in manifest.samples],
+        "samples": [0] if manifest.samples else [],
         "splits": list(manifest.splits),
     }
-    _write_text(path, _dump_json(payload))
+    # Samples stream in at json's 0 (matched with its key, which no string can imitate),
+    # each as one record laid out by json at that depth, its 39 slots taking float reprs.
+    head, *tail = re.split(r'(?<="samples": \[\n    )0(?=\n  \])', _dump_json(payload))
+    marked = _dump_json(_sample_record([f"@{k}" for k in range(39)])).rstrip("\n")
+    marked = marked.replace("\n", "\n    ").replace("{", "{{").replace("}", "}}")
+    template = re.sub(r'"@(\d+)"', r"{\1}", marked)
+
+    def chunks():
+        yield head
+        for k, sample in enumerate(manifest.samples):
+            yield (",\n    " if k else "") + template.format(*_float_fields(_sample_values(sample)))
+        yield from tail
+
+    _write_text(path, chunks())
 
 
 # ---------------------------------------------------------------------------

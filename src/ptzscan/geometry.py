@@ -77,10 +77,10 @@ class GimbalLockWarning(UserWarning):
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector (metres, scene frame)."""
+    """Build a 3-vector (metres, scene frame) with a finite norm."""
     v = np.array([x, y, z], dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError(f"vector components must be finite, got {v}")
+    if not math.isfinite(v.dot(v)):
+        raise ValueError(f"vector must have a finite norm, got {v}")
     return v
 
 

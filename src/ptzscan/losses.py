@@ -75,6 +75,8 @@ class PoseSample:
             "predicted_position",
             vec3(*np.asarray(self.predicted_position, dtype=np.float64)),
         )
+        if not math.isfinite(vector_norm(self.true_pose.position - self.predicted_position)):
+            raise ValueError("position error must have a finite norm")
         raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
         if raw.shape != (4,):
             raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")

@@ -7,10 +7,12 @@ and specular RGB per scene object and a texture placement (offset,
 rotation, scale) per surface. Rendering is out of scope — a manifest is the
 exact, reproducible list of parameter draws.
 
-Reproducibility contract: draws are uniform, independent, and consumed in a
-fixed documented order from a named generator (numpy's PCG64 via
-``np.random.default_rng(seed)``), so a manifest is a pure function of
-(boundary, sizes, seed).
+Reproducibility contract: the draws are one ``rng.random((n, 39))`` block
+from a named generator (numpy's PCG64 via ``np.random.default_rng(seed)``),
+a row per sample and a column per field, mapped as ``lo + (hi - lo) * u``, so
+a manifest is a pure function of (boundary, sizes, seed). Column (consumption)
+order: x, y, height, yaw, pan, tilt; per object in SCENE_OBJECTS order ambient
+then specular RGB; per object the texture placement fields of TEXTURE_RANGES.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ptzscan.pantilt import QUADRANT_PAN_OFFSETS, YAW_TOLERANCE_DEG
 __all__ = [
     "GENERATOR_NAME",
     "SCENE_OBJECTS",
+    "TEXTURE_RANGES",
     "DeploymentBoundary",
     "MaterialColor",
     "TexturePlacement",
@@ -34,7 +37,6 @@ __all__ = [
     "DatasetManifest",
     "ConstraintViolation",
     "DeploymentReport",
-    "sample_setup",
     "generate_manifest",
     "validate_deployment",
     "sample_pose",
@@ -46,17 +48,21 @@ GENERATOR_NAME = "numpy-pcg64"
 # Textured objects in the synthetic scene, in draw order.
 SCENE_OBJECTS = ("ground", "aircraft", "background")
 
-# Texture-placement draw ranges (the placement itself is renderer input;
-# these bounds are part of the manifest contract).
-TEXTURE_OFFSET_RANGE = (0.0, 1.0)
-TEXTURE_ROTATION_RANGE_DEG = (0.0, 360.0)
-TEXTURE_SCALE_RANGE = (0.5, 2.0)
+# Texture-placement fields in draw order with their draw ranges (renderer
+# input; the bounds are part of the manifest contract).
+TEXTURE_RANGES = {
+    "offset_u": (0.0, 1.0),
+    "offset_v": (0.0, 1.0),
+    "rotation_deg": (0.0, 360.0),
+    "scale_u": (0.5, 2.0),
+    "scale_v": (0.5, 2.0),
+}
 
 
 def _check_range(name: str, rng: tuple[float, float]) -> tuple[float, float]:
     lo, hi = float(rng[0]), float(rng[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"{name} range must satisfy lo <= hi, got ({lo}, {hi})")
+    if not (lo <= hi and math.isfinite(hi - lo)):  # so every lo + (hi - lo) * u is finite
+        raise ValueError(f"{name} range must satisfy lo <= hi, finite width, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -84,8 +90,10 @@ class DeploymentBoundary:
         object.__setattr__(self, "x_range", _check_range("x", self.x_range))
         object.__setattr__(self, "y_range", _check_range("y", self.y_range))
         object.__setattr__(self, "height_range", _check_range("height", self.height_range))
-        if self.yaw_window_deg < 0.0 or self.tilt_tolerance_deg < 0.0:
+        if not (self.yaw_window_deg >= 0.0 and self.tilt_tolerance_deg >= 0.0):
             raise ValueError("yaw window and tilt tolerance must be non-negative")
+        _check_range("yaw", self.yaw_range_deg)
+        _check_range("tilt", self.tilt_range_deg)
 
     @property
     def nominal_pan_deg(self) -> float:
@@ -132,13 +140,7 @@ class TexturePlacement:
     scale_v: float
 
     def __post_init__(self):
-        for name, rng in (
-            ("offset_u", TEXTURE_OFFSET_RANGE),
-            ("offset_v", TEXTURE_OFFSET_RANGE),
-            ("rotation_deg", TEXTURE_ROTATION_RANGE_DEG),
-            ("scale_u", TEXTURE_SCALE_RANGE),
-            ("scale_v", TEXTURE_SCALE_RANGE),
-        ):
+        for name, rng in TEXTURE_RANGES.items():
             v = float(getattr(self, name))
             if not rng[0] <= v <= rng[1]:
                 raise ValueError(f"{name}={v} outside {rng}")
@@ -160,6 +162,8 @@ class RandomizationSample:
         if pos.shape != (3,) or not np.isfinite(pos).all():
             raise ValueError("position must be a finite 3-vector")
         object.__setattr__(self, "position", pos)
+        if not np.isfinite([self.yaw_deg, self.pan_deg, self.tilt_deg]).all():
+            raise ValueError("yaw, pan and tilt must be finite")
         if set(self.colors) != set(SCENE_OBJECTS) or set(self.textures) != set(SCENE_OBJECTS):
             raise ValueError(f"colors and textures must cover exactly {SCENE_OBJECTS}")
 
@@ -220,42 +224,16 @@ class DeploymentReport:
     violations: tuple[ConstraintViolation, ...]
 
 
-def sample_setup(boundary: DeploymentBoundary, rng: np.random.Generator) -> RandomizationSample:
-    """Draw one randomization sample from the boundary's ranges.
-
-    Consumption order (fixed, part of the reproducibility contract):
-    x, y, height, yaw, pan, tilt; then per object in SCENE_OBJECTS order
-    ambient RGB and specular RGB; then per object a texture placement as
-    (offset u, offset v, rotation, scale u, scale v). All draws uniform.
-    """
-    x = rng.uniform(*boundary.x_range)
-    y = rng.uniform(*boundary.y_range)
-    z = rng.uniform(*boundary.height_range)
-    yaw = rng.uniform(*boundary.yaw_range_deg)
-    pan = rng.uniform(*boundary.yaw_range_deg)
-    tilt = rng.uniform(*boundary.tilt_range_deg)
-    colors = {}
-    for obj in SCENE_OBJECTS:
-        ambient = tuple(rng.uniform(0.0, 1.0, size=3).tolist())
-        specular = tuple(rng.uniform(0.0, 1.0, size=3).tolist())
-        colors[obj] = MaterialColor(ambient, specular)
-    textures = {}
-    for obj in SCENE_OBJECTS:
-        textures[obj] = TexturePlacement(
-            offset_u=rng.uniform(*TEXTURE_OFFSET_RANGE),
-            offset_v=rng.uniform(*TEXTURE_OFFSET_RANGE),
-            rotation_deg=rng.uniform(*TEXTURE_ROTATION_RANGE_DEG),
-            scale_u=rng.uniform(*TEXTURE_SCALE_RANGE),
-            scale_v=rng.uniform(*TEXTURE_SCALE_RANGE),
-        )
-    return RandomizationSample(
-        position=np.array([x, y, z]),
-        yaw_deg=yaw,
-        pan_deg=pan,
-        tilt_deg=tilt,
-        colors=colors,
-        textures=textures,
-    )
+def _sample_from_row(v: list[float]) -> RandomizationSample:
+    """The sample whose fields are one row of drawn values, in column order."""
+    colors = {
+        obj: MaterialColor(tuple(v[i : i + 3]), tuple(v[i + 3 : i + 6]))
+        for obj, i in zip(SCENE_OBJECTS, range(6, 24, 6))
+    }
+    textures = {
+        obj: TexturePlacement(*v[i : i + 5]) for obj, i in zip(SCENE_OBJECTS, range(24, 39, 5))
+    }
+    return RandomizationSample(np.array(v[:3]), v[3], v[4], v[5], colors, textures)
 
 
 def generate_manifest(
@@ -264,10 +242,16 @@ def generate_manifest(
     seed: int = 0,
     hfov_deg: float = DatasetManifest.hfov_deg,
 ) -> DatasetManifest:
-    """Deterministic manifest: one PCG64 stream, samples drawn sequentially
-    and assigned to the train, val, and test blocks in that order."""
-    rng = np.random.default_rng(seed)
-    samples = tuple(sample_setup(boundary, rng) for _ in range(sizes.total))
+    """Deterministic manifest: sample k is row k of one block of draws in the
+    module's column order, and samples fill the train, val, and test blocks
+    in that order. A row equals scalar ``uniform`` draws of its fields."""
+    ranges = [boundary.x_range, boundary.y_range, boundary.height_range]
+    ranges += [boundary.yaw_range_deg] * 2 + [boundary.tilt_range_deg]
+    ranges += [(0.0, 1.0)] * (6 * len(SCENE_OBJECTS))
+    ranges += list(TEXTURE_RANGES.values()) * len(SCENE_OBJECTS)
+    lo, hi = np.array(ranges).T
+    rows = lo + (hi - lo) * np.random.default_rng(seed).random((sizes.total, len(ranges)))
+    samples = tuple(map(_sample_from_row, rows.tolist()))
     splits = ("train",) * sizes.train + ("val",) * sizes.val + ("test",) * sizes.test
     return DatasetManifest(
         seed=seed,
@@ -294,18 +278,11 @@ def validate_deployment(pose: CameraPose, boundary: DeploymentBoundary) -> Deplo
     violations = []
 
     def check_interval(name: str, value: float, rng: tuple[float, float], unit: str):
-        if value < rng[0]:
-            margin = rng[0] - value
-            violations.append(
-                ConstraintViolation(name, margin, f"{name}={value:.4g}{unit} is "
-                                                  f"{margin:.4g}{unit} below {rng[0]:.4g}{unit}")
-            )
-        elif value > rng[1]:
-            margin = value - rng[1]
-            violations.append(
-                ConstraintViolation(name, margin, f"{name}={value:.4g}{unit} is "
-                                                  f"{margin:.4g}{unit} above {rng[1]:.4g}{unit}")
-            )
+        below, above = rng[0] - value, value - rng[1]
+        for side, limit, margin in (("below", rng[0], below), ("above", rng[1], above)):
+            if margin > 0.0:
+                text = f"{name}={value:.4g}{unit} is {margin:.4g}{unit} {side} {limit:.4g}{unit}"
+                violations.append(ConstraintViolation(name, margin, text))
 
     check_interval("x", float(pose.position[0]), boundary.x_range, " m")
     check_interval("y", float(pose.position[1]), boundary.y_range, " m")

@@ -170,6 +170,15 @@ def load_point_cloud(path: str | Path, fmt: str = "xyz-ascii") -> PointCloud:
 
 
 def _load_xyz(path: Path) -> PointCloud:
+    # Bulk parse; a file it rejects (comments, a bad line, no rows) goes to the line loop.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            bulk = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
+    except (OSError, ValueError):
+        bulk = np.empty((0, 3))
+    if len(bulk) and bulk.shape[1] == 3:
+        return PointCloud(bulk)
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -250,6 +250,22 @@ class TestRandomize:
         render_hfov = inspect.signature(generate_manifest).parameters["hfov_deg"].default
         assert manifest["header"]["hfov_deg"] == render_hfov
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x_range_m", [-1e308, 1e308]), ("yaw_window_deg", 1e308)],
+        ids=["x-range", "yaw-window"],
+    )
+    def test_range_width_overflow_exits_parse_error(self, world, tmp_path, capsys, field, value):
+        boundary = tmp_path / "wide.json"
+        record = json.loads((world / "boundary.json").read_text())
+        boundary.write_text(json.dumps({**record, field: value}))
+        out = tmp_path / "m.json"
+        assert main(["randomize", "--boundary", str(boundary), "--out", str(out)]) == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert "category=parse-error" in err
+        assert str(boundary) in err
+        assert not out.exists()
+
     def test_unparsable_boundary_exits_parse_error(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
@@ -302,6 +318,63 @@ class TestLossCheck:
         assert report["surface_skipped"] == 0
         assert report["mean_surface_loss"] > 0.0
         assert abs(report["gradient_at_optimum"]["s_c"]) < 1e-5
+
+    @pytest.mark.parametrize(
+        "exact, cylinder",
+        [(("position_m",), True), (("quaternion_wxyz",), False),
+         (("position_m", "quaternion_wxyz"), False)],
+        ids=["position", "orientation", "both"],
+    )
+    def test_perfect_channel_reports_null_optimum(self, world, tmp_path, capsys, exact, cylinder):
+        path = tmp_path / "perfect.jsonl"
+        lines = []
+        for line in (world / "batch.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if "quaternion_wxyz" in exact:  # exactly unit, so normalising keeps it
+                record["true"]["quaternion_wxyz"] = [1.0, 0.0, 0.0, 0.0]
+            record["predicted"].update({key: record["true"][key] for key in exact})
+            lines.append(json.dumps(record) + "\n")
+        path.write_text("".join(lines))
+        out = tmp_path / "loss.json"
+        argv = ["loss-check", "--predictions", str(path), "--out", str(out)]
+        assert main(argv + (["--cylinder", "2.0,2.0"] if cylinder else [])) == 0
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+
+        def reject(constant):
+            raise AssertionError(f"non-finite {constant} in the report")
+
+        report = json.loads(text, parse_constant=reject)
+        assert report["gradient_check_passed"] is True
+        channels = {"s_x": ("mean_position_loss", "position_m" in exact),
+                    "s_q": ("mean_orientation_loss", "quaternion_wxyz" in exact)}
+        if cylinder:
+            channels["s_c"] = ("mean_surface_loss", False)
+        for weight, (mean, perfect) in channels.items():
+            optimum = report["optimal_log_variance"][weight]
+            gradient = report["gradient_at_optimum"][weight]
+            if perfect:
+                assert report[mean] == 0.0
+                assert optimum is None and gradient is None
+            else:
+                assert report[mean] > 0.0
+                assert math.isfinite(optimum) and abs(gradient) < 1e-5
+
+    def test_predicted_misses_are_counted_as_skipped(self, world, tmp_path, capsys):
+        # A level predicted view ray from 6 m up passes over the radius-2
+        # surface, so those samples drop the surface term.
+        path = tmp_path / "misses.jsonl"
+        lines = (world / "batch.jsonl").read_text().splitlines()
+        for k in (0, 5, 7):
+            record = json.loads(lines[k])
+            record["predicted"]["quaternion_wxyz"] = [1.0, 0.0, 0.0, 0.0]
+            lines[k] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["loss-check", "--predictions", str(path), "--cylinder", "2.0,2.0"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 20
+        assert report["surface_skipped"] == 3
 
     def test_level_view_rays_exit_compute_error(self, world, capsys):
         # Horizontal view rays from 6 m up never reach a radius-2 surface,
@@ -359,10 +432,20 @@ class TestMalformedPoseRecords:
             json.dumps(
                 {"true": {**POSE, "quaternion_wxyz": [1e200, 0, 0, 0]}, "predicted": POSE}
             ),
+            # Position norms that overflow: each position's, then only the error's.
+            json.dumps({"true": POSE, "predicted": {**POSE, "position_m": [1e200, 0, 6]}}),
+            json.dumps({"true": {**POSE, "position_m": [1e200, 0, 6]}, "predicted": POSE}),
+            json.dumps(
+                {
+                    "true": {**POSE, "position_m": [1e154, 0, 6]},
+                    "predicted": {**POSE, "position_m": [-1e154, 0, 6]},
+                }
+            ),
         ],
         ids=[
             "number", "string", "text-yaw", "list-yaw", "text-pitch",
             "overflow-quaternion", "overflow-true-quaternion",
+            "overflow-position", "overflow-true-position", "overflow-position-error",
         ],
     )
     def test_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, line):
@@ -370,24 +453,31 @@ class TestMalformedPoseRecords:
         good = (world / "batch.jsonl").read_text().splitlines()[0]
         path.write_text(f"{good}\n{line}\n")
         assert main([command, "--predictions", str(path)]) == 3
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        [err] = captured.err.splitlines()
         assert "category=parse-error" in err
         assert f"{path}:2" in err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "orientation",
-        ['"yaw_deg": "abc"', '"yaw_deg": [20.0]', '"quaternion_wxyz": [1e200, 0, 0, 0]'],
-        ids=["text", "list", "overflow-quaternion"],
+        "fields",
+        [
+            '"position_m": [-7.0, 1.0, 6.75], "yaw_deg": "abc"',
+            '"position_m": [-7.0, 1.0, 6.75], "yaw_deg": [20.0]',
+            '"position_m": [-7.0, 1.0, 6.75], "quaternion_wxyz": [1e200, 0, 0, 0]',
+            '"position_m": [1e200, 0, 6.75], "yaw_deg": 20.0',
+        ],
+        ids=["text", "list", "overflow-quaternion", "overflow-position"],
     )
-    def test_pose_file_exits_parse_error(self, world, tmp_path, capsys, orientation):
+    def test_pose_file_exits_parse_error(self, world, tmp_path, capsys, fields):
         camera = tmp_path / "camera.json"
-        camera.write_text('{"position_m": [-7.0, 1.0, 6.75], %s}\n' % orientation)
+        camera.write_text("{%s}\n" % fields)
         code = main(
             ["plan", *_base(world), "--camera", str(camera),
              "--quadrant", "3", "--out", str(tmp_path / "p.json")]
         )
         assert code == 3
-        err = capsys.readouterr().err
+        [err] = capsys.readouterr().err.splitlines()
         assert "category=parse-error" in err
         assert str(camera) in err
 
@@ -437,6 +527,37 @@ assert not loaded, loaded
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_randomize_memory_growth_is_bounded(world, tmp_path):
+    """Writing a 5,000-sample manifest streams it: peak RSS grows by the
+    samples themselves, not by a second copy of the manifest as JSON."""
+    # VmHWM is the process's own peak RSS. ru_maxrss would also count the
+    # RSS of the test process it was spawned from, which can hide the growth.
+    script = f"""
+import ptzscan.cli
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kb()
+argv = ["randomize", "--boundary", {str(world / "boundary.json")!r}, "--seed", "1",
+        "--train", "4000", "--val", "700", "--test", "300",
+        "--out", {str(tmp_path / "manifest.json")!r}]
+assert ptzscan.cli.main(argv) == 0
+print((peak_kb() - before) / 1024)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    growth_mb = float(result.stdout.split()[-1])
+    assert growth_mb < 35.0, f"peak RSS grew by {growth_mb:.1f} MB"
 
 
 class TestParsing:

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan.evaluation import SOURCE_EXTERNAL, evaluate
 from ptzscan.formats import (
@@ -30,8 +34,11 @@ from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
 from ptzscan.randomizer import (
+    SCENE_OBJECTS,
+    DatasetManifest,
     DeploymentBoundary,
     MaterialColor,
+    RandomizationSample,
     SplitSizes,
     TexturePlacement,
     generate_manifest,
@@ -349,6 +356,128 @@ class TestManifestJson:
             assert textures == orig.textures
         write_manifest_json(b, manifest)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_manifest_text(manifest):
+    """The manifest as one indented ``json.dumps`` of per-sample record dicts."""
+
+    def record(sample):
+        return {
+            "position_m": [float(v) for v in sample.position],
+            "yaw_deg": sample.yaw_deg,
+            "pan_deg": sample.pan_deg,
+            "tilt_deg": sample.tilt_deg,
+            "colors": {
+                name: {"ambient_rgb": list(c.ambient_rgb), "specular_rgb": list(c.specular_rgb)}
+                for name, c in sample.colors.items()
+            },
+            "textures": {
+                name: {
+                    "offset_u": t.offset_u,
+                    "offset_v": t.offset_v,
+                    "rotation_deg": t.rotation_deg,
+                    "scale_u": t.scale_u,
+                    "scale_v": t.scale_v,
+                }
+                for name, t in sample.textures.items()
+            },
+        }
+
+    b = manifest.boundary
+    payload = {
+        "header": {
+            "generator": manifest.generator,
+            "seed": manifest.seed,
+            "hfov_deg": manifest.hfov_deg,
+            "sizes": {
+                "train": manifest.sizes.train,
+                "val": manifest.sizes.val,
+                "test": manifest.sizes.test,
+            },
+            "boundary": {
+                "quadrant": b.quadrant,
+                "x_range_m": list(b.x_range),
+                "y_range_m": list(b.y_range),
+                "height_range_m": list(b.height_range),
+                "yaw_window_deg": b.yaw_window_deg,
+                "tilt_center_deg": b.tilt_center_deg,
+                "tilt_tolerance_deg": b.tilt_tolerance_deg,
+            },
+        },
+        "samples": [record(s) for s in manifest.samples],
+        "splits": list(manifest.splits),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 0.1]
+anywhere = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def within(lo, hi):
+    edges = [v for v in EDGES + [lo, hi, np.nextafter(hi, lo)] if lo <= v <= hi]
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+@st.composite
+def samples(draw):
+    colors = {
+        obj: MaterialColor(*(tuple(draw(within(0.0, 1.0)) for _ in range(3)) for _ in range(2)))
+        for obj in draw(st.permutations(SCENE_OBJECTS))
+    }
+    textures = {
+        obj: TexturePlacement(
+            draw(within(0.0, 1.0)),
+            draw(within(0.0, 1.0)),
+            draw(within(0.0, 360.0)),
+            draw(within(0.5, 2.0)),
+            draw(within(0.5, 2.0)),
+        )
+        for obj in draw(st.permutations(SCENE_OBJECTS))
+    }
+    position = [draw(anywhere) for _ in range(3)]
+    return RandomizationSample(position, draw(anywhere), draw(anywhere), draw(anywhere), colors, textures)
+
+
+@st.composite
+def manifests(draw):
+    drawn = draw(st.one_of(st.just([]), st.lists(samples(), min_size=1, max_size=1),
+                           st.lists(samples(), min_size=2, max_size=8)))
+    train = draw(st.integers(0, len(drawn)))
+    val = draw(st.integers(0, len(drawn) - train))
+    sizes = SplitSizes(train=train, val=val, test=len(drawn) - train - val)
+    boundary = DeploymentBoundary(
+        quadrant=draw(st.integers(1, 4)),
+        x_range=(-1e300, draw(st.sampled_from([-1e300, -0.0, 5e-324, 1e300]))),
+        y_range=(draw(st.sampled_from([-2.5, 0.0])), 3.0),
+    )
+    # Labels that imitate the samples list's layout must not move the records.
+    label = st.sampled_from(["train", "0", '"samples": [\n    0\n  ]', "\n    0\n"])
+    return DatasetManifest(
+        seed=draw(st.integers(0, 2**64)),
+        sizes=sizes,
+        boundary=boundary,
+        samples=tuple(drawn),
+        splits=tuple(draw(label) for _ in drawn),
+        hfov_deg=draw(anywhere),
+        generator=draw(label),
+    )
+
+
+class TestManifestMatchesJsonDump:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(manifests())
+    def test_byte_for_byte(self, manifest):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.json"
+            write_manifest_json(path, manifest)
+            assert path.read_bytes() == _reference_manifest_text(manifest).encode()
+
+    def test_generated_manifest(self, tmp_path):
+        boundary = DeploymentBoundary(quadrant=3, x_range=(-8.5, -5.5), y_range=(1.5, 4.5))
+        manifest = generate_manifest(boundary, SplitSizes(train=40, val=7, test=3), seed=1)
+        write_manifest_json(tmp_path / "m.json", manifest)
+        assert (tmp_path / "m.json").read_text() == _reference_manifest_text(manifest)
 
 
 class TestReportExports:

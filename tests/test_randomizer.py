@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.randomizer import (
@@ -14,9 +16,15 @@ from ptzscan.randomizer import (
     TexturePlacement,
     generate_manifest,
     sample_pose,
-    sample_setup,
     validate_deployment,
 )
+
+ONE = SplitSizes(train=1, val=0, test=0)
+
+
+def one_sample(boundary, seed):
+    """The single sample of a one-sample manifest."""
+    return generate_manifest(boundary, ONE, seed=seed).samples[0]
 
 
 @pytest.fixture
@@ -35,6 +43,25 @@ class TestDeploymentBoundary:
         with pytest.raises(ValueError):
             DeploymentBoundary(quadrant=3, x_range=(1.0, 0.0), y_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"x_range": (-1e308, 1e308)},
+            {"y_range": (-1.7e308, 1e308)},
+            {"height_range": (-1e308, 1e308)},
+            {"x_range": (0.0, float("inf"))},
+            {"yaw_window_deg": 1e308},
+            {"yaw_window_deg": float("nan")},
+            {"tilt_tolerance_deg": float("inf")},
+            {"tilt_center_deg": float("nan")},
+        ],
+        ids=["x", "y", "height", "infinite", "yaw", "nan-yaw", "tilt", "nan-tilt"],
+    )
+    def test_range_without_finite_width_rejected(self, kwargs):
+        # The block draw maps u to lo + (hi - lo) * u, which must stay finite.
+        with pytest.raises(ValueError, match="range must satisfy|must be non-negative"):
+            DeploymentBoundary(**{"quadrant": 3, "x_range": (0, 1), "y_range": (0, 1), **kwargs})
+
     def test_degenerate_range_allowed(self):
         b = DeploymentBoundary(quadrant=1, x_range=(2.0, 2.0), y_range=(3.0, 3.0))
         assert b.x_range == (2.0, 2.0)
@@ -46,8 +73,8 @@ class TestDeploymentBoundary:
 
 class TestSampleSetup:
     def test_deterministic(self, q3_boundary):
-        a = sample_setup(q3_boundary, np.random.default_rng(7))
-        b = sample_setup(q3_boundary, np.random.default_rng(7))
+        a = one_sample(q3_boundary, 7)
+        b = one_sample(q3_boundary, 7)
         np.testing.assert_array_equal(a.position, b.position)
         assert a.yaw_deg == b.yaw_deg
         assert a.pan_deg == b.pan_deg
@@ -64,18 +91,17 @@ class TestSampleSetup:
             yaw_window_deg=0.0,
             tilt_tolerance_deg=0.0,
         )
-        s = sample_setup(b, np.random.default_rng(0))
+        s = one_sample(b, 0)
         np.testing.assert_array_equal(s.position, [-7.0, 3.0, 6.75])
         assert s.yaw_deg == 20.0
         assert s.pan_deg == 20.0
         assert s.tilt_deg == -18.0
 
     def test_monte_carlo_ranges_and_means(self, q3_boundary):
-        rng = np.random.default_rng(11)
         n = 10_000
+        manifest = generate_manifest(q3_boundary, SplitSizes(train=n, val=0, test=0), seed=11)
         xs, yaws, tilts = [], [], []
-        for _ in range(n):
-            s = sample_setup(q3_boundary, rng)
+        for s in manifest.samples:
             assert q3_boundary.x_range[0] <= s.position[0] <= q3_boundary.x_range[1]
             assert q3_boundary.y_range[0] <= s.position[1] <= q3_boundary.y_range[1]
             assert q3_boundary.height_range[0] <= s.position[2] <= q3_boundary.height_range[1]
@@ -95,7 +121,7 @@ class TestSampleSetup:
             assert abs(np.mean(values) - (lo + hi) / 2.0) < 3.0 * sigma * 1.5
 
     def test_covers_all_scene_objects(self, q3_boundary):
-        s = sample_setup(q3_boundary, np.random.default_rng(3))
+        s = one_sample(q3_boundary, 3)
         assert set(s.colors) == set(SCENE_OBJECTS)
         assert set(s.textures) == set(SCENE_OBJECTS)
         for c in s.colors.values():
@@ -108,6 +134,90 @@ class TestSampleSetup:
     def test_texture_range_validation(self):
         with pytest.raises(ValueError):
             TexturePlacement(0.0, 0.0, 400.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["yaw_deg", "pan_deg", "tilt_deg"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, q3_boundary, field, value):
+        s = one_sample(q3_boundary, 3)
+        fields = {
+            "position": s.position, "yaw_deg": 20.0, "pan_deg": 20.0, "tilt_deg": -18.0,
+            "colors": s.colors, "textures": s.textures,
+        }
+        with pytest.raises(ValueError, match="must be finite"):
+            RandomizationSample(**{**fields, field: value})
+
+
+def _reference_draws(boundary, n, seed):
+    """Every sample's values as the per-sample sampler drew them: one scalar
+    ``rng.uniform`` per field (three per RGB triple), in consumption order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        row = [rng.uniform(*boundary.x_range), rng.uniform(*boundary.y_range)]
+        row.append(rng.uniform(*boundary.height_range))
+        row += [rng.uniform(*boundary.yaw_range_deg) for _ in range(2)]
+        row.append(rng.uniform(*boundary.tilt_range_deg))
+        for _ in range(2 * len(SCENE_OBJECTS)):
+            row += rng.uniform(0.0, 1.0, size=3).tolist()
+        for _ in SCENE_OBJECTS:
+            row.append(rng.uniform(0.0, 1.0))
+            row.append(rng.uniform(0.0, 1.0))
+            row.append(rng.uniform(0.0, 360.0))
+            row.append(rng.uniform(0.5, 2.0))
+            row.append(rng.uniform(0.5, 2.0))
+        rows.append(row)
+    return rows
+
+
+def _sample_fields(s):
+    """A sample's values in consumption order."""
+    out = [*s.position.tolist(), s.yaw_deg, s.pan_deg, s.tilt_deg]
+    for obj in SCENE_OBJECTS:
+        out += [*s.colors[obj].ambient_rgb, *s.colors[obj].specular_rgb]
+    for obj in SCENE_OBJECTS:
+        t = s.textures[obj]
+        out += [t.offset_u, t.offset_v, t.rotation_deg, t.scale_u, t.scale_v]
+    return out
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.5, -7.75])
+coordinate = st.one_of(edge, st.floats(-1e6, 1e6))
+
+
+@st.composite
+def ranges(draw):
+    lo = draw(coordinate)
+    # Not (0.0, -0.0): numpy's scalar uniform rejects the width -0.0.
+    hi = draw(st.one_of(st.just(lo), coordinate.filter(lambda v: v > lo)))
+    return lo, hi
+
+
+@st.composite
+def boundaries(draw):
+    return DeploymentBoundary(
+        quadrant=draw(st.integers(1, 4)),
+        x_range=draw(ranges()),
+        y_range=draw(ranges()),
+        height_range=draw(ranges()),
+        yaw_window_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 180.0))),
+        tilt_center_deg=draw(st.floats(-90.0, 90.0)),
+        tilt_tolerance_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+    )
+
+
+class TestBlockDrawMatchesPerSampleDraws:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(boundaries(), st.integers(0, 12), st.integers(0, 2**63 - 1))
+    def test_bit_for_bit(self, boundary, n, seed):
+        manifest = generate_manifest(boundary, SplitSizes(train=n, val=0, test=0), seed=seed)
+        got = [_sample_fields(s) for s in manifest.samples]
+        assert [_bits(row) for row in got] == [
+            _bits(row) for row in _reference_draws(boundary, n, seed)
+        ]
 
 
 class TestGenerateManifest:
@@ -189,6 +299,11 @@ class TestValidateDeployment:
         [v] = report.violations
         assert v.constraint == "yaw"
         assert v.margin == pytest.approx(1.0, abs=1e-9)
+
+    def test_violation_details(self, q3_boundary):
+        pose = CameraPose(vec3(-9.0, 5.0, 6.75), quat_from_yaw_pitch(20.0))
+        details = [v.detail for v in validate_deployment(pose, q3_boundary).violations]
+        assert details == ["x=-9 m is 0.5 m below -8.5 m", "y=5 m is 0.5 m above 4.5 m"]
 
     def test_multiple_violations_listed(self, q3_boundary):
         pose = CameraPose(vec3(0.0, 0.0, 5.0), quat_from_yaw_pitch(-40.0))

@@ -1,9 +1,13 @@
 """Tests for point-cloud IO, sectioning, and lattice interpolation."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan.surface import (
     GRID_RESOLUTION,
@@ -106,6 +110,85 @@ class TestPointCloudIO:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             PointCloud(np.array([[0.0, 0.0, np.nan]]))
+
+
+def _reference_load_xyz(path):
+    """The xyz reader as a plain line loop, with ``load_point_cloud``'s
+    mapping of undecodable input."""
+    try:
+        points = []
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split()
+                if len(parts) != 3:
+                    raise PointCloudParseError(
+                        f"{path}:{lineno}: expected 3 values, got {len(parts)}"
+                    )
+                try:
+                    points.append([float(v) for v in parts])
+                except ValueError as exc:
+                    raise PointCloudParseError(f"{path}:{lineno}: {exc}") from exc
+        if not points:
+            raise PointCloudParseError(f"{path}: no points found")
+        return PointCloud(np.array(points, dtype=np.float64))
+    except UnicodeDecodeError as exc:
+        raise PointCloudParseError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _outcome(load, path):
+    """(bits, shape) of the loaded points, or (exception type, message)."""
+    try:
+        points = load(path).points
+    except (PointCloudParseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return points.view(np.int64).tolist(), points.shape
+
+
+xyz_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+token = st.one_of(
+    xyz_float.map(repr),
+    st.sampled_from(["1_0", "1e500", "inf", "-nan", "abc", "0x10", "+.5", "1.", "\u0661", "#", "#1"]),
+)
+separator = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\xa0"])
+
+
+@st.composite
+def xyz_line(draw):
+    kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "short", "long"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " 1 2 3", "comment"]))
+    count = {"row": 3, "short": 2, "long": 4}[kind]
+    tokens = [draw(st.one_of(xyz_float.map(repr), token)) for _ in range(count)]
+    sep = draw(separator)
+    tail = draw(st.sampled_from(["", " ", " # trailing"]))  # no inline comments
+    return draw(st.sampled_from(["", " "])) + sep.join(tokens) + tail
+
+
+@st.composite
+def xyz_files(draw):
+    lines = draw(st.lists(xyz_line(), max_size=12))
+    body = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    data = body.encode("utf-8")
+    return draw(st.sampled_from([b"", b"\xff"])) + data if draw(st.booleans()) else data
+
+
+class TestXyzLoaderMatchesLineLoop:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(xyz_files())
+    def test_same_points_or_same_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cloud.xyz"
+            path.write_bytes(data)
+            expected = _outcome(_reference_load_xyz, path)
+            assert _outcome(load_point_cloud, path) == expected
 
 
 class TestSectionSpec:
