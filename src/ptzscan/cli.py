@@ -9,18 +9,18 @@ pose predictions, ``loss-check`` audits the training loss, and
 Exit codes are categorised so scripts can react without parsing prose:
 0 success, 2 missing/unreadable files, 3 unparsable content, 4 invalid
 configuration, 5 computation failures on valid input, 1 anything else.
-Every command is deterministic given its inputs and ``--seed``; rerunning
-one rewrites byte-identical outputs. The only environment influence is
-``PTZSCAN_LOG_LEVEL`` for logging verbosity.
+An unexpected failure (exit 1) also prints its traceback before the error
+line. Every command is deterministic given its inputs and ``--seed``;
+rerunning one rewrites byte-identical outputs. No environment variable is
+read.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,7 +65,7 @@ from ptzscan.losses import (
 )
 from ptzscan.pantilt import QuadrantSetup, grid_to_pantilt
 from ptzscan.planner import ScanConfig, plan_full
-from ptzscan.randomizer import SplitSizes, generate_manifest
+from ptzscan.randomizer import DatasetManifest, SplitSizes, generate_manifest
 from ptzscan.simulator import error_propagation, execute_plan
 from ptzscan.surface import (
     DegenerateSectionError,
@@ -99,8 +99,6 @@ _CATEGORIES = {
     EXIT_COMPUTE: "compute-error",
     EXIT_INTERNAL: "internal-error",
 }
-
-log = logging.getLogger("ptzscan")
 
 
 class CliError(Exception):
@@ -235,8 +233,7 @@ def cmd_randomize(args) -> int:
     _require_files(args.boundary)
     boundary = read_boundary_config(args.boundary)
     sizes = SplitSizes(train=args.train, val=args.val, test=args.test)
-    fov = {} if args.hfov_deg is None else {"hfov_deg": args.hfov_deg}
-    manifest = generate_manifest(boundary, sizes=sizes, seed=args.seed, **fov)
+    manifest = generate_manifest(boundary, sizes=sizes, seed=args.seed, hfov_deg=args.hfov_deg)
     write_manifest_json(args.out, manifest)
     print(
         f"manifest: {sizes.total} samples (train {sizes.train} / val {sizes.val} / "
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=SplitSizes.train)
     p.add_argument("--val", type=int, default=SplitSizes.val)
     p.add_argument("--test", type=int, default=SplitSizes.test)
-    p.add_argument("--hfov-deg", type=float, help="recorded render FOV")
+    p.add_argument("--hfov-deg", type=float, default=DatasetManifest.hfov_deg, help="render FOV")
     p.add_argument("--out", required=True, help="manifest JSON output")
     p.set_defaults(func=cmd_randomize)
 
@@ -439,13 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging():
-    level = os.environ.get("PTZSCAN_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -472,8 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError) as exc:
         _report(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - safety net
-        log.exception("unexpected failure")
+    except Exception as exc:  # safety net
+        traceback.print_exc()
         _report(EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 

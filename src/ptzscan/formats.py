@@ -4,8 +4,11 @@ Everything here is plain text — JSON, JSON Lines, or CSV — with metres for
 positions and degrees for angles. Writers are deterministic functions of
 their inputs (keys sorted, shortest round-trip float repr, no timestamps),
 so rewriting unchanged data reproduces the file byte for byte. JSON never
-holds NaN or Infinity. Writers also go through a temp-file rename, so a
-failed write never leaves a truncated file behind.
+holds NaN or Infinity: writers refuse to emit them and readers reject them,
+naming the file (and line). A record field that is missing or fails its
+type's check is a ``FormatError`` naming the record. Writers also go through
+a temp-file rename, so a failed write never leaves a truncated file behind.
+A dataset manifest is written row by row from its draw block.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
@@ -21,6 +24,7 @@ import math
 import os
 import re
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -32,7 +36,7 @@ from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
-from ptzscan.randomizer import SCENE_OBJECTS, TEXTURE_RANGES, DatasetManifest, DeploymentBoundary
+from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, sample_fields
 from ptzscan.simulator import PropagationStudy, SimulationReport
 from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
 
@@ -92,18 +96,41 @@ def _read_text(path: Union[str, Path]) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _load_json(path: Union[str, Path]):
-    text = _read_text(path)
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+# One strict decoder for every reader: NaN, Infinity and -Infinity are errors.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(text: str, context: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+        return _DECODER.decode(text)
+    except ValueError as exc:  # JSONDecodeError, or a constant _reject_constant refused
+        raise FormatError(f"{context}: invalid JSON ({exc})") from exc
+
+
+def _load_json(path: Union[str, Path]):
+    return _decode(_read_text(path), str(path))
+
+
+@contextmanager
+def _fields(context: str):
+    """Report a record's missing field or rejected value as a FormatError
+    naming the record."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{context}: missing field {exc}") from exc
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{context}: {exc}") from exc
 
 
 def _floats(values, n, context) -> list[float]:
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{context}: expected numbers, got {values!r}") from exc
     if len(out) != n:
         raise FormatError(f"{context}: expected {n} values, got {len(out)}")
@@ -161,10 +188,7 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
         if not line.strip():
             continue
         context = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{context}: invalid JSON ({exc})") from exc
+        record = _decode(line, context)
         if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
             raise FormatError(f"{context}: need 'true' and 'predicted' records")
         true_pose = record_to_pose(record["true"], f"{context}: true")
@@ -176,14 +200,12 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
         w = record.get("weights")
         weights = None
         if w is not None:
-            try:
+            with _fields(f"{context}: weights"):
                 weights = LossWeights(
                     s_x=float(w.get("s_x", 0.0)),
                     s_q=float(w.get("s_q", 0.0)),
                     s_c=float(w.get("s_c", 0.0)),
                 )
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise FormatError(f"{context}: bad weights ({exc})") from exc
         out.append(BatchSample(sample=sample, weights=weights))
     return out
 
@@ -222,7 +244,7 @@ def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
         context = f"{path}: sections[{k}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{context}: expected an object")
-        try:
+        with _fields(context):
             out.append(
                 SectionSpec(
                     name=str(entry["name"]),
@@ -232,10 +254,6 @@ def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
                     relevance=str(entry.get("relevance", RELEVANCE_BACK)),
                 )
             )
-        except KeyError as exc:
-            raise FormatError(f"{context}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise FormatError(f"{context}: {exc}") from exc
     return out
 
 
@@ -253,7 +271,7 @@ def _boundary_to_record(boundary: DeploymentBoundary) -> dict:
 
 def _record_to_boundary(record: dict, context: str) -> DeploymentBoundary:
     """Strict: every field of ``_boundary_to_record`` must be present."""
-    try:
+    with _fields(context):
         return DeploymentBoundary(
             quadrant=int(record["quadrant"]),
             x_range=tuple(_floats(record["x_range_m"], 2, context)),
@@ -263,10 +281,6 @@ def _record_to_boundary(record: dict, context: str) -> DeploymentBoundary:
             tilt_center_deg=float(record["tilt_center_deg"]),
             tilt_tolerance_deg=float(record["tilt_tolerance_deg"]),
         )
-    except KeyError as exc:
-        raise FormatError(f"{context}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{context}: {exc}") from exc
 
 
 # Fields a hand-written boundary config may omit, with DeploymentBoundary's defaults.
@@ -354,10 +368,12 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
         context = f"{path}: sections[{k}]"
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise FormatError(f"{context}: need 'name' and 'kind'")
+        if not isinstance(entry.get("points", []), list):
+            raise FormatError(f"{context}: 'points' must be a list")
         points = []
         for m, rec in enumerate(entry.get("points", [])):
             pcontext = f"{context}.points[{m}]"
-            try:
+            with _fields(pcontext):
                 points.append(
                     ScanPoint(
                         pan_deg=float(rec["pan_deg"]),
@@ -368,10 +384,6 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
                         j=int(rec["j"]),
                     )
                 )
-            except KeyError as exc:
-                raise FormatError(f"{pcontext}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{pcontext}: {exc}") from exc
         sections.append(
             SectionPlan(name=str(entry["name"]), kind=str(entry["kind"]), points=tuple(points))
         )
@@ -394,34 +406,6 @@ def write_plan_csv(path: Union[str, Path], plan: ScanPlan) -> None:
 # ---------------------------------------------------------------------------
 # Dataset manifests
 
-def _sample_values(sample) -> list:
-    """A sample's 39 values in ``_sample_record``'s slot order."""
-    values = [*sample.position.tolist(), sample.yaw_deg, sample.pan_deg, sample.tilt_deg]
-    for obj in SCENE_OBJECTS:
-        values += sample.colors[obj].ambient_rgb + sample.colors[obj].specular_rgb
-    for obj in SCENE_OBJECTS:
-        values += [getattr(sample.textures[obj], key) for key in TEXTURE_RANGES]
-    return values
-
-
-def _sample_record(v) -> dict:
-    """A sample's JSON record holding ``v[k]`` in slot k (k < 39)."""
-    return {
-        "position_m": v[:3],
-        "yaw_deg": v[3],
-        "pan_deg": v[4],
-        "tilt_deg": v[5],
-        "colors": {
-            obj: {"ambient_rgb": v[i : i + 3], "specular_rgb": v[i + 3 : i + 6]}
-            for obj, i in zip(SCENE_OBJECTS, range(6, 24, 6))
-        },
-        "textures": {
-            obj: dict(zip(TEXTURE_RANGES, v[i : i + 5]))
-            for obj, i in zip(SCENE_OBJECTS, range(24, 39, 5))
-        },
-    }
-
-
 def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> None:
     payload = {
         "header": {
@@ -435,20 +419,21 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
             },
             "boundary": _boundary_to_record(manifest.boundary),
         },
-        "samples": [0] if manifest.samples else [],
+        "samples": [0] if len(manifest.draws) else [],
         "splits": list(manifest.splits),
     }
     # Samples stream in at json's 0 (matched with its key, which no string can imitate),
-    # each as one record laid out by json at that depth, its 39 slots taking float reprs.
+    # each as one record laid out by json at that depth, its slots taking a row's float reprs.
     head, *tail = re.split(r'(?<="samples": \[\n    )0(?=\n  \])', _dump_json(payload))
-    marked = _dump_json(_sample_record([f"@{k}" for k in range(39)])).rstrip("\n")
+    slots = [f"@{k}" for k in range(manifest.draws.shape[1])]
+    marked = _dump_json(sample_fields(slots)).rstrip("\n")
     marked = marked.replace("\n", "\n    ").replace("{", "{{").replace("}", "}}")
     template = re.sub(r'"@(\d+)"', r"{\1}", marked)
 
     def chunks():
         yield head
-        for k, sample in enumerate(manifest.samples):
-            yield (",\n    " if k else "") + template.format(*_float_fields(_sample_values(sample)))
+        for k, row in enumerate(manifest.draws.tolist()):
+            yield (",\n    " if k else "") + template.format(*map(repr, row))
         yield from tail
 
     _write_text(path, chunks())

@@ -178,8 +178,9 @@ class CylinderModel:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        r = float(self.radius)
+        if not (r > 0.0 and math.isfinite(r * r)):  # radius**2 enters the intersection
+            raise ValueError(f"radius must be positive with a finite square, got {self.radius}")
         if not math.isfinite(self.axis_height):
             raise ValueError(f"axis_height must be finite, got {self.axis_height}")
 
@@ -239,17 +240,20 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
         NoIntersectionError: the ray misses the surface.
         BehindCameraError: both roots are at or behind the origin.
     """
-    ox, oz = ray.origin[0], ray.origin[2] - cylinder.axis_height
-    vx, vz = ray.direction[0], ray.direction[2]
+    # Python floats: numpy's IEEE operations, but overflow is silent (disc goes non-finite).
+    ox, oz = float(ray.origin[0]), float(ray.origin[2]) - float(cylinder.axis_height)
+    vx, vz = float(ray.direction[0]), float(ray.direction[2])
     a = vx * vx + vz * vz
     b = 2.0 * (ox * vx + oz * vz)
-    c = ox * ox + oz * oz - cylinder.radius**2
+    c = ox * ox + oz * oz - float(cylinder.radius**2)
 
     if a == 0.0:
         raise AxisParallelRayError(
             "ray is parallel to the cylinder axis; intersection is empty or degenerate"
         )
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        raise NoIntersectionError(f"intersection quadratic overflows (discriminant {disc})")
     if disc < 0.0:
         raise NoIntersectionError(f"ray misses the cylinder (discriminant {disc:.3e})")
 
@@ -264,8 +268,7 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
     for t in roots:
         if t > T_MIN:
             return ray.at(t)
-    plain = [float(t) for t in roots]
-    raise BehindCameraError(f"both intersections behind the camera (t = {plain})")
+    raise BehindCameraError(f"both intersections behind the camera (t = {roots})")
 
 
 def yaw_from_quaternion(q: np.ndarray) -> float:

@@ -13,12 +13,15 @@ a row per sample and a column per field, mapped as ``lo + (hi - lo) * u``, so
 a manifest is a pure function of (boundary, sizes, seed). Column (consumption)
 order: x, y, height, yaw, pan, tilt; per object in SCENE_OBJECTS order ambient
 then specular RGB; per object the texture placement fields of TEXTURE_RANGES.
+``sample_fields`` is the one home of that layout. A manifest keeps the block
+itself; its ``RandomizationSample`` objects are built when first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "ConstraintViolation",
     "DeploymentReport",
     "generate_manifest",
+    "sample_fields",
     "validate_deployment",
     "sample_pose",
 ]
@@ -188,23 +192,31 @@ class SplitSizes:
 
 @dataclass(frozen=True, eq=False)
 class DatasetManifest:
-    """A reproducible dataset description: header plus per-sample draws.
-
-    ``splits`` assigns each sample index to train/val/test; samples are in
-    generation order (train block, then val, then test).
-    """
+    """A reproducible dataset description: header plus the read-only
+    ``(n, 39)`` draw block, a row per sample in ``sample_fields`` order and in
+    the train, val, test order of ``splits``. ``samples`` builds each row's
+    validated objects once, when first read."""
 
     seed: int
     sizes: SplitSizes
     boundary: DeploymentBoundary
-    samples: tuple[RandomizationSample, ...]
+    draws: np.ndarray
     splits: tuple[str, ...]
     hfov_deg: float = 72.5
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        if len(self.samples) != self.sizes.total or len(self.splits) != self.sizes.total:
-            raise ValueError("sample and split counts must match the declared sizes")
+        draws = np.array(self.draws, dtype=np.float64)
+        if draws.shape != (self.sizes.total, 39) or len(self.splits) != self.sizes.total:
+            raise ValueError("draw rows and split counts must match the declared sizes")
+        if not np.isfinite(draws).all():
+            raise ValueError("draws must be finite")
+        draws.flags.writeable = False
+        object.__setattr__(self, "draws", draws)
+
+    @cached_property
+    def samples(self) -> tuple[RandomizationSample, ...]:
+        return tuple(map(_sample_from_row, self.draws.tolist()))
 
 
 @dataclass(frozen=True)
@@ -224,16 +236,30 @@ class DeploymentReport:
     violations: tuple[ConstraintViolation, ...]
 
 
+def sample_fields(v) -> dict:
+    """The sample holding ``v[k]`` in column k (k < 39), nested as its
+    manifest record: the one statement of the column layout."""
+    return {
+        "position_m": v[:3], "yaw_deg": v[3], "pan_deg": v[4], "tilt_deg": v[5],
+        "colors": {
+            obj: {"ambient_rgb": v[i : i + 3], "specular_rgb": v[i + 3 : i + 6]}
+            for obj, i in zip(SCENE_OBJECTS, range(6, 24, 6))
+        },
+        "textures": {
+            obj: dict(zip(TEXTURE_RANGES, v[i : i + 5]))
+            for obj, i in zip(SCENE_OBJECTS, range(24, 39, 5))
+        },
+    }
+
+
 def _sample_from_row(v: list[float]) -> RandomizationSample:
     """The sample whose fields are one row of drawn values, in column order."""
-    colors = {
-        obj: MaterialColor(tuple(v[i : i + 3]), tuple(v[i + 3 : i + 6]))
-        for obj, i in zip(SCENE_OBJECTS, range(6, 24, 6))
-    }
-    textures = {
-        obj: TexturePlacement(*v[i : i + 5]) for obj, i in zip(SCENE_OBJECTS, range(24, 39, 5))
-    }
-    return RandomizationSample(np.array(v[:3]), v[3], v[4], v[5], colors, textures)
+    f = sample_fields(v)
+    return RandomizationSample(
+        np.array(f["position_m"]), f["yaw_deg"], f["pan_deg"], f["tilt_deg"],
+        colors={obj: MaterialColor(**c) for obj, c in f["colors"].items()},
+        textures={obj: TexturePlacement(**t) for obj, t in f["textures"].items()},
+    )
 
 
 def generate_manifest(
@@ -250,16 +276,10 @@ def generate_manifest(
     ranges += [(0.0, 1.0)] * (6 * len(SCENE_OBJECTS))
     ranges += list(TEXTURE_RANGES.values()) * len(SCENE_OBJECTS)
     lo, hi = np.array(ranges).T
-    rows = lo + (hi - lo) * np.random.default_rng(seed).random((sizes.total, len(ranges)))
-    samples = tuple(map(_sample_from_row, rows.tolist()))
+    draws = lo + (hi - lo) * np.random.default_rng(seed).random((sizes.total, len(ranges)))
     splits = ("train",) * sizes.train + ("val",) * sizes.val + ("test",) * sizes.test
     return DatasetManifest(
-        seed=seed,
-        sizes=sizes,
-        boundary=boundary,
-        samples=samples,
-        splits=splits,
-        hfov_deg=hfov_deg,
+        seed=seed, sizes=sizes, boundary=boundary, draws=draws, splits=splits, hfov_deg=hfov_deg
     )
 
 

@@ -10,6 +10,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from csv import DictReader
@@ -18,11 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptzscan import cli
 from ptzscan.cli import build_parser, main
 from ptzscan.formats import read_plan_json
 from ptzscan.geometry import quat_from_yaw_pitch
 from ptzscan.planner import ScanConfig
-from ptzscan.randomizer import SplitSizes, generate_manifest
+from ptzscan.randomizer import DatasetManifest, SplitSizes, generate_manifest
 
 RADIUS = 2.0
 AXIS_HEIGHT = 2.0
@@ -394,6 +396,38 @@ class TestLossCheck:
         assert code == 4
         assert "category=config-error" in capsys.readouterr().err
 
+    def test_cylinder_whose_square_overflows_exits_config_error(self, world, capsys):
+        code = main(
+            ["loss-check", "--predictions", str(world / "batch.jsonl"), "--cylinder", "1e200,2"]
+        )
+        assert code == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert "category=config-error" in err and "finite square" in err
+
+    # A level ray from x = 1.3e154 toward the axis: b * b overflows in the quadratic.
+    FAR = {"position_m": [1.3e154, 1.0, 2.0], "yaw_deg": 180.0}
+
+    def test_overflowing_true_ray_exits_compute_error(self, tmp_path, capsys):
+        path = tmp_path / "far.jsonl"
+        path.write_text(json.dumps({"true": self.FAR, "predicted": self.FAR}) + "\n")
+        assert main(["loss-check", "--predictions", str(path), "--cylinder", "2.0,2.0"]) == 5
+        captured = capsys.readouterr()
+        [err] = captured.err.splitlines()
+        assert "category=compute-error" in err and "overflows" in err
+        assert captured.out == ""
+
+    def test_overflowing_predicted_ray_is_counted_as_skipped(self, world, tmp_path, capsys):
+        path = tmp_path / "far.jsonl"
+        lines = (world / "batch.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        record["predicted"] = self.FAR
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["loss-check", "--predictions", str(path), "--cylinder", "2.0,2.0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["surface_skipped"] == 1
+
 
 class TestPipeline:
     def test_full_run_writes_all_artifacts(self, world, tmp_path, capsys):
@@ -482,6 +516,118 @@ class TestMalformedPoseRecords:
         assert str(camera) in err
 
 
+# JSON number literals Python decodes to inf, or to an int no float can hold.
+BIG_FLOAT, BIG_INT = "1e400", "1" + "0" * 400
+
+
+def _with_literals(record) -> str:
+    """``record`` as JSON, with each string "@<literal>" replaced by the bare literal."""
+    return re.sub(r'"@([^"]*)"', r"\1", json.dumps(record))
+
+
+class TestStrictJsonInput:
+    """Readers accept strict JSON only, and a bad field is a parse error that
+    names its file and the record (or batch line) it sits in."""
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda plan: plan["sections"][0].update(points=5), "sections[0]: 'points' must be"),
+            (lambda plan: plan["sections"][0]["points"][1].update(pan_deg="@NaN"),
+             "invalid JSON (non-finite number NaN)"),
+            (lambda plan: plan["sections"][0]["points"][1].update(i=f"@{BIG_FLOAT}"),
+             "sections[0].points[1]: cannot convert float infinity"),
+            (lambda plan: plan["sections"][0]["points"][1].update(label_m=[f"@{BIG_INT}", 0, 0]),
+             "sections[0].points[1]: expected numbers"),
+        ],
+        ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label"],
+    )
+    def test_bad_plan_exits_parse_error(self, world, plan_path, tmp_path, capsys, edit, where):
+        plan = json.loads(plan_path.read_text())
+        edit(plan)
+        bad = tmp_path / "plan.json"
+        bad.write_text(_with_literals(plan))
+        out = tmp_path / "r.json"
+        code = main(
+            ["simulate", *_base(world), "--plan", str(bad),
+             "--true-camera", str(world / "camera.json"),
+             "--estimated-camera", str(world / "camera.json"),
+             "--quadrant", "3", "--out", str(out)]
+        )
+        assert code == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert f"category=parse-error: {bad}: " in err and where in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [("quadrant", f"@{BIG_FLOAT}", "cannot convert float infinity"),
+         ("tilt_center_deg", "@-Infinity", "invalid JSON (non-finite number -Infinity)")],
+        ids=["overflowing-quadrant", "infinite-tilt"],
+    )
+    def test_bad_boundary_exits_parse_error(self, world, tmp_path, capsys, field, value, where):
+        bad = tmp_path / "boundary.json"
+        record = json.loads((world / "boundary.json").read_text())
+        bad.write_text(_with_literals({**record, field: value}))
+        out = tmp_path / "m.json"
+        assert main(["randomize", "--boundary", str(bad), "--out", str(out)]) == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert f"category=parse-error: {bad}: " in err and where in err
+        assert not out.exists()
+
+    def test_huge_int_section_corner_exits_parse_error(self, world, tmp_path, capsys):
+        bad = tmp_path / "sections.json"
+        config = json.loads((world / "sections.json").read_text())
+        config["sections"][0]["box_min_m"][2] = f"@{BIG_INT}"
+        bad.write_text(_with_literals(config))
+        code = main(["interpolate", "--cloud", str(world / "cloud.xyz"), "--sections", str(bad),
+                     "--out", str(tmp_path / "grids")])
+        assert code == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert f"category=parse-error: {bad}: sections[0]: expected numbers" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda r: r.update(note="@NaN"), "invalid JSON (non-finite number NaN)"),
+            (lambda r: r["true"].update(pitch_deg="@Infinity"),
+             "invalid JSON (non-finite number Infinity)"),
+            (lambda r: r.update(weights={"s_x": f"@{BIG_INT}"}),
+             "weights: int too large to convert to float"),
+            (lambda r: r["true"].update(position_m=[f"@{BIG_INT}", 0, 6]), "true: expected numbers"),
+        ],
+        ids=["nan-anywhere", "infinite-pitch", "huge-int-weight", "huge-int-position"],
+    )
+    def test_bad_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, edit, where):
+        lines = (world / "batch.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{lines[0]}\n{_with_literals(record)}\n")
+        assert main([command, "--predictions", str(bad)]) == 3
+        captured = capsys.readouterr()
+        [err] = captured.err.splitlines()
+        assert f"category=parse-error: {bad}:2: " in err and where in err
+        assert captured.out == ""
+
+
+def test_unexpected_failure_prints_traceback_then_one_error_line(
+    world, monkeypatch, capsys
+):
+    def fail(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_external_predictions", fail)
+    assert main(["evaluate", "--predictions", str(world / "batch.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: boom" in err
+    lines = err.splitlines()
+    assert lines[-1] == "error: category=internal-error: RuntimeError: boom"
+    assert sum(line.startswith("error: category=") for line in lines) == 1
+
+
 @pytest.mark.parametrize(
     "command, name",
     [
@@ -531,8 +677,9 @@ assert not loaded, loaded
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_randomize_memory_growth_is_bounded(world, tmp_path):
-    """Writing a 5,000-sample manifest streams it: peak RSS grows by the
-    samples themselves, not by a second copy of the manifest as JSON."""
+    """Writing a 5,000-sample manifest streams it from the draw block: peak
+    RSS grows by the block and one row at a time, not by a copy of the
+    manifest as JSON."""
     # VmHWM is the process's own peak RSS. ru_maxrss would also count the
     # RSS of the test process it was spawned from, which can hide the growth.
     script = f"""
@@ -574,6 +721,7 @@ class TestParsing:
             assert (args.hfov_deg, args.vfov_deg, args.mu) == (cfg.hfov_deg, cfg.vfov_deg, cfg.mu)
         args = parser.parse_args(["randomize", "--boundary", "b", "--out", "o"])
         assert (args.train, args.val, args.test) == (sizes.train, sizes.val, sizes.test)
+        assert args.hfov_deg == DatasetManifest.hfov_deg
 
     def test_pipeline_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit):

@@ -358,8 +358,8 @@ class TestManifestJson:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _reference_manifest_text(manifest):
-    """The manifest as one indented ``json.dumps`` of per-sample record dicts."""
+def _reference_manifest_text(manifest, samples):
+    """The manifest as one indented ``json.dumps`` of ``samples``' record dicts."""
 
     def record(sample):
         return {
@@ -404,7 +404,7 @@ def _reference_manifest_text(manifest):
                 "tilt_tolerance_deg": b.tilt_tolerance_deg,
             },
         },
-        "samples": [record(s) for s in manifest.samples],
+        "samples": [record(s) for s in samples],
         "splits": list(manifest.splits),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -439,8 +439,21 @@ def samples(draw):
     return RandomizationSample(position, draw(anywhere), draw(anywhere), draw(anywhere), colors, textures)
 
 
+def _sample_values(sample) -> list:
+    """A sample's 39 values in the randomizer's column order."""
+    values = [*sample.position.tolist(), sample.yaw_deg, sample.pan_deg, sample.tilt_deg]
+    for obj in SCENE_OBJECTS:
+        values += sample.colors[obj].ambient_rgb + sample.colors[obj].specular_rgb
+    for obj in SCENE_OBJECTS:
+        t = sample.textures[obj]
+        values += [t.offset_u, t.offset_v, t.rotation_deg, t.scale_u, t.scale_v]
+    return values
+
+
 @st.composite
 def manifests(draw):
+    """A hand-built manifest whose draw block holds the drawn samples' values,
+    returned with those samples."""
     drawn = draw(st.one_of(st.just([]), st.lists(samples(), min_size=1, max_size=1),
                            st.lists(samples(), min_size=2, max_size=8)))
     train = draw(st.integers(0, len(drawn)))
@@ -453,31 +466,36 @@ def manifests(draw):
     )
     # Labels that imitate the samples list's layout must not move the records.
     label = st.sampled_from(["train", "0", '"samples": [\n    0\n  ]', "\n    0\n"])
-    return DatasetManifest(
+    manifest = DatasetManifest(
         seed=draw(st.integers(0, 2**64)),
         sizes=sizes,
         boundary=boundary,
-        samples=tuple(drawn),
+        draws=np.array([_sample_values(s) for s in drawn]).reshape(len(drawn), 39),
         splits=tuple(draw(label) for _ in drawn),
         hfov_deg=draw(anywhere),
         generator=draw(label),
     )
+    return manifest, drawn
 
 
 class TestManifestMatchesJsonDump:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(manifests())
-    def test_byte_for_byte(self, manifest):
+    def test_byte_for_byte(self, manifest_and_samples):
+        manifest, drawn = manifest_and_samples
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "manifest.json"
             write_manifest_json(path, manifest)
-            assert path.read_bytes() == _reference_manifest_text(manifest).encode()
+            assert path.read_bytes() == _reference_manifest_text(manifest, drawn).encode()
+        # The samples built from the block are the drawn ones.
+        assert [_sample_values(s) for s in manifest.samples] == [_sample_values(s) for s in drawn]
 
     def test_generated_manifest(self, tmp_path):
         boundary = DeploymentBoundary(quadrant=3, x_range=(-8.5, -5.5), y_range=(1.5, 4.5))
         manifest = generate_manifest(boundary, SplitSizes(train=40, val=7, test=3), seed=1)
         write_manifest_json(tmp_path / "m.json", manifest)
-        assert (tmp_path / "m.json").read_text() == _reference_manifest_text(manifest)
+        expected = _reference_manifest_text(manifest, manifest.samples)
+        assert (tmp_path / "m.json").read_text() == expected
 
 
 class TestReportExports:

@@ -1,9 +1,12 @@
 """Tests for scene geometry: quaternions, view rays, cylinder intersection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan.geometry import (
     FORWARD,
@@ -257,6 +260,90 @@ class TestCylinderIntersection:
             CylinderModel(axis_height=2.0, radius=0.0)
         with pytest.raises(ValueError):
             CylinderModel(axis_height=math.nan, radius=1.0)
+
+    @pytest.mark.parametrize("radius", [1e200, np.float64(1e200), 1.4e154])
+    def test_radius_whose_square_overflows_rejected(self, radius):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite square"):
+                CylinderModel(axis_height=2.0, radius=radius)
+
+    def test_overflowing_quadratic_is_a_miss_without_warnings(self):
+        # b * b overflows for a position norm above about 1.3e154.
+        cyl = CylinderModel(axis_height=2.0, radius=2.0)
+        ray = Ray(vec3(1.3e154, 1.0, 2.0), np.array([-1.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoIntersectionError, match="overflows"):
+                intersect_cylinder(ray, cyl)
+
+
+def _numpy_scalar_intersection(ray, cylinder):
+    """``intersect_cylinder``'s formula on numpy scalars, as it stood before it
+    moved to Python floats: the hit point, or the error class it raised."""
+    ox, oz = ray.origin[0], ray.origin[2] - cylinder.axis_height
+    vx, vz = ray.direction[0], ray.direction[2]
+    a = vx * vx + vz * vz
+    b = 2.0 * (ox * vx + oz * vz)
+    c = ox * ox + oz * oz - cylinder.radius**2
+    if a == 0.0:
+        return AxisParallelRayError
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return NoIntersectionError
+    sq = math.sqrt(disc)
+    qv = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
+    roots = sorted((qv / a, c / qv)) if qv != 0.0 else sorted((0.0, -b / a))
+    for t in roots:
+        if t > T_MIN:
+            return ray.at(t)
+    return BehindCameraError
+
+
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.0, -2.0]), st.floats(-1e6, 1e6))
+component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def free_rays(draw):
+    d = np.array([draw(component) for _ in range(3)])
+    n = np.linalg.norm(d)
+    d = d / n if n > 1e-150 else np.array([0.0, 1.0, 0.0])
+    return Ray(vec3(*(draw(coordinate) for _ in range(3))), d)
+
+
+@st.composite
+def grazing_rays(draw, cylinder):
+    """Rays through a point of the surface along its tangent, so the
+    discriminant sits at zero up to rounding."""
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    r, h = cylinder.radius, cylinder.axis_height
+    point = np.array([r * math.cos(phi), draw(coordinate), h + r * math.sin(phi)])
+    d = np.array([-math.sin(phi), draw(st.floats(-1.0, 1.0)), math.cos(phi)])
+    d /= np.linalg.norm(d)
+    return Ray(point - draw(st.floats(-50.0, 50.0)) * d, d)
+
+
+@st.composite
+def cylinders_and_rays(draw):
+    cylinder = CylinderModel(
+        axis_height=draw(st.floats(-1e3, 1e3)), radius=draw(st.floats(1e-3, 1e3))
+    )
+    return cylinder, draw(st.one_of(free_rays(), grazing_rays(cylinder)))
+
+
+class TestIntersectionMatchesNumpyScalars:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(cylinders_and_rays())
+    def test_bit_for_bit(self, case):
+        cylinder, ray = case
+        expected = _numpy_scalar_intersection(ray, cylinder)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                intersect_cylinder(ray, cylinder)
+        else:
+            got = intersect_cylinder(ray, cylinder)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestRayMarchOracle:

@@ -169,7 +169,7 @@ def _reference_draws(boundary, n, seed):
     return rows
 
 
-def _sample_fields(s):
+def _sample_values(s):
     """A sample's values in consumption order."""
     out = [*s.position.tolist(), s.yaw_deg, s.pan_deg, s.tilt_deg]
     for obj in SCENE_OBJECTS:
@@ -214,7 +214,7 @@ class TestBlockDrawMatchesPerSampleDraws:
     @given(boundaries(), st.integers(0, 12), st.integers(0, 2**63 - 1))
     def test_bit_for_bit(self, boundary, n, seed):
         manifest = generate_manifest(boundary, SplitSizes(train=n, val=0, test=0), seed=seed)
-        got = [_sample_fields(s) for s in manifest.samples]
+        got = [_sample_values(s) for s in manifest.samples]
         assert [_bits(row) for row in got] == [
             _bits(row) for row in _reference_draws(boundary, n, seed)
         ]
@@ -265,14 +265,37 @@ class TestGenerateManifest:
         assert m.seed == 4
 
     def test_size_mismatch_rejected(self, q3_boundary):
-        with pytest.raises(ValueError):
-            DatasetManifest(
-                seed=0,
-                sizes=SplitSizes(2, 1, 1),
-                boundary=q3_boundary,
-                samples=(),
-                splits=(),
-            )
+        # Too few rows, too few columns, a flat block, too few splits.
+        for shape, n_splits in [((3, 39), 4), ((4, 38), 4), ((4,), 4), ((4, 39), 3)]:
+            with pytest.raises(ValueError, match="must match the declared sizes"):
+                DatasetManifest(
+                    seed=0,
+                    sizes=SplitSizes(2, 1, 1),
+                    boundary=q3_boundary,
+                    draws=np.full(shape, 0.5),
+                    splits=("train",) * n_splits,
+                )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_draw_rejected(self, q3_boundary, value):
+        draws = generate_manifest(q3_boundary, SplitSizes(2, 1, 0), seed=3).draws.copy()
+        draws[1, 4] = value
+        with pytest.raises(ValueError, match="draws must be finite"):
+            DatasetManifest(0, SplitSizes(2, 1, 0), q3_boundary, draws, ("train",) * 3)
+
+    def test_draws_are_a_read_only_copy(self, q3_boundary):
+        block = generate_manifest(q3_boundary, SplitSizes(2, 1, 0), seed=3).draws.copy()
+        m = DatasetManifest(0, SplitSizes(2, 1, 0), q3_boundary, block, ("train",) * 3)
+        assert m.draws.dtype == np.float64 and not m.draws.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.draws[0, 0] = 1.0
+        block[0, 0] = 1.0  # the caller's array stays its own
+        assert m.draws[0, 0] != 1.0
+
+    def test_samples_are_built_once_from_the_draws(self, q3_boundary):
+        m = generate_manifest(q3_boundary, SplitSizes(2, 1, 0), seed=3)
+        assert m.samples is m.samples
+        assert [_sample_values(s) for s in m.samples] == m.draws.tolist()
 
 
 class TestValidateDeployment:

@@ -9,7 +9,9 @@ must have a caller outside the unit tests: the package itself, the demos,
 the benchmark or the acceptance suite. The package namespace is the
 ``__all__`` of every module but ``formats`` and ``cli``, and no name is in
 two of those lists, since a star import would silently shadow one; this
-check imports the package.
+check imports the package. No module reads an environment variable unless
+it is on ``ENVIRONMENT_ALLOWLIST``, so every knob a run obeys is a visible
+decision.
 """
 
 import ast
@@ -30,6 +32,8 @@ CALLERS = [
     *sorted((ROOT / "ptzbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+# Environment variables the package may read (names, e.g. "PTZSCAN_TRACE").
+ENVIRONMENT_ALLOWLIST: frozenset[str] = frozenset()
 
 
 def _parse(path: Path) -> ast.Module:
@@ -159,3 +163,47 @@ def test_no_name_is_exported_twice():
     counts = Counter(n for p in REEXPORTED for n in _dunder_all(_parse(p)))
     twice = sorted(n for n, c in counts.items() if c > 1)
     assert not twice, f"names in two modules' __all__: {twice}"
+
+
+def _environment_reads(tree: ast.Module) -> list[tuple[int, object]]:
+    """(line, variable name) of every use of ``environ`` or ``getenv``; the
+    name is None unless the use reads one literal key."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in ("environ", "getenv"):
+            continue
+        parent, key = parents.get(node), None
+        if isinstance(parent, ast.Subscript) and parent.value is node:
+            key = parent.slice  # environ["X"]
+        elif isinstance(parent, ast.Call) and parent.func is node and parent.args:
+            key = parent.args[0]  # getenv("X")
+        elif isinstance(parent, ast.Attribute) and parent.attr == "get":
+            call = parents.get(parent)
+            if isinstance(call, ast.Call) and call.func is parent and call.args:
+                key = call.args[0]  # environ.get("X")
+        out.append((node.lineno, key.value if isinstance(key, ast.Constant) else None))
+    return sorted(out, key=lambda r: r[0])
+
+
+def test_environment_read_finder():
+    source = """import os
+from os import environ, getenv
+os.environ.get("A")
+os.environ["B"]
+os.getenv("C", "x")
+environ.get("D")
+getenv("E")
+os.environ.get(name)
+dict(os.environ)
+"""
+    assert _environment_reads(ast.parse(source)) == [
+        (3, "A"), (4, "B"), (5, "C"), (6, "D"), (7, "E"), (8, None), (9, None),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_environment_reads_are_allowlisted(path):
+    reads = [r for r in _environment_reads(_parse(path)) if r[1] not in ENVIRONMENT_ALLOWLIST]
+    assert not reads, f"{path.name}: (line, variable) environment reads off the allowlist {reads}"
