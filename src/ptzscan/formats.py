@@ -134,6 +134,8 @@ def _floats(values, n, context) -> list[float]:
         raise FormatError(f"{context}: expected numbers, got {values!r}") from exc
     if len(out) != n:
         raise FormatError(f"{context}: expected {n} values, got {len(out)}")
+    if not all(map(math.isfinite, out)):
+        raise FormatError(f"{context}: expected finite numbers, got {out!r}")
     return out
 
 
@@ -374,10 +376,11 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
         for m, rec in enumerate(entry.get("points", [])):
             pcontext = f"{context}.points[{m}]"
             with _fields(pcontext):
+                pan, tilt = _floats([rec["pan_deg"], rec["tilt_deg"]], 2, pcontext)
                 points.append(
                     ScanPoint(
-                        pan_deg=float(rec["pan_deg"]),
-                        tilt_deg=float(rec["tilt_deg"]),
+                        pan_deg=pan,
+                        tilt_deg=tilt,
                         label=np.array(_floats(rec["label_m"], 3, pcontext)),
                         section=str(entry["name"]),
                         i=int(rec["i"]),
@@ -443,6 +446,7 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
 # Simulation reports and evaluation stats
 
 def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
+    shots = zip(report.plan, report.hits.tolist(), report.missed.tolist(), report.shot_errors)
     payload = {
         "sections": [
             {
@@ -459,33 +463,34 @@ def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
         "image_count": report.image_count,
         "images": [
             {
-                "sequence": im.sequence,
-                "section": im.section,
-                "pan_deg": im.pan_deg,
-                "tilt_deg": im.tilt_deg,
-                "label_m": [float(v) for v in im.label],
-                "hit_m": None if im.hit is None else [float(v) for v in im.hit],
-                "error_m": _finite_or_none(im.error_m),
-                "missed": im.missed,
+                "sequence": sequence,
+                "section": p.section,
+                "pan_deg": p.pan_deg,
+                "tilt_deg": p.tilt_deg,
+                "label_m": [float(v) for v in p.label],
+                "hit_m": None if miss else hit,
+                "error_m": _finite_or_none(error),
+                "missed": miss,
             }
-            for im in report.images
+            for sequence, (p, hit, miss, error) in enumerate(shots)
         ],
     }
     _write_text(path, _dump_json(payload))
 
 
 def write_report_csv(path: Union[str, Path], report: SimulationReport) -> None:
+    shots = zip(report.plan, report.hits.tolist(), report.missed.tolist(), report.shot_errors)
     rows = [
         [
-            im.sequence,
-            im.section,
-            repr(im.pan_deg),
-            repr(im.tilt_deg),
-            *_float_fields(im.label),
-            *(["", "", ""] if im.hit is None else _float_fields(im.hit)),
-            "" if im.error_m is None else repr(im.error_m),
+            sequence,
+            p.section,
+            repr(p.pan_deg),
+            repr(p.tilt_deg),
+            *_float_fields(p.label),
+            *(["", "", ""] if miss else map(repr, hit)),
+            "" if error is None else repr(error),
         ]
-        for im in report.images
+        for sequence, (p, hit, miss, error) in enumerate(shots)
     ]
     header = ["sequence", "section", "pan_deg", "tilt_deg", "label_x_m", "label_y_m", "label_z_m"]
     header += ["hit_x_m", "hit_y_m", "hit_z_m", "error_m"]

@@ -13,7 +13,8 @@ for the analytic cylinder. For grid surfaces every ray is marched at half
 the lattice resolution in one batch, and the first crossing of each is
 refined by bisection, all brackets together; a ray that brackets no
 crossing, or whose bisection reaches a hole in the grid, is a miss.
-Footprints are boolean masks over the section's pan-tilt grid.
+Footprints are boolean masks over the section's pan-tilt grid. A report
+is its plan plus the casts' hits and miss mask; its counts are derived.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from ptzscan.planner import ScanConfig, ScanPlan, plan_full
 from ptzscan.surface import GRID_RESOLUTION, SurfaceGrid
 
 __all__ = [
-    "ImageResult",
     "SectionReport",
     "SimulationReport",
     "PropagationDraw",
@@ -56,20 +56,6 @@ __all__ = [
     "execute_plan",
     "error_propagation",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ImageResult:
-    """One executed shot: command, label carried by the plan, true hit."""
-
-    sequence: int
-    section: str
-    pan_deg: float
-    tilt_deg: float
-    label: np.ndarray
-    hit: Optional[np.ndarray]
-    error_m: Optional[float]
-    missed: bool
 
 
 @dataclass(frozen=True)
@@ -88,20 +74,43 @@ class SectionReport:
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Per-section coverage plus the labelling-error distribution."""
+    """An executed plan, its sections' coverage, and each shot's hit (a NaN
+    row where ``missed``), in plan order. ``shot_errors`` holds each shot's
+    hit-to-label distance, None for a miss; every count derives from these."""
 
+    plan: ScanPlan
     sections: tuple[SectionReport, ...]
-    images: tuple[ImageResult, ...]
-    label_error_median_m: float
-    label_error_rmse_m: float
-    missed_count: int
+    hits: np.ndarray
+    missed: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.plan)
+        if self.hits.shape != (n, 3) or self.missed.shape != (n,):
+            raise ValueError(f"hits {self.hits.shape} and missed {self.missed.shape} for {n} shots")
+        errors = [
+            None if miss else vector_norm(hit - point.label)
+            for point, hit, miss in zip(self.plan, self.hits, self.missed)
+        ]
+        object.__setattr__(self, "shot_errors", errors)
 
     @property
     def image_count(self) -> int:
-        return len(self.images)
+        return len(self.missed)
+
+    @property
+    def missed_count(self) -> int:
+        return int(np.count_nonzero(self.missed))
 
     def errors(self) -> np.ndarray:
-        return np.array([im.error_m for im in self.images if im.error_m is not None])
+        return np.array([e for e in self.shot_errors if e is not None])
+
+    @property
+    def label_error_median_m(self) -> float:
+        return median_rmse(self.errors())[0]
+
+    @property
+    def label_error_rmse_m(self) -> float:
+        return median_rmse(self.errors())[1]
 
 
 def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray:
@@ -272,7 +281,8 @@ def execute_plan(
     they are executed physically: the mount offset is recomputed from the
     true yaw, footprints and casts use the true pose. When ``cylinder`` is
     given it is the casting target (exact); otherwise each section's own
-    grid is (marched). Missed shots are counted, not fatal.
+    grid is (marched). Missed shots are counted, not fatal: the report
+    keeps every section's hits and miss mask, in plan order.
     """
     if not isinstance(estimated_pose, CameraPose):
         raise TypeError("estimated_pose must be a CameraPose")
@@ -280,41 +290,28 @@ def execute_plan(
     true_setup = QuadrantSetup(quadrant, yaw_from_quaternion(true_pose.orientation), true_pose.position)
     alpha_true = compute_alpha(true_setup)
 
-    images: list[ImageResult] = []
+    hits: list[np.ndarray] = [np.empty((0, 3))]
+    missed: list[np.ndarray] = [np.zeros(0, dtype=bool)]
     section_reports: list[SectionReport] = []
-    sequence = 0
     for section_plan in plan.sections:
         grid = by_name.get(section_plan.name)
         if grid is None:
             raise ValueError(f"plan references unknown section {section_plan.name!r}")
         u_true = grid_to_pantilt(grid, true_setup)
         points = section_plan.points
-        hits, missed = cast_to_surface(
+        section_hits, section_missed = cast_to_surface(
             true_pose,
             [point.pan_deg for point in points],
             [point.tilt_deg for point in points],
             alpha_true,
             cylinder if cylinder is not None else grid,
         )
-        covered = np.zeros(u_true.valid.shape, dtype=bool)
-        footprints: list[np.ndarray] = []
-        for point, hit, miss in zip(points, hits, missed):
-            fp = footprint(u_true, PanTilt(point.pan_deg, point.tilt_deg), cfg)
-            covered |= fp
-            footprints.append(fp)
-            images.append(
-                ImageResult(
-                    sequence=sequence,
-                    section=section_plan.name,
-                    pan_deg=point.pan_deg,
-                    tilt_deg=point.tilt_deg,
-                    label=point.label,
-                    hit=None if miss else hit,
-                    error_m=None if miss else vector_norm(hit - point.label),
-                    missed=bool(miss),
-                )
-            )
-            sequence += 1
+        hits.append(section_hits)
+        missed.append(section_missed)
+        footprints = [
+            footprint(u_true, PanTilt(point.pan_deg, point.tilt_deg), cfg) for point in points
+        ]
+        covered = np.any(footprints, axis=0)
         present = int(grid.valid.sum())
         coverage = int(np.count_nonzero(covered)) / present if present else 0.0
         overlaps = tuple(
@@ -329,14 +326,11 @@ def execute_plan(
             )
         )
 
-    errors = np.array([im.error_m for im in images if im.error_m is not None])
-    median, rmse = median_rmse(errors)
     return SimulationReport(
+        plan=plan,
         sections=tuple(section_reports),
-        images=tuple(images),
-        label_error_median_m=median,
-        label_error_rmse_m=rmse,
-        missed_count=sum(im.missed for im in images),
+        hits=np.concatenate(hits),
+        missed=np.concatenate(missed),
     )
 
 
@@ -398,10 +392,7 @@ def error_propagation(
         est_setup = QuadrantSetup(
             quadrant, yaw_from_quaternion(est_pose.orientation), est_pose.position
         )
-        triples = []
-        for grid in sections:
-            u_est = grid_to_pantilt(grid, est_setup)
-            triples.append((u_est, grid, grid.section.kind))
+        triples = [(grid_to_pantilt(g, est_setup), g, g.section.kind) for g in sections]
         plan = plan_full(triples, cfg, quadrant)
         report = execute_plan(
             plan, true_pose, est_pose, sections, cfg, quadrant, cylinder=cylinder

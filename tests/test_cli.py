@@ -210,6 +210,30 @@ class TestSimulate:
         lines = csv.read_text().splitlines()
         assert len(lines) == report["image_count"] + 1
 
+    @pytest.mark.parametrize(
+        "sections",
+        [[], [{"name": "fuselage", "kind": "fuselage", "points": []}]],
+        ids=["no-sections", "no-points"],
+    )
+    def test_plan_without_shots_writes_empty_report(self, world, tmp_path, sections):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"sections": sections}))
+        out = tmp_path / "report.json"
+        csv = tmp_path / "report.csv"
+        code = main(
+            ["simulate", *_base(world), "--plan", str(plan),
+             "--true-camera", str(world / "camera.json"),
+             "--estimated-camera", str(world / "camera.json"),
+             "--quadrant", "3", "--out", str(out), "--csv", str(csv)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["image_count"] == 0 and report["missed_count"] == 0
+        assert report["images"] == []
+        assert report["label_error_median_m"] is None and report["label_error_rmse_m"] is None
+        assert len(report["sections"]) == len(sections)
+        assert csv.read_text().splitlines()[1:] == []
+
     def test_draws_mode_writes_study(self, world, tmp_path):
         out = tmp_path / "study.json"
         code = main(
@@ -539,8 +563,13 @@ class TestStrictJsonInput:
              "sections[0].points[1]: cannot convert float infinity"),
             (lambda plan: plan["sections"][0]["points"][1].update(label_m=[f"@{BIG_INT}", 0, 0]),
              "sections[0].points[1]: expected numbers"),
+            (lambda plan: plan["sections"][0]["points"][1].update(pan_deg=f"@{BIG_FLOAT}"),
+             "sections[0].points[1]: expected finite numbers"),
+            (lambda plan: plan["sections"][0]["points"][1].update(label_m=[0, f"@{BIG_FLOAT}", 0]),
+             "sections[0].points[1]: expected finite numbers"),
         ],
-        ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label"],
+        ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label",
+             "overflowing-pan", "overflowing-label"],
     )
     def test_bad_plan_exits_parse_error(self, world, plan_path, tmp_path, capsys, edit, where):
         plan = json.loads(plan_path.read_text())

@@ -1,7 +1,9 @@
-"""Tests for file formats: batches, configs, grids, plans, manifests."""
+"""Tests for file formats: batches, configs, grids, plans, manifests, reports."""
 
 import csv
+import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptzscan.evaluation import SOURCE_EXTERNAL, evaluate
+from ptzscan.evaluation import SOURCE_EXTERNAL, evaluate, median_rmse
 from ptzscan.formats import (
     FormatError,
     format_stats,
@@ -29,7 +31,7 @@ from ptzscan.formats import (
     write_report_json,
     write_stats_report,
 )
-from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
+from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vector_norm
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
@@ -43,7 +45,7 @@ from ptzscan.randomizer import (
     TexturePlacement,
     generate_manifest,
 )
-from ptzscan.simulator import ImageResult, SectionReport, SimulationReport
+from ptzscan.simulator import SectionReport, SimulationReport
 from ptzscan.surface import RELEVANCE_BACK, RELEVANCE_FRONT
 
 
@@ -498,40 +500,134 @@ class TestManifestMatchesJsonDump:
         assert (tmp_path / "m.json").read_text() == expected
 
 
+def _reference_report_texts(plan, sections, hits, missed):
+    """The reference for the report writers: their JSON and CSV text, built
+    from one record per image (sequence, section, command, label, hit,
+    error, miss flag) and statistics over those records."""
+    images = []
+    for section in plan.sections:
+        for point in section.points:
+            k = len(images)
+            hit = None if missed[k] else hits[k]
+            images.append(
+                {
+                    "sequence": k,
+                    "section": section.name,
+                    "pan_deg": point.pan_deg,
+                    "tilt_deg": point.tilt_deg,
+                    "label": point.label,
+                    "hit": hit,
+                    "error_m": None if hit is None else vector_norm(hit - point.label),
+                    "missed": bool(missed[k]),
+                }
+            )
+    median, rmse = median_rmse(
+        np.array([im["error_m"] for im in images if im["error_m"] is not None])
+    )
+
+    def finite(v):
+        return None if v is None or not math.isfinite(v) else v
+
+    payload = {
+        "sections": [
+            {
+                "name": s.name,
+                "image_count": s.image_count,
+                "coverage": s.coverage,
+                "overlaps": list(s.overlaps),
+            }
+            for s in sections
+        ],
+        "label_error_median_m": finite(median),
+        "label_error_rmse_m": finite(rmse),
+        "missed_count": sum(im["missed"] for im in images),
+        "image_count": len(images),
+        "images": [
+            {
+                "sequence": im["sequence"],
+                "section": im["section"],
+                "pan_deg": im["pan_deg"],
+                "tilt_deg": im["tilt_deg"],
+                "label_m": [float(v) for v in im["label"]],
+                "hit_m": None if im["hit"] is None else [float(v) for v in im["hit"]],
+                "error_m": finite(im["error_m"]),
+                "missed": im["missed"],
+            }
+            for im in images
+        ],
+    }
+    rows = [
+        [
+            im["sequence"],
+            im["section"],
+            repr(im["pan_deg"]),
+            repr(im["tilt_deg"]),
+            *[repr(float(v)) for v in im["label"]],
+            *(["", "", ""] if im["hit"] is None else [repr(float(v)) for v in im["hit"]]),
+            "" if im["error_m"] is None else repr(im["error_m"]),
+        ]
+        for im in images
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sequence", "section", "pan_deg", "tilt_deg", "label_x_m", "label_y_m",
+                     "label_z_m", "hit_x_m", "hit_y_m", "hit_z_m", "error_m"])
+    writer.writerows(rows)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return text, buf.getvalue()
+
+
+@st.composite
+def reports(draw):
+    """A plan of 0-3 sections with 0-4 shots each, its section reports, and
+    hits with a NaN row on each drawn miss."""
+    names = draw(st.lists(st.sampled_from(["fuselage", "tail", "a,b", 'say "hi"']),
+                          max_size=3, unique=True))
+    plan_sections, section_reports, hits, missed = [], [], [], []
+    for name in names:
+        points = []
+        for k in range(draw(st.integers(0, 4))):
+            label = np.array([draw(anywhere) for _ in range(3)])
+            points.append(ScanPoint(draw(anywhere), draw(anywhere), label, name, k, 2 * k))
+            miss = draw(st.booleans())
+            missed.append(miss)
+            hits.append([math.nan] * 3 if miss else [draw(anywhere) for _ in range(3)])
+        plan_sections.append(SectionPlan(name=name, kind="fuselage", points=tuple(points)))
+        overlaps = tuple(draw(within(0.0, 1.0)) for _ in points[1:])
+        section_reports.append(SectionReport(name, len(points), draw(within(0.0, 1.0)), overlaps))
+    plan = ScanPlan(sections=tuple(plan_sections))
+    return (plan, tuple(section_reports), np.array(hits).reshape(len(missed), 3),
+            np.array(missed, dtype=bool))
+
+
+class TestReportWritersMatchPerImageRecords:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(reports())
+    def test_byte_for_byte(self, drawn):
+        plan, sections, hits, missed = drawn
+        # Hits and labels near the float limit overflow their difference
+        # or its square: the error and statistics become inf, as before.
+        with np.errstate(over="ignore"), tempfile.TemporaryDirectory() as tmp:
+            expected_json, expected_csv = _reference_report_texts(plan, sections, hits, missed)
+            report = SimulationReport(plan, sections, hits, missed)
+            write_report_json(Path(tmp) / "report.json", report)
+            write_report_csv(Path(tmp) / "report.csv", report)
+            assert (Path(tmp) / "report.json").read_text() == expected_json
+            assert (Path(tmp) / "report.csv").read_text() == expected_csv
+
+
 class TestReportExports:
     def make_report(self):
-        images = (
-            ImageResult(
-                sequence=0,
-                section="fuselage",
-                pan_deg=1.0,
-                tilt_deg=-20.0,
-                label=np.array([0.0, 1.0, 3.0]),
-                hit=np.array([0.0, 1.0, 3.001]),
-                error_m=0.001,
-                missed=False,
-            ),
-            ImageResult(
-                sequence=1,
-                section="fuselage",
-                pan_deg=2.0,
-                tilt_deg=-20.0,
-                label=np.array([0.0, 2.0, 3.0]),
-                hit=None,
-                error_m=None,
-                missed=True,
-            ),
+        points = (
+            ScanPoint(1.0, -20.0, np.array([0.0, 1.0, 3.0]), "fuselage", 0, 0),
+            ScanPoint(2.0, -20.0, np.array([0.0, 2.0, 3.0]), "fuselage", 0, 1),
         )
+        plan = ScanPlan(sections=(SectionPlan("fuselage", "fuselage", points),))
         section = SectionReport(
             name="fuselage", image_count=2, coverage=0.75, overlaps=(0.4,)
         )
-        return SimulationReport(
-            sections=(section,),
-            images=images,
-            label_error_median_m=0.001,
-            label_error_rmse_m=0.001,
-            missed_count=1,
-        )
+        hits = np.array([[0.0, 1.0, 3.001], [math.nan] * 3])
+        return SimulationReport(plan, (section,), hits, np.array([False, True]))
 
     def test_json_contains_summary_and_images(self, tmp_path):
         import json
@@ -541,6 +637,9 @@ class TestReportExports:
         payload = json.loads(path.read_text())
         assert payload["sections"][0]["coverage"] == 0.75
         assert payload["missed_count"] == 1
+        assert payload["image_count"] == 2
+        assert payload["images"][0]["error_m"] == pytest.approx(0.001)
+        assert payload["label_error_median_m"] == payload["images"][0]["error_m"]
         assert payload["images"][1]["hit_m"] is None
         assert payload["images"][1]["error_m"] is None
 

@@ -19,6 +19,7 @@ from ptzscan.pantilt import (
 )
 from ptzscan.planner import ScanConfig, ScanPlan, SectionPlan, plan_full
 from ptzscan.simulator import (
+    SimulationReport,
     _grid_offset,
     cast_to_surface,
     error_propagation,
@@ -499,6 +500,28 @@ class TestExecutePlan:
         rep2 = execute_plan(zero_shots, true_pose, true_pose, [cyl_grid], cfg, QUADRANT)
         assert rep2.sections[0].coverage == 0.0
         assert rep2.errors().size == 0
+
+    def test_hits_and_missed_follow_the_plan(self, report, cyl_plan):
+        assert report.plan is cyl_plan
+        assert report.hits.shape == (len(cyl_plan), 3) and report.missed.dtype == bool
+        assert report.shot_errors == report.errors().tolist()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda hits, missed: (hits[:-1], missed),
+            lambda hits, missed: (np.vstack([hits, hits[:1]]), missed),
+            lambda hits, missed: (hits[:, :2], missed),
+            lambda hits, missed: (hits.ravel(), missed),
+            lambda hits, missed: (hits, missed[:-1]),
+            lambda hits, missed: (hits, missed[:, None]),
+        ],
+        ids=["hit-short", "hit-extra", "two-columns", "flat-hits", "flag-short", "flag-column"],
+    )
+    def test_arrays_that_do_not_fit_the_plan_raise(self, report, edit):
+        hits, missed = edit(report.hits, report.missed)
+        with pytest.raises(ValueError, match=f"for {len(report.plan)} shots"):
+            SimulationReport(report.plan, report.sections, hits, missed)
 
     def test_unknown_section_rejected(self, cyl_plan, true_pose, cfg):
         other = cylinder_surface_grid(-1.0, 0.0, 0.0, 1.0, step=0.05, name="other")

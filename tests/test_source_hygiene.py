@@ -11,10 +11,14 @@ the benchmark or the acceptance suite. The package namespace is the
 two of those lists, since a star import would silently shadow one; this
 check imports the package. No module reads an environment variable unless
 it is on ``ENVIRONMENT_ALLOWLIST``, so every knob a run obeys is a visible
-decision.
+decision. Importing ``ptzscan.cli``, the start-up cost of every command,
+loads nothing beyond the standard library, NumPy and the package itself.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -207,3 +211,22 @@ dict(os.environ)
 def test_environment_reads_are_allowlisted(path):
     reads = [r for r in _environment_reads(_parse(path)) if r[1] not in ENVIRONMENT_ALLOWLIST]
     assert not reads, f"{path.name}: (line, variable) environment reads off the allowlist {reads}"
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_ptzscan():
+    script = """
+import sys
+before = set(sys.modules)
+import ptzscan.cli
+print(*sorted({name.split(".")[0] for name in set(sys.modules) - before}))
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    extra = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "ptzscan"})
+    assert not extra, f"importing ptzscan.cli loads {extra}"
+    assert {"numpy", "ptzscan"} <= loaded
