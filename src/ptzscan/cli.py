@@ -117,11 +117,11 @@ def _scan_config(args) -> ScanConfig:
     return ScanConfig(hfov_deg=args.hfov_deg, vfov_deg=args.vfov_deg, mu=args.mu)
 
 
-def _build_grids(cloud_path, fmt, sections_path):
+def _build_grids(cloud_path, sections_path):
     specs = read_section_config(sections_path)
     if not specs:
         raise CliError(EXIT_CONFIG, f"{sections_path}: no sections defined")
-    cloud = load_point_cloud(cloud_path, fmt=fmt)
+    cloud = load_point_cloud(cloud_path)
     grids = []
     for spec in specs:
         sub = section_points(cloud, spec)
@@ -156,7 +156,7 @@ def _plan(grids, pose: CameraPose, cfg: ScanConfig, quadrant: int):
 
 def cmd_interpolate(args) -> int:
     _require_files(args.cloud, args.sections)
-    grids = _build_grids(args.cloud, args.cloud_format, args.sections)
+    grids = _build_grids(args.cloud, args.sections)
     out = _out_dir(args.out)
     for grid in grids:
         target = out / f"{grid.section.name}_grid.csv"
@@ -170,7 +170,7 @@ def cmd_plan(args) -> int:
     cfg = _scan_config(args)
     _require_files(args.cloud, args.sections, args.camera)
     pose = read_pose_json(args.camera)
-    grids = _build_grids(args.cloud, args.cloud_format, args.sections)
+    grids = _build_grids(args.cloud, args.sections)
     pantilts, plan = _plan(grids, pose, cfg, args.quadrant)
     write_plan_json(args.out, plan)
     print(f"plan: {len(plan)} points across {len(plan.sections)} sections -> {args.out}")
@@ -184,16 +184,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.draws and not args.plan:
-        raise CliError(EXIT_CONFIG, "--plan is required unless --draws is given")
+    # A Monte-Carlo study perturbs the true pose: it reads no plan and no estimate.
+    inputs = () if args.draws else (args.plan, args.estimated_camera)
+    for flag, value in zip(("--plan", "--estimated-camera"), inputs):
+        if not value:
+            raise CliError(EXIT_CONFIG, f"{flag} is required unless --draws is given")
     cfg = _scan_config(args)
-    plan_file = () if args.draws else (args.plan,)
-    _require_files(
-        *plan_file, args.cloud, args.sections, args.true_camera, args.estimated_camera
-    )
+    _require_files(*inputs, args.cloud, args.sections, args.true_camera)
     true_pose = read_pose_json(args.true_camera)
-    estimated_pose = read_pose_json(args.estimated_camera)
-    grids = _build_grids(args.cloud, args.cloud_format, args.sections)
+    estimated_pose = read_pose_json(args.estimated_camera) if inputs else None
+    grids = _build_grids(args.cloud, args.sections)
     cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
     if args.draws:
         study = error_propagation(
@@ -320,7 +320,7 @@ def cmd_pipeline(args) -> int:
     out = _out_dir(args.out)
     estimated_pose = read_pose_json(args.camera)
     true_pose = read_pose_json(args.true_camera) if args.true_camera else estimated_pose
-    grids = _build_grids(args.cloud, args.cloud_format, args.sections)
+    grids = _build_grids(args.cloud, args.sections)
     for grid in grids:
         write_grid_csv(out / f"{grid.section.name}_grid.csv", grid)
     _, plan = _plan(grids, estimated_pose, cfg, args.quadrant)
@@ -352,13 +352,7 @@ def _add_scan_flags(parser):
 
 
 def _add_cloud_flags(parser):
-    parser.add_argument("--cloud", required=True, help="point-cloud file")
-    parser.add_argument(
-        "--cloud-format",
-        choices=("xyz-ascii", "ply-ascii-subset"),
-        default="xyz-ascii",
-        help="point-cloud file format",
-    )
+    parser.add_argument("--cloud", required=True, help="point-cloud file (xyz or ASCII PLY)")
     parser.add_argument("--sections", required=True, help="section config JSON")
 
 
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_flags(p)
     p.add_argument("--plan", help="plan JSON (required unless --draws is given)")
     p.add_argument("--true-camera", required=True, help="true camera pose JSON")
-    p.add_argument("--estimated-camera", required=True, help="estimated camera pose JSON")
+    p.add_argument("--estimated-camera", help="estimated pose JSON (required unless --draws)")
     p.add_argument("--cylinder", help="analytic cast target as 'radius,axis-height'")
     p.add_argument("--draws", type=int, default=0, help="Monte-Carlo draws (0 = single run)")
     p.add_argument("--sigma-pos", type=float, default=0.24, help="position noise sigma, m")

@@ -32,9 +32,9 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from ptzscan.evaluation import SOURCE_EXTERNAL, PoseEstimate
-from ptzscan.geometry import CameraPose, quat_from_yaw_pitch
+from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.losses import LossWeights, PoseSample
-from ptzscan.pantilt import PanTiltGrid
+from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
 from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, sample_fields
 from ptzscan.simulator import PropagationStudy, SimulationReport
@@ -361,6 +361,8 @@ def write_plan_json(path: Union[str, Path], plan: ScanPlan) -> None:
     _write_text(path, _dump_json({"sections": sections}))
 
 
+# A label whose norm overflows is rejected by vec3 without numpy's warning.
+@np.errstate(over="ignore")
 def read_plan_json(path: Union[str, Path]) -> ScanPlan:
     payload = _load_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("sections"), list):
@@ -372,24 +374,15 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
             raise FormatError(f"{context}: need 'name' and 'kind'")
         if not isinstance(entry.get("points", []), list):
             raise FormatError(f"{context}: 'points' must be a list")
-        points = []
+        name, points = str(entry["name"]), []
         for m, rec in enumerate(entry.get("points", [])):
             pcontext = f"{context}.points[{m}]"
             with _fields(pcontext):
-                pan, tilt = _floats([rec["pan_deg"], rec["tilt_deg"]], 2, pcontext)
-                points.append(
-                    ScanPoint(
-                        pan_deg=pan,
-                        tilt_deg=tilt,
-                        label=np.array(_floats(rec["label_m"], 3, pcontext)),
-                        section=str(entry["name"]),
-                        i=int(rec["i"]),
-                        j=int(rec["j"]),
-                    )
-                )
-        sections.append(
-            SectionPlan(name=str(entry["name"]), kind=str(entry["kind"]), points=tuple(points))
-        )
+                shot = PanTilt(*_floats([rec["pan_deg"], rec["tilt_deg"]], 2, pcontext))
+                label = vec3(*_floats(rec["label_m"], 3, pcontext))
+                i, j = int(rec["i"]), int(rec["j"])
+            points.append(ScanPoint(shot.pan_deg, shot.tilt_deg, label, name, i, j))
+        sections.append(SectionPlan(name=name, kind=str(entry["kind"]), points=tuple(points)))
     return ScanPlan(sections=tuple(sections))
 
 

@@ -1,11 +1,12 @@
 """Point-cloud ingestion, sectioning, and 5 cm surface-lattice interpolation.
 
-A vehicle model arrives as a scattered point cloud. It is cut into named
-sections (fuselage, tail, wing, stabiliser) by axis-aligned boxes, and each
-section is resampled onto a regular 0.05 m lattice by piecewise-linear
-interpolation over a Delaunay triangulation of the projected points:
-height z over the (x, y) plane for most sections, lateral x over (y, z) for
-the near-vertical tail.
+A vehicle model arrives as a scattered point cloud, as xyz text or ASCII
+PLY; one reader tells them apart by the first line and parses both bodies
+the same way. The cloud is cut into named sections (fuselage, tail, wing,
+stabiliser) by axis-aligned boxes, and each section is resampled onto a
+regular 0.05 m lattice by piecewise-linear interpolation over a Delaunay
+triangulation of the projected points: height z over the (x, y) plane for
+most sections, lateral x over (y, z) for the near-vertical tail.
 
 Grid rows share one row coordinate (x, or z for the tail) and columns share
 one y value; lattice points outside the convex hull of the section's data
@@ -157,92 +158,78 @@ class SurfaceGrid:
         return self.points[i, j].copy()
 
 
-def load_point_cloud(path: str | Path, fmt: str = "xyz-ascii") -> PointCloud:
-    """Read a cloud from ``xyz-ascii`` (one `x y z` per line, `#` comments)
-    or ``ply-ascii-subset`` (ASCII ply header + vertex positions)."""
-    loaders = {"xyz-ascii": _load_xyz, "ply-ascii-subset": _load_ply}
-    if fmt not in loaders:
-        raise ValueError(f"unknown point-cloud format {fmt!r}")
+def load_point_cloud(path: str | Path) -> PointCloud:
+    """Read an ASCII cloud: PLY when the first line is ``ply``, xyz text otherwise.
+
+    A point row holds at least three values, the first three x, y and z;
+    blank lines and lines starting with `#` are skipped. A PLY header
+    declares only vertices and ends with ``end_header``, and its body holds
+    exactly the declared number of points.
+    """
+    path = Path(path)
     try:
-        return loaders[fmt](Path(path))
+        skip, count = _ply_header(path)
+        # Bulk parse; a body it rejects (comments, a bad line, no rows) goes to the line loop.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                points = np.loadtxt(
+                    path, dtype=np.float64, comments=None, skiprows=skip,
+                    usecols=(0, 1, 2), ndmin=2, encoding="utf-8",
+                )
+        except ValueError:
+            points = np.empty((0, 3))
+        if not len(points):
+            points = _parse_rows(path, skip)
     except UnicodeDecodeError as exc:
         raise PointCloudParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    if count is not None and len(points) != count:
+        raise PointCloudParseError(
+            f"{path}: header declares {count} vertices, body has {len(points)}"
+        )
+    return PointCloud(points)
 
 
-def _load_xyz(path: Path) -> PointCloud:
-    # Bulk parse; a file it rejects (comments, a bad line, no rows) goes to the line loop.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            bulk = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8")
-    except (OSError, ValueError):
-        bulk = np.empty((0, 3))
-    if len(bulk) and bulk.shape[1] == 3:
-        return PointCloud(bulk)
+def _ply_header(path: Path) -> tuple[int, Optional[int]]:
+    """Header line count and declared vertex count; (0, None) for xyz text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip() != "ply":
+            return 0, None
+        vertex_count = None
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if text.startswith("element vertex"):
+                try:
+                    vertex_count = int(text.split()[2])
+                except (IndexError, ValueError) as exc:
+                    raise PointCloudParseError(f"{path}:{lineno}: bad element line") from exc
+            elif text.startswith("element "):
+                raise PointCloudParseError(f"{path}:{lineno}: only vertex elements are supported")
+            elif text == "end_header" and vertex_count is not None:
+                return lineno, vertex_count
+            elif text == "end_header":
+                break
+    raise PointCloudParseError(f"{path}: header lacks vertex count or end_header")
+
+
+def _parse_rows(path: Path, skip: int) -> np.ndarray:
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            parts = line.split()
+            if lineno <= skip or not parts or parts[0].startswith("#"):
                 continue
-            parts = text.split()
-            if len(parts) != 3:
+            if len(parts) < 3:
                 raise PointCloudParseError(
-                    f"{path}:{lineno}: expected 3 values, got {len(parts)}"
+                    f"{path}:{lineno}: expected at least 3 values, got {len(parts)}"
                 )
             try:
-                points.append([float(v) for v in parts])
+                points.append([float(v) for v in parts[:3]])
             except ValueError as exc:
                 raise PointCloudParseError(f"{path}:{lineno}: {exc}") from exc
     if not points:
         raise PointCloudParseError(f"{path}: no points found")
-    return PointCloud(np.array(points, dtype=np.float64))
-
-
-def _load_ply(path: Path) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise PointCloudParseError(f"{path}:1: missing 'ply' magic line")
-    vertex_count = None
-    body_start = None
-    for idx, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if text.startswith("element vertex"):
-            try:
-                vertex_count = int(text.split()[2])
-            except (IndexError, ValueError) as exc:
-                raise PointCloudParseError(f"{path}:{idx}: bad element line") from exc
-        elif text.startswith("element "):
-            raise PointCloudParseError(
-                f"{path}:{idx}: only vertex elements are supported"
-            )
-        elif text == "end_header":
-            body_start = idx
-            break
-    if vertex_count is None or body_start is None:
-        raise PointCloudParseError(f"{path}: header lacks vertex count or end_header")
-    body = [(n, ln) for n, ln in enumerate(lines[body_start:], body_start + 1) if ln.strip()]
-    if len(body) != vertex_count:
-        raise PointCloudParseError(
-            f"{path}: header declares {vertex_count} vertices, body has {len(body)}"
-        )
-    if vertex_count == 0:
-        raise PointCloudParseError(f"{path}: empty vertex list")
-    points = np.empty((vertex_count, 3), dtype=np.float64)
-    for row, (lineno, line) in enumerate(body):
-        parts = line.split()
-        if len(parts) < 3:
-            raise PointCloudParseError(
-                f"{path}:{lineno}: vertex line has fewer than 3 values"
-            )
-        try:
-            points[row] = [float(v) for v in parts[:3]]
-        except ValueError as exc:
-            raise PointCloudParseError(
-                f"{path}:{lineno}: {exc}"
-            ) from exc
-    return PointCloud(points)
+    return np.array(points, dtype=np.float64)
 
 
 def section_points(cloud: PointCloud, spec: SectionSpec) -> PointCloud:

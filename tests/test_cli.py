@@ -6,18 +6,24 @@ line on stderr for failure paths. A small cylinder-section world is
 built once per module and shared.
 """
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from csv import DictReader
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan import cli
 from ptzscan.cli import build_parser, main
@@ -130,6 +136,26 @@ class TestInterpolate:
         first = (out / "fuselage_grid.csv").read_bytes()
         main(["interpolate", *_base(world), "--out", str(out)])
         assert (out / "fuselage_grid.csv").read_bytes() == first
+
+    def test_ply_cloud_writes_the_grid_bytes_of_its_xyz_points(self, world, tmp_path):
+        """The format is read from the file: a PLY cloud needs no flag, and
+        values past x y z and blank body lines are skipped."""
+        rows = [r for r in (world / "cloud.xyz").read_text().splitlines() if not r.startswith("#")]
+        header = [
+            "ply", "format ascii 1.0", f"element vertex {len(rows)}", "property double x",
+            "property double y", "property double z", "property float intensity", "end_header",
+        ]
+        body = [f"{row} 0.5" for row in rows]
+        body.insert(len(body) // 2, "")
+        ply = tmp_path / "cloud.ply"
+        ply.write_text("\n".join(header + body) + "\n")
+        sections, grids = str(world / "sections.json"), []
+        for cloud in (ply, world / "cloud.xyz"):
+            out = tmp_path / cloud.suffix.lstrip(".")
+            argv = ["interpolate", "--cloud", str(cloud), "--sections", sections, "--out", str(out)]
+            assert main(argv) == 0
+            grids.append((out / "fuselage_grid.csv").read_bytes())
+        assert grids[0] == grids[1]
 
     def test_missing_cloud_exits_io_error(self, world, tmp_path, capsys):
         code = main(
@@ -248,6 +274,30 @@ class TestSimulate:
         assert study["n_draws"] == 3
         assert len(study["draws"]) == 3
         assert study["error_median_m"] > 0.0
+
+    @pytest.mark.parametrize("estimated", [None, "{}"], ids=["absent", "not-a-pose"])
+    def test_draws_mode_reads_no_estimated_camera(self, world, tmp_path, estimated):
+        argv = ["simulate", *_base(world), "--true-camera", str(world / "camera.json"),
+                "--quadrant", "3", "--draws", "2", "--seed", "11"]
+        assert main([*argv, "--estimated-camera", str(world / "camera.json"),
+                     "--out", str(tmp_path / "with.json")]) == 0
+        if estimated is not None:
+            (tmp_path / "estimate.json").write_text(estimated)
+            argv += ["--estimated-camera", str(tmp_path / "estimate.json")]
+        assert main([*argv, "--out", str(tmp_path / "without.json")]) == 0
+        assert (tmp_path / "without.json").read_bytes() == (tmp_path / "with.json").read_bytes()
+
+    def test_missing_estimated_camera_without_draws_exits_config_error(
+        self, world, plan_path, tmp_path, capsys
+    ):
+        code = main(
+            ["simulate", *_base(world), "--plan", str(plan_path),
+             "--true-camera", str(world / "camera.json"),
+             "--quadrant", "3", "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 4
+        assert "--estimated-camera is required unless --draws" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_plan_without_draws_exits_config_error(self, world, tmp_path, capsys):
         code = main(
@@ -567,9 +617,18 @@ class TestStrictJsonInput:
              "sections[0].points[1]: expected finite numbers"),
             (lambda plan: plan["sections"][0]["points"][1].update(label_m=[0, f"@{BIG_FLOAT}", 0]),
              "sections[0].points[1]: expected finite numbers"),
+            (lambda plan: plan["sections"][0]["points"][1].update(label_m=[1e200, 0, 0]),
+             "sections[0].points[1]: vector must have a finite norm"),
+            (lambda plan: plan["sections"][0]["points"][1].update(pan_deg=1e300),
+             "sections[0].points[1]: pan 1e+300 outside (-180, 180]"),
+            (lambda plan: plan["sections"][0]["points"][1].update(pan_deg=-180.0),
+             "sections[0].points[1]: pan -180.0 outside (-180, 180]"),
+            (lambda plan: plan["sections"][0]["points"][1].update(tilt_deg=-1e300),
+             "sections[0].points[1]: tilt -1e+300 outside [-90, 90]"),
         ],
         ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label",
-             "overflowing-pan", "overflowing-label"],
+             "overflowing-pan", "overflowing-label", "label-norm-overflows", "huge-pan",
+             "pan-at-minus-180", "huge-tilt"],
     )
     def test_bad_plan_exits_parse_error(self, world, plan_path, tmp_path, capsys, edit, where):
         plan = json.loads(plan_path.read_text())
@@ -639,6 +698,82 @@ class TestStrictJsonInput:
         [err] = captured.err.splitlines()
         assert f"category=parse-error: {bad}:2: " in err and where in err
         assert captured.out == ""
+
+
+def _around(*values):
+    return [v for x in values for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+# A plan field is set to one of these, or deleted.
+PLAN_EDITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e308]),
+    st.sampled_from(_around(180.0, -180.0, 90.0, -90.0)),
+    st.sampled_from([10**400, "x", None, True, [1.0]]),
+    st.just(KeyError),
+)
+PLAN_FIELDS = ["pan_deg", "tilt_deg", "label_m", "label_m", "label_m", "i", "j"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+@pytest.fixture(scope="module")
+def coarse_plan(world, tmp_path_factory):
+    """Cloud arguments and a plan for the world's section sampled every 5 cm,
+    which interpolates about ten times faster than the 2 cm cloud."""
+    root = tmp_path_factory.mktemp("cli_coarse")
+    _write_cloud(root / "cloud.xyz", step=0.05)
+    base = ["--cloud", str(root / "cloud.xyz"), "--sections", str(world / "sections.json")]
+    argv = ["plan", *base, "--camera", str(world / "camera.json"), "--quadrant", "3"]
+    assert main([*argv, "--out", str(root / "plan.json")]) == 0
+    return base, root / "plan.json"
+
+
+class TestSimulatePlanEdits:
+    """Any one edit of one plan point either runs or fails cleanly: a known
+    exit code, one error line, no warning, strict JSON output."""
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_one_field_edit_exits_cleanly(self, world, coarse_plan, data):
+        base, plan_path = coarse_plan
+        plan = json.loads(plan_path.read_text())
+        points = plan["sections"][0]["points"]
+        record = points[data.draw(st.integers(0, len(points) - 1))]
+        field, value = data.draw(st.sampled_from(PLAN_FIELDS)), data.draw(PLAN_EDITS)
+        target, key = record, field
+        if field == "label_m":
+            target, key = record["label_m"], data.draw(st.integers(0, 2))
+        if value is KeyError:
+            del target[key]
+        else:
+            target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            bad, out = Path(tmp) / "plan.json", Path(tmp) / "report.json"
+            bad.write_text(json.dumps(plan))
+            stderr = io.StringIO()
+            with (
+                warnings.catch_warnings(record=True) as caught,
+                contextlib.redirect_stderr(stderr),
+                contextlib.redirect_stdout(io.StringIO()),
+            ):
+                warnings.simplefilter("always")
+                code = main(
+                    ["simulate", *base, "--plan", str(bad),
+                     "--true-camera", str(world / "camera.json"),
+                     "--estimated-camera", str(world / "camera.json"),
+                     "--quadrant", "3", "--out", str(out)]
+                )
+            assert not caught, [str(w.message) for w in caught]
+            assert code in (0, 3, 4, 5), stderr.getvalue()
+            if code:
+                [line] = stderr.getvalue().splitlines()
+                assert line.startswith("error: category=")
+                assert not out.exists()
+            else:
+                assert stderr.getvalue() == ""
+                json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 def test_unexpected_failure_prints_traceback_then_one_error_line(

@@ -13,8 +13,11 @@ check imports the package. No module reads an environment variable unless
 it is on ``ENVIRONMENT_ALLOWLIST``, so every knob a run obeys is a visible
 decision. Importing ``ptzscan.cli``, the start-up cost of every command,
 loads nothing beyond the standard library, NumPy and the package itself.
+Every command-line option is recorded in ``CLI_OPTIONS``, so adding or
+removing a knob is a visible diff here too.
 """
 
+import argparse
 import ast
 import os
 import subprocess
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import ptzscan
+from ptzscan.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ptzscan").glob("*.py"))
@@ -38,6 +42,19 @@ CALLERS = [
 ]
 # Environment variables the package may read (names, e.g. "PTZSCAN_TRACE").
 ENVIRONMENT_ALLOWLIST: frozenset[str] = frozenset()
+_SCAN = "--cloud --sections --hfov-deg --vfov-deg --mu --quadrant"
+# The options of the top-level parser ("") and of each subcommand, less -h/--help.
+CLI_OPTIONS = {
+    "": "--version",
+    "interpolate": "--cloud --sections --out",
+    "plan": f"{_SCAN} --camera --out --csv --export-pantilt",
+    "simulate": f"{_SCAN} --plan --true-camera --estimated-camera --cylinder --draws"
+    " --sigma-pos --sigma-yaw --seed --out --csv",
+    "randomize": "--boundary --seed --train --val --test --hfov-deg --out",
+    "evaluate": "--predictions --out --csv",
+    "loss-check": "--predictions --s-x --s-q --s-c --cylinder --out",
+    "pipeline": f"{_SCAN} --camera --true-camera --cylinder --out",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -230,3 +247,13 @@ print(*sorted({name.split(".")[0] for name in set(sys.modules) - before}))
     extra = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "ptzscan"})
     assert not extra, f"importing ptzscan.cli loads {extra}"
     assert {"numpy", "ptzscan"} <= loaded
+
+
+def test_cli_options_are_recorded():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for name, sub in [("", parser), *commands.choices.items()]:
+        strings = (s for action in sub._actions for s in action.option_strings)
+        found[name] = sorted(set(strings) - {"-h", "--help"})
+    assert found == {name: sorted(options.split()) for name, options in CLI_OPTIONS.items()}

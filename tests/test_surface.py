@@ -35,7 +35,7 @@ class TestPointCloudIO:
     def test_xyz_three_lines(self, tmp_path):
         p = tmp_path / "cloud.xyz"
         p.write_text("0 0 0\n1.5 2 3\n-1 -2 -3\n")
-        cloud = load_point_cloud(p, "xyz-ascii")
+        cloud = load_point_cloud(p)
         assert len(cloud) == 3
         np.testing.assert_allclose(cloud.points[1], [1.5, 2.0, 3.0])
 
@@ -65,7 +65,7 @@ class TestPointCloudIO:
             "property double x\nproperty double y\nproperty double z\n"
             "end_header\n" + _xyz_text(cloud.points)
         )
-        back = load_point_cloud(p, "ply-ascii-subset")
+        back = load_point_cloud(p)
         np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_xyz_round_trip(self, tmp_path):
@@ -73,7 +73,7 @@ class TestPointCloudIO:
         cloud = PointCloud(rng.uniform(-20, 20, size=(50, 3)))
         p = tmp_path / "cloud.xyz"
         p.write_text(_xyz_text(cloud.points))
-        back = load_point_cloud(p, "xyz-ascii")
+        back = load_point_cloud(p)
         np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_ply_vertex_count_mismatch(self, tmp_path):
@@ -84,7 +84,7 @@ class TestPointCloudIO:
             "end_header\n0 0 0\n1 1 1\n"
         )
         with pytest.raises(PointCloudParseError, match="declares 3"):
-            load_point_cloud(p, "ply-ascii-subset")
+            load_point_cloud(p)
 
     @pytest.mark.parametrize("bad", ["2 2 x", "2 2"], ids=["text", "short"])
     def test_ply_bad_vertex_after_blank_line_names_its_line(self, tmp_path, bad):
@@ -95,17 +95,27 @@ class TestPointCloudIO:
             f"end_header\n0 0 0\n\n1 1 1\n{bad}\n"
         )
         with pytest.raises(PointCloudParseError, match=r"bad\.ply:11: "):
-            load_point_cloud(p, "ply-ascii-subset")
+            load_point_cloud(p)
+
+    def test_xyz_values_past_the_third_are_ignored(self, tmp_path):
+        p = tmp_path / "cloud.xyz"
+        p.write_text("1 2 3 0.5\n4 5 6\n7 8 9 0.25 12\n")
+        np.testing.assert_array_equal(load_point_cloud(p).points, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+    def test_ply_body_skips_comments_and_extra_properties(self, tmp_path):
+        p = tmp_path / "cloud.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property float intensity\nend_header\n# scanner pass 1\n1 2 3 0.5\n\n4 5 6 0.7\n"
+        )
+        np.testing.assert_array_equal(load_point_cloud(p).points, [[1, 2, 3], [4, 5, 6]])
 
     def test_ply_missing_header_end(self, tmp_path):
         p = tmp_path / "bad.ply"
         p.write_text("ply\nformat ascii 1.0\nelement vertex 1\n0 0 0\n")
         with pytest.raises(PointCloudParseError):
-            load_point_cloud(p, "ply-ascii-subset")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_point_cloud(tmp_path / "x", "obj")
+            load_point_cloud(p)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -113,29 +123,39 @@ class TestPointCloudIO:
 
 
 def _reference_load_xyz(path):
-    """The xyz reader as a plain line loop, with ``load_point_cloud``'s
-    mapping of undecodable input."""
+    """The reader as a plain line loop over the rows after any PLY header,
+    with ``load_point_cloud``'s mapping of undecodable input. Drawn PLY
+    headers are well formed: one ``element vertex`` line, then ``end_header``."""
     try:
-        points = []
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split()
-                if len(parts) != 3:
-                    raise PointCloudParseError(
-                        f"{path}:{lineno}: expected 3 values, got {len(parts)}"
-                    )
-                try:
-                    points.append([float(v) for v in parts])
-                except ValueError as exc:
-                    raise PointCloudParseError(f"{path}:{lineno}: {exc}") from exc
-        if not points:
-            raise PointCloudParseError(f"{path}: no points found")
-        return PointCloud(np.array(points, dtype=np.float64))
+            lines = list(fh)
     except UnicodeDecodeError as exc:
         raise PointCloudParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    skip, count = 0, None
+    if lines and lines[0].strip() == "ply":
+        skip = [line.strip() for line in lines].index("end_header") + 1
+        [count] = [int(line.split()[2]) for line in lines if line.startswith("element vertex")]
+    points = []
+    for lineno, line in enumerate(lines[skip:], start=skip + 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) < 3:
+            raise PointCloudParseError(
+                f"{path}:{lineno}: expected at least 3 values, got {len(parts)}"
+            )
+        try:
+            points.append([float(v) for v in parts[:3]])
+        except ValueError as exc:
+            raise PointCloudParseError(f"{path}:{lineno}: {exc}") from exc
+    if not points:
+        raise PointCloudParseError(f"{path}: no points found")
+    if count is not None and len(points) != count:
+        raise PointCloudParseError(
+            f"{path}: header declares {count} vertices, body has {len(points)}"
+        )
+    return PointCloud(np.array(points, dtype=np.float64))
 
 
 def _outcome(load, path):
@@ -173,9 +193,23 @@ def xyz_line(draw):
 
 
 @st.composite
+def ply_header(draw, vertices):
+    lines = [
+        "ply", "format ascii 1.0", *draw(st.sampled_from([[], ["comment exported"]])),
+        f"element vertex {vertices}", "property double x", "property double y",
+        "property double z", *draw(st.sampled_from([[], ["property float intensity"]])),
+        "end_header", "",
+    ]
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@st.composite
 def xyz_files(draw):
     lines = draw(st.lists(xyz_line(), max_size=12))
     body = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    if draw(st.booleans()):  # a PLY header declaring the body's rows, or one more
+        rows = sum(1 for line in lines if line.strip() and not line.strip().startswith("#"))
+        body = draw(ply_header(rows + draw(st.sampled_from([0, 0, 0, 1])))) + body
     data = body.encode("utf-8")
     return draw(st.sampled_from([b"", b"\xff"])) + data if draw(st.booleans()) else data
 
