@@ -59,9 +59,9 @@ def main():
     errors = []
     for i in range(0, rows, max(rows // 6, 1)):
         for j in range(0, cols, max(cols // 6, 1)):
-            cell = grid.cell(i, j)
-            if cell is None:
+            if not grid.valid[i, j]:
                 continue
+            cell = grid.points[i, j]
             analytic = 2.0 + np.sqrt(max(4.0 - cell[0] ** 2, 0.0))
             errors.append(abs(cell[2] - analytic))
     print(f"spot-check vs analytic cylinder: worst {max(errors):.5f} m "

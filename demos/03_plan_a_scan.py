@@ -71,13 +71,13 @@ def main():
     print(f"planned images:       {len(plan)}\n")
 
     print("--- 4. Shot list (first rows) ---\n")
-    points = plan.sections[0].points
+    shots = plan.sections[0]
     print("  seq    pan      tilt    label (x, y, z)")
-    for seq, p in enumerate(points[:12]):
-        print(f"  {seq:3d}  {p.pan_deg:7.2f}  {p.tilt_deg:7.2f}   "
-              f"({p.label[0]:6.2f}, {p.label[1]:6.2f}, {p.label[2]:5.2f})")
-    if len(points) > 12:
-        print(f"  ... {len(points) - 12} more")
+    first = zip(shots.pans[:12], shots.tilts[:12], shots.labels[:12])
+    for seq, (pan, tilt, (x, y, z)) in enumerate(first):
+        print(f"  {seq:3d}  {pan:7.2f}  {tilt:7.2f}   ({x:6.2f}, {y:6.2f}, {z:5.2f})")
+    if len(shots) > 12:
+        print(f"  ... {len(shots) - 12} more")
 
 
 if __name__ == "__main__":

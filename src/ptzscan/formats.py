@@ -8,7 +8,8 @@ holds NaN or Infinity: writers refuse to emit them and readers reject them,
 naming the file (and line). A record field that is missing or fails its
 type's check is a ``FormatError`` naming the record. Writers also go through
 a temp-file rename, so a failed write never leaves a truncated file behind.
-A dataset manifest is written row by row from its draw block.
+A dataset manifest is written row by row from its draw block, and a plan
+section by section from its arrays; plan cell indices are JSON integers.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
@@ -26,6 +27,7 @@ import re
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -35,7 +37,7 @@ from ptzscan.evaluation import SOURCE_EXTERNAL, PoseEstimate
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTilt, PanTiltGrid
-from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
+from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, sample_fields
 from ptzscan.simulator import PropagationStudy, SimulationReport
 from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
@@ -340,25 +342,33 @@ def write_pantilt_csv(path: Union[str, Path], u: PanTiltGrid) -> None:
 # ---------------------------------------------------------------------------
 # Plan exports
 
+def _plan_rows(plan: ScanPlan):
+    """(section name, pan, tilt, label) of each shot in plan order, as Python values."""
+    for s in plan.sections:
+        yield from zip(repeat(s.name), s.pans.tolist(), s.tilts.tolist(), s.labels.tolist())
+
+
 def write_plan_json(path: Union[str, Path], plan: ScanPlan) -> None:
     sequence = 0
     sections = []
     for section in plan.sections:
-        points = []
-        for p in section.points:
-            points.append(
-                {
-                    "sequence": sequence,
-                    "pan_deg": p.pan_deg,
-                    "tilt_deg": p.tilt_deg,
-                    "label_m": [float(v) for v in p.label],
-                    "i": p.i,
-                    "j": p.j,
-                }
-            )
-            sequence += 1
+        rows = zip(section.pans.tolist(), section.tilts.tolist(), section.labels.tolist(),
+                   section.cells.tolist())
+        points = [
+            {"sequence": k, "pan_deg": pan, "tilt_deg": tilt, "label_m": label, "i": i, "j": j}
+            for k, (pan, tilt, label, (i, j)) in enumerate(rows, sequence)
+        ]
+        sequence += len(points)
         sections.append({"name": section.name, "kind": section.kind, "points": points})
     _write_text(path, _dump_json({"sections": sections}))
+
+
+def _cell_index(value) -> int:
+    """A plan cell index: a JSON integer that fits the plan's int64 cell array."""
+    index = int(value)  # first, so that an overflowing float keeps int()'s message
+    if type(value) is not int:
+        raise TypeError(f"cell index must be an integer, got {value!r}")
+    return int(np.int64(index))  # OverflowError past 64 bits
 
 
 # A label whose norm overflows is rejected by vec3 without numpy's warning.
@@ -374,26 +384,25 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
             raise FormatError(f"{context}: need 'name' and 'kind'")
         if not isinstance(entry.get("points", []), list):
             raise FormatError(f"{context}: 'points' must be a list")
-        name, points = str(entry["name"]), []
+        cells, shots = [], []
         for m, rec in enumerate(entry.get("points", [])):
             pcontext = f"{context}.points[{m}]"
             with _fields(pcontext):
                 shot = PanTilt(*_floats([rec["pan_deg"], rec["tilt_deg"]], 2, pcontext))
                 label = vec3(*_floats(rec["label_m"], 3, pcontext))
-                i, j = int(rec["i"]), int(rec["j"])
-            points.append(ScanPoint(shot.pan_deg, shot.tilt_deg, label, name, i, j))
-        sections.append(SectionPlan(name=name, kind=str(entry["kind"]), points=tuple(points)))
+                cells.append([_cell_index(rec["i"]), _cell_index(rec["j"])])
+            shots.append([shot.pan_deg, shot.tilt_deg, *label])
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        shots = np.array(shots, dtype=np.float64).reshape(-1, 5)  # pan, tilt, label x, y, z
+        pans, tilts, labels = shots[:, 0], shots[:, 1], shots[:, 2:]
+        sections.append(SectionPlan(str(entry["name"]), str(entry["kind"]), cells, pans, tilts, labels))
     return ScanPlan(sections=tuple(sections))
-
-
-def _float_fields(values) -> list[str]:
-    return [repr(float(v)) for v in values]
 
 
 def write_plan_csv(path: Union[str, Path], plan: ScanPlan) -> None:
     rows = [
-        [p.section, sequence, repr(p.pan_deg), repr(p.tilt_deg), *_float_fields(p.label)]
-        for sequence, p in enumerate(plan)
+        [name, sequence, repr(pan), repr(tilt), *map(repr, label)]
+        for sequence, (name, pan, tilt, label) in enumerate(_plan_rows(plan))
     ]
     header = ["section", "sequence", "pan_deg", "tilt_deg", "label_x_m", "label_y_m", "label_z_m"]
     _write_text(path, _csv_text(header, rows))
@@ -439,7 +448,8 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
 # Simulation reports and evaluation stats
 
 def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
-    shots = zip(report.plan, report.hits.tolist(), report.missed.tolist(), report.shot_errors)
+    columns = (report.hits.tolist(), report.missed.tolist(), report.shot_errors.tolist())
+    shots = enumerate(zip(_plan_rows(report.plan), *columns))
     payload = {
         "sections": [
             {
@@ -457,33 +467,34 @@ def write_report_json(path: Union[str, Path], report: SimulationReport) -> None:
         "images": [
             {
                 "sequence": sequence,
-                "section": p.section,
-                "pan_deg": p.pan_deg,
-                "tilt_deg": p.tilt_deg,
-                "label_m": [float(v) for v in p.label],
+                "section": name,
+                "pan_deg": pan,
+                "tilt_deg": tilt,
+                "label_m": label,
                 "hit_m": None if miss else hit,
                 "error_m": _finite_or_none(error),
                 "missed": miss,
             }
-            for sequence, (p, hit, miss, error) in enumerate(shots)
+            for sequence, ((name, pan, tilt, label), hit, miss, error) in shots
         ],
     }
     _write_text(path, _dump_json(payload))
 
 
 def write_report_csv(path: Union[str, Path], report: SimulationReport) -> None:
-    shots = zip(report.plan, report.hits.tolist(), report.missed.tolist(), report.shot_errors)
+    columns = (report.hits.tolist(), report.missed.tolist(), report.shot_errors.tolist())
+    shots = enumerate(zip(_plan_rows(report.plan), *columns))
     rows = [
         [
             sequence,
-            p.section,
-            repr(p.pan_deg),
-            repr(p.tilt_deg),
-            *_float_fields(p.label),
+            name,
+            repr(pan),
+            repr(tilt),
+            *map(repr, label),
             *(["", "", ""] if miss else map(repr, hit)),
-            "" if error is None else repr(error),
+            "" if miss else repr(error),
         ]
-        for sequence, (p, hit, miss, error) in enumerate(shots)
+        for sequence, ((name, pan, tilt, label), hit, miss, error) in shots
     ]
     header = ["sequence", "section", "pan_deg", "tilt_deg", "label_x_m", "label_y_m", "label_z_m"]
     header += ["hit_x_m", "hit_y_m", "hit_z_m", "error_m"]

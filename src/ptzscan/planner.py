@@ -14,18 +14,19 @@ The first present row, and the first present cell of each admitted row,
 are always selected: the reference values are initialized exactly one
 spacing away, which this implementation realizes as an explicit
 first-admission rather than trusting float cancellation to reproduce the
-equality.
+equality. A section's plan is its selected cells, with the pan, tilt and
+surface label of each read from the grids at those cells, as arrays.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from ptzscan.pantilt import PanTiltGrid
+from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.surface import (
     KIND_FUSELAGE,
     KIND_STABILISER,
@@ -40,7 +41,6 @@ __all__ = [
     "SECTION_SCAN_ORDER",
     "SectionMismatchWarning",
     "ScanConfig",
-    "ScanPoint",
     "SectionPlan",
     "ScanPlan",
     "plan_section",
@@ -81,38 +81,36 @@ class ScanConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ScanPoint:
-    """One commanded shot: pan/tilt, source cell indices, surface label."""
-
-    pan_deg: float
-    tilt_deg: float
-    label: np.ndarray
-    section: str
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
 class SectionPlan:
-    """Ordered scan points of one section."""
+    """One section's shots in scan order: the (k, 2) grid cells they aim
+    at, their (k,) pan and tilt commands in degrees, and their (k, 3)
+    surface labels. Indexing a shot gives its ``PanTilt`` command."""
 
     name: str
     kind: str
-    points: tuple[ScanPoint, ...]
+    cells: np.ndarray
+    pans: np.ndarray
+    tilts: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        k = len(self.cells)
+        shapes = (self.cells.shape, self.pans.shape, self.tilts.shape, self.labels.shape)
+        if shapes != ((k, 2), (k,), (k,), (k, 3)):
+            raise ValueError(f"cells, pans, tilts and labels {shapes} for {k} shots")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.cells)
+
+    def __getitem__(self, k: int) -> PanTilt:
+        return PanTilt(float(self.pans[k]), float(self.tilts[k]))
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Sections in scan order, each with its ordered points."""
+    """Sections in scan order, each with its ordered shots."""
 
     sections: tuple[SectionPlan, ...]
-
-    def __iter__(self) -> Iterator[ScanPoint]:
-        for section in self.sections:
-            yield from section.points
 
     def __len__(self) -> int:
         return sum(len(s) for s in self.sections)
@@ -132,8 +130,8 @@ def _select_cells(
     col_fov: float,
     valid: np.ndarray,
     lam: float,
-) -> list[tuple[int, int]]:
-    """Row-major cell selection.
+) -> np.ndarray:
+    """Row-major cell selection, as a (k, 2) array of (i, j) cells.
 
     ``row_channel`` drives row admission via its per-row median;
     ``col_channel`` drives cell admission within a row. Absent cells are
@@ -141,9 +139,6 @@ def _select_cells(
     last-row/last-cell rule admits a trailing gap larger than half a FOV.
     """
     present_rows = [i for i in range(valid.shape[0]) if valid[i].any()]
-    if not present_rows:
-        return []
-    last_row = present_rows[-1]
     selected: list[tuple[int, int]] = []
     m_last: Optional[float] = None  # None: first present row admits by construction
     for i in present_rows:
@@ -152,7 +147,7 @@ def _select_cells(
         admit_row = (
             m_last is None
             or abs(m_last - m_next) >= lam * row_fov
-            or (i == last_row and abs(m_last - m_next) > row_fov / 2.0)
+            or (i == present_rows[-1] and abs(m_last - m_next) > row_fov / 2.0)
         )
         if not admit_row:
             continue
@@ -169,13 +164,13 @@ def _select_cells(
             if admit_col:
                 selected.append((i, int(j)))
                 n_last = n_next
-    return selected
+    return np.array(selected, dtype=np.int64).reshape(-1, 2)
 
 
 def plan_section(
     u: PanTiltGrid, grid: SurfaceGrid, cfg: ScanConfig, kind: Optional[str] = None
-) -> list[ScanPoint]:
-    """Scan points for one section, in row-major selection order.
+) -> SectionPlan:
+    """The plan of one section, its cells in row-major selection order.
 
     Fuselage/tail sections space rows by tilt against VFOV and cells by pan
     against HFOV; wing/stabiliser sections exchange those roles. An
@@ -187,21 +182,8 @@ def plan_section(
         raise ValueError("pan-tilt and surface grids disagree on present cells")
     kind = grid.section.kind if kind is None else kind
     cells = _select_cells(*_roles(u, cfg, kind), u.valid, cfg.spacing_factor)
-    name = grid.section.name
-    points = []
-    for i, j in cells:
-        label = grid.cell(i, j)
-        points.append(
-            ScanPoint(
-                pan_deg=float(u.pans[i, j]),
-                tilt_deg=float(u.tilts[i, j]),
-                label=label,
-                section=name,
-                i=i,
-                j=j,
-            )
-        )
-    return points
+    i, j = cells.T
+    return SectionPlan(grid.section.name, kind, cells, u.pans[i, j], u.tilts[i, j], grid.points[i, j])
 
 
 def quadrant_half(quadrant: int) -> str:
@@ -233,8 +215,7 @@ def plan_full(
                 SectionMismatchWarning,
                 stacklevel=2,
             )
-        points = plan_section(u, grid, cfg, kind)
-        plans.append(SectionPlan(name=grid.section.name, kind=kind, points=tuple(points)))
+        plans.append(plan_section(u, grid, cfg, kind))
     return ScanPlan(sections=tuple(plans))
 
 

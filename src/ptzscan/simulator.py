@@ -15,11 +15,13 @@ refined by bisection, all brackets together; a ray that brackets no
 crossing, or whose bisection reaches a hole in the grid, is a miss.
 Footprints are boolean masks over the section's pan-tilt grid. A report
 is its plan plus the casts' hits and miss mask; its counts are derived.
+A plan runs only on the grids it was made from: each shot's cell must be
+present on its section's grid and hold the shot's label bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,7 +45,7 @@ from ptzscan.pantilt import (
     direction_from_pantilt,
     grid_to_pantilt,
 )
-from ptzscan.planner import ScanConfig, ScanPlan, plan_full
+from ptzscan.planner import ScanConfig, ScanPlan, SectionPlan, plan_full
 from ptzscan.surface import GRID_RESOLUTION, SurfaceGrid
 
 __all__ = [
@@ -75,23 +77,27 @@ class SectionReport:
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     """An executed plan, its sections' coverage, and each shot's hit (a NaN
-    row where ``missed``), in plan order. ``shot_errors`` holds each shot's
-    hit-to-label distance, None for a miss; every count derives from these."""
+    row where ``missed``), in plan order. Each shot's hit-to-label distance
+    (``shot_errors``, NaN for a miss), the counts and statistics derive from these."""
 
     plan: ScanPlan
     sections: tuple[SectionReport, ...]
     hits: np.ndarray
     missed: np.ndarray
+    shot_errors: np.ndarray = field(init=False)
+    label_error_median_m: float = field(init=False)
+    label_error_rmse_m: float = field(init=False)
 
     def __post_init__(self):
         n = len(self.plan)
         if self.hits.shape != (n, 3) or self.missed.shape != (n,):
             raise ValueError(f"hits {self.hits.shape} and missed {self.missed.shape} for {n} shots")
-        errors = [
-            None if miss else vector_norm(hit - point.label)
-            for point, hit, miss in zip(self.plan, self.hits, self.missed)
-        ]
-        object.__setattr__(self, "shot_errors", errors)
+        d = self.hits - np.concatenate([np.empty((0, 3)), *(s.labels for s in self.plan.sections)])
+        # A stacked matmul computes each row's d.dot(d) bit for bit as vector_norm does.
+        object.__setattr__(self, "shot_errors", np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()))
+        median, rmse = median_rmse(self.errors())
+        object.__setattr__(self, "label_error_median_m", median)
+        object.__setattr__(self, "label_error_rmse_m", rmse)
 
     @property
     def image_count(self) -> int:
@@ -102,15 +108,7 @@ class SimulationReport:
         return int(np.count_nonzero(self.missed))
 
     def errors(self) -> np.ndarray:
-        return np.array([e for e in self.shot_errors if e is not None])
-
-    @property
-    def label_error_median_m(self) -> float:
-        return median_rmse(self.errors())[0]
-
-    @property
-    def label_error_rmse_m(self) -> float:
-        return median_rmse(self.errors())[1]
+        return self.shot_errors[~self.missed]
 
 
 def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray:
@@ -266,6 +264,24 @@ def _overlap_ratio(a: np.ndarray, b: np.ndarray) -> float:
     return int(np.count_nonzero(a & b)) / min(na, nb)
 
 
+def _check_cells(section_plan: SectionPlan, grid: SurfaceGrid) -> None:
+    """A plan runs only on the grids it was made from: each shot's cell must
+    be a present cell of ``grid`` whose point is the shot's label, bit for bit."""
+    nr, nc = grid.shape
+    i, j = section_plan.cells.T
+    # Bounds are compared explicitly, since numpy would wrap a negative index.
+    ok, what = (0 <= i) & (i < nr) & (0 <= j) & (j < nc), f"is off the {nr}x{nc} grid"
+    if ok.all():
+        ok, what = grid.valid[i, j], "is absent from the grid"
+    if ok.all():
+        labels, points = section_plan.labels, grid.points[i, j]
+        ok = ((labels == points) & (np.signbit(labels) == np.signbit(points))).all(axis=1)
+        what = "holds another point than the label"
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"plan section {section_plan.name!r} point {k}: cell ({i[k]}, {j[k]}) {what}")
+
+
 def execute_plan(
     plan: ScanPlan,
     true_pose: CameraPose,
@@ -297,20 +313,18 @@ def execute_plan(
         grid = by_name.get(section_plan.name)
         if grid is None:
             raise ValueError(f"plan references unknown section {section_plan.name!r}")
+        _check_cells(section_plan, grid)
         u_true = grid_to_pantilt(grid, true_setup)
-        points = section_plan.points
         section_hits, section_missed = cast_to_surface(
             true_pose,
-            [point.pan_deg for point in points],
-            [point.tilt_deg for point in points],
+            section_plan.pans,
+            section_plan.tilts,
             alpha_true,
             cylinder if cylinder is not None else grid,
         )
         hits.append(section_hits)
         missed.append(section_missed)
-        footprints = [
-            footprint(u_true, PanTilt(point.pan_deg, point.tilt_deg), cfg) for point in points
-        ]
+        footprints = [footprint(u_true, shot, cfg) for shot in section_plan]
         covered = np.any(footprints, axis=0)
         present = int(grid.valid.sum())
         coverage = int(np.count_nonzero(covered)) / present if present else 0.0
@@ -320,7 +334,7 @@ def execute_plan(
         section_reports.append(
             SectionReport(
                 name=section_plan.name,
-                image_count=len(section_plan.points),
+                image_count=len(section_plan),
                 coverage=coverage,
                 overlaps=overlaps,
             )

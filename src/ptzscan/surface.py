@@ -149,14 +149,6 @@ class SurfaceGrid:
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
 
-    def cell(self, i: int, j: int) -> Optional[np.ndarray]:
-        """Surface point at (i, j), or None when outside the data hull."""
-        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
-            raise IndexError(f"cell ({i}, {j}) outside grid of shape {self.shape}")
-        if not self.valid[i, j]:
-            return None
-        return self.points[i, j].copy()
-
 
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Read an ASCII cloud: PLY when the first line is ``ply``, xyz text otherwise.

@@ -625,10 +625,19 @@ class TestStrictJsonInput:
              "sections[0].points[1]: pan -180.0 outside (-180, 180]"),
             (lambda plan: plan["sections"][0]["points"][1].update(tilt_deg=-1e300),
              "sections[0].points[1]: tilt -1e+300 outside [-90, 90]"),
+            (lambda plan: plan["sections"][0]["points"][1].update(i=2.9),
+             "sections[0].points[1]: cell index must be an integer, got 2.9"),
+            (lambda plan: plan["sections"][0]["points"][1].update(i=True),
+             "sections[0].points[1]: cell index must be an integer, got True"),
+            (lambda plan: plan["sections"][0]["points"][1].update(j=1e308),
+             "sections[0].points[1]: cell index must be an integer, got 1e+308"),
+            (lambda plan: plan["sections"][0]["points"][1].update(i=f"@{BIG_INT}"),
+             "sections[0].points[1]: Python int too large to convert"),
         ],
         ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label",
              "overflowing-pan", "overflowing-label", "label-norm-overflows", "huge-pan",
-             "pan-at-minus-180", "huge-tilt"],
+             "pan-at-minus-180", "huge-tilt", "fractional-index", "bool-index", "float-index",
+             "huge-int-index"],
     )
     def test_bad_plan_exits_parse_error(self, world, plan_path, tmp_path, capsys, edit, where):
         plan = json.loads(plan_path.read_text())
@@ -700,16 +709,68 @@ class TestStrictJsonInput:
         assert captured.out == ""
 
 
+class TestSimulatePlanFitsItsGrids:
+    """A plan runs only on the grids it was made from: a cell off the grid or
+    absent from it, or a label other than its cell's point, is a config error."""
+
+    def simulate(self, world, cloud_args, plan, out):
+        return main(
+            ["simulate", *cloud_args, "--plan", str(plan),
+             "--true-camera", str(world / "camera.json"),
+             "--estimated-camera", str(world / "camera.json"),
+             "--quadrant", "3", "--out", str(out)]
+        )
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda point: point.update(i=-1), r"point 1: cell \(-1, \d+\) is off the 37x41 grid"),
+            (lambda point: point.update(j=point["j"] - 1),
+             r"point 1: cell \(\d+, \d+\) holds another point than the label"),
+        ],
+        ids=["negative-index", "neighbouring-cell"],
+    )
+    def test_edited_cell_exits_config_error(
+        self, world, plan_path, tmp_path, capsys, edit, where
+    ):
+        plan = json.loads(plan_path.read_text())
+        edit(plan["sections"][0]["points"][1])
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(plan))
+        out = tmp_path / "r.json"
+        assert self.simulate(world, _base(world), bad, out) == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: category=config-error: plan section 'fuselage' ")
+        assert re.search(where, err)
+        assert not out.exists()
+
+    def test_plan_on_another_clouds_grids_exits_config_error(
+        self, world, plan_path, tmp_path, capsys
+    ):
+        # The plan's cloud with a corner cut away: its lattice keeps the
+        # plan's shape, and the cut cells are absent.
+        points = np.loadtxt(world / "cloud.xyz")
+        np.savetxt(tmp_path / "cut.xyz", points[(points[:, 0] < -0.9) | (points[:, 1] < 1.0)])
+        cloud_args = ["--cloud", str(tmp_path / "cut.xyz"), "--sections", str(world / "sections.json")]
+        out = tmp_path / "r.json"
+        assert self.simulate(world, cloud_args, plan_path, out) == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert re.search(r"category=config-error: .* is absent from the grid$", err)
+        assert not out.exists()
+
+
 def _around(*values):
     return [v for x in values for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
 
 
-# A plan field is set to one of these, or deleted.
+# A plan field is set to one of these, moved to its neighbouring value
+# (``NEIGHBOUR``: one more, as from a cell to the next), or deleted.
+NEIGHBOUR = object()
 PLAN_EDITS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e308]),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e308, -1, 2.9]),
     st.sampled_from(_around(180.0, -180.0, 90.0, -90.0)),
     st.sampled_from([10**400, "x", None, True, [1.0]]),
-    st.just(KeyError),
+    st.sampled_from([NEIGHBOUR, KeyError]),
 )
 PLAN_FIELDS = ["pan_deg", "tilt_deg", "label_m", "label_m", "label_m", "i", "j"]
 
@@ -745,10 +806,14 @@ class TestSimulatePlanEdits:
         target, key = record, field
         if field == "label_m":
             target, key = record["label_m"], data.draw(st.integers(0, 2))
+        old = target[key]
         if value is KeyError:
             del target[key]
         else:
-            target[key] = value
+            target[key] = old + 1 if value is NEIGHBOUR else value
+        # An index edit changes the plan unless it writes back the same int.
+        new = target.get(key) if field in ("i", "j") else None
+        index_changed = field in ("i", "j") and not (type(new) is int and new == old)
         with tempfile.TemporaryDirectory() as tmp:
             bad, out = Path(tmp) / "plan.json", Path(tmp) / "report.json"
             bad.write_text(json.dumps(plan))
@@ -767,6 +832,8 @@ class TestSimulatePlanEdits:
                 )
             assert not caught, [str(w.message) for w in caught]
             assert code in (0, 3, 4, 5), stderr.getvalue()
+            if index_changed:
+                assert code in (3, 4), (field, value)
             if code:
                 [line] = stderr.getvalue().splitlines()
                 assert line.startswith("error: category=")

@@ -34,7 +34,7 @@ from ptzscan.formats import (
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vector_norm
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTiltGrid
-from ptzscan.planner import ScanPlan, ScanPoint, SectionPlan
+from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import (
     SCENE_OBJECTS,
     DatasetManifest,
@@ -275,20 +275,16 @@ class TestGridCsv:
 
 
 def toy_plan():
-    points = tuple(
-        ScanPoint(
-            pan_deg=1.0 * k,
-            tilt_deg=-20.0 + 0.5 * k,
-            label=np.array([0.1 * k, 0.2 * k, 3.0]),
-            section="fuselage",
-            i=k,
-            j=2 * k,
-        )
-        for k in range(4)
+    k = np.arange(4)
+    section = SectionPlan(
+        name="fuselage",
+        kind="fuselage",
+        cells=np.column_stack([k, 2 * k]),
+        pans=1.0 * k,
+        tilts=-20.0 + 0.5 * k,
+        labels=np.column_stack([0.1 * k, 0.2 * k, np.full(4, 3.0)]),
     )
-    return ScanPlan(
-        sections=(SectionPlan(name="fuselage", kind="fuselage", points=points),)
-    )
+    return ScanPlan(sections=(section,))
 
 
 class TestPlanExports:
@@ -298,12 +294,10 @@ class TestPlanExports:
         write_plan_json(path, plan)
         back = read_plan_json(path)
         assert len(back) == len(plan)
-        assert back.sections[0].kind == "fuselage"
-        for orig, got in zip(plan, back):
-            assert got.pan_deg == orig.pan_deg
-            assert got.tilt_deg == orig.tilt_deg
-            assert (got.i, got.j) == (orig.i, orig.j)
-            np.testing.assert_array_equal(got.label, orig.label)
+        [orig], [got] = plan.sections, back.sections
+        assert (got.name, got.kind) == ("fuselage", "fuselage")
+        for field in ("cells", "pans", "tilts", "labels"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(orig, field))
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "plan.csv"
@@ -506,18 +500,18 @@ def _reference_report_texts(plan, sections, hits, missed):
     error, miss flag) and statistics over those records."""
     images = []
     for section in plan.sections:
-        for point in section.points:
+        for pan, tilt, label in zip(section.pans, section.tilts, section.labels):
             k = len(images)
             hit = None if missed[k] else hits[k]
             images.append(
                 {
                     "sequence": k,
                     "section": section.name,
-                    "pan_deg": point.pan_deg,
-                    "tilt_deg": point.tilt_deg,
-                    "label": point.label,
+                    "pan_deg": float(pan),
+                    "tilt_deg": float(tilt),
+                    "label": label,
                     "hit": hit,
-                    "error_m": None if hit is None else vector_norm(hit - point.label),
+                    "error_m": None if hit is None else vector_norm(hit - label),
                     "missed": bool(missed[k]),
                 }
             )
@@ -578,6 +572,49 @@ def _reference_report_texts(plan, sections, hits, missed):
 
 
 @st.composite
+def plans(draw):
+    """A plan of 0-3 sections with 0-4 shots each: int64 cells, in-range pans
+    and tilts, and labels whose norm is finite."""
+    index = st.integers(-(2**63), 2**63 - 1)
+    sections = []
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, 4))
+        sections.append(
+            SectionPlan(
+                name=draw(st.text(max_size=6)),
+                kind=draw(st.text(max_size=6)),
+                cells=np.array([[draw(index), draw(index)] for _ in range(k)], dtype=np.int64)
+                .reshape(k, 2),
+                pans=np.array([draw(within(-180.0, 180.0).filter(lambda v: v > -180.0))
+                               for _ in range(k)], dtype=np.float64),
+                tilts=np.array([draw(within(-90.0, 90.0)) for _ in range(k)], dtype=np.float64),
+                labels=np.array([[draw(within(-1e150, 1e150)) for _ in range(3)]
+                                 for _ in range(k)], dtype=np.float64).reshape(k, 3),
+            )
+        )
+    return ScanPlan(sections=tuple(sections))
+
+
+class TestPlanJsonRoundTrip:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(plans())
+    def test_arrays_and_bytes_survive(self, plan):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+            write_plan_json(first, plan)
+            back = read_plan_json(first)
+            write_plan_json(second, back)
+            assert second.read_bytes() == first.read_bytes()
+        assert [(s.name, s.kind) for s in back.sections] == [
+            (s.name, s.kind) for s in plan.sections
+        ]
+        for orig, got in zip(plan.sections, back.sections):
+            for field in ("cells", "pans", "tilts", "labels"):
+                a, b = getattr(orig, field), getattr(got, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@st.composite
 def reports(draw):
     """A plan of 0-3 sections with 0-4 shots each, its section reports, and
     hits with a NaN row on each drawn miss."""
@@ -585,16 +622,19 @@ def reports(draw):
                           max_size=3, unique=True))
     plan_sections, section_reports, hits, missed = [], [], [], []
     for name in names:
-        points = []
-        for k in range(draw(st.integers(0, 4))):
-            label = np.array([draw(anywhere) for _ in range(3)])
-            points.append(ScanPoint(draw(anywhere), draw(anywhere), label, name, k, 2 * k))
+        k = draw(st.integers(0, 4))
+        # Per shot: label x, y, z, pan, tilt.
+        shots = np.array([[draw(anywhere) for _ in range(5)] for _ in range(k)]).reshape(k, 5)
+        for _ in range(k):
             miss = draw(st.booleans())
             missed.append(miss)
             hits.append([math.nan] * 3 if miss else [draw(anywhere) for _ in range(3)])
-        plan_sections.append(SectionPlan(name=name, kind="fuselage", points=tuple(points)))
-        overlaps = tuple(draw(within(0.0, 1.0)) for _ in points[1:])
-        section_reports.append(SectionReport(name, len(points), draw(within(0.0, 1.0)), overlaps))
+        cells = np.column_stack([np.arange(k), 2 * np.arange(k)])
+        plan_sections.append(
+            SectionPlan(name, "fuselage", cells, shots[:, 3], shots[:, 4], shots[:, :3])
+        )
+        overlaps = tuple(draw(within(0.0, 1.0)) for _ in range(k - 1))
+        section_reports.append(SectionReport(name, k, draw(within(0.0, 1.0)), overlaps))
     plan = ScanPlan(sections=tuple(plan_sections))
     return (plan, tuple(section_reports), np.array(hits).reshape(len(missed), 3),
             np.array(missed, dtype=bool))
@@ -618,11 +658,15 @@ class TestReportWritersMatchPerImageRecords:
 
 class TestReportExports:
     def make_report(self):
-        points = (
-            ScanPoint(1.0, -20.0, np.array([0.0, 1.0, 3.0]), "fuselage", 0, 0),
-            ScanPoint(2.0, -20.0, np.array([0.0, 2.0, 3.0]), "fuselage", 0, 1),
+        section_plan = SectionPlan(
+            "fuselage",
+            "fuselage",
+            cells=np.array([[0, 0], [0, 1]]),
+            pans=np.array([1.0, 2.0]),
+            tilts=np.array([-20.0, -20.0]),
+            labels=np.array([[0.0, 1.0, 3.0], [0.0, 2.0, 3.0]]),
         )
-        plan = ScanPlan(sections=(SectionPlan("fuselage", "fuselage", points),))
+        plan = ScanPlan(sections=(section_plan,))
         section = SectionReport(
             name="fuselage", image_count=2, coverage=0.75, overlaps=(0.4,)
         )

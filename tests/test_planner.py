@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from ptzscan.geometry import vec3
+from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.pantilt import PanTiltGrid, QuadrantSetup, grid_to_pantilt
 from ptzscan.planner import (
     ScanConfig,
     ScanPlan,
     SectionMismatchWarning,
+    SectionPlan,
     estimate_image_count,
     plan_full,
     plan_section,
     quadrant_half,
 )
+from ptzscan.simulator import execute_plan
 from ptzscan.surface import PointCloud, SectionSpec, SurfaceGrid, interpolate_section
 
 
@@ -41,8 +43,8 @@ def make_pair(pans, tilts, kind="fuselage", name="fix", relevance="back-half"):
     return u, grid
 
 
-def selected_cells(points):
-    return [(p.i, p.j) for p in points]
+def selected_cells(plan):
+    return [tuple(cell) for cell in plan.cells.tolist()]
 
 
 class TestScanConfig:
@@ -94,7 +96,7 @@ class TestSingleRowTrace:
 
     def test_all_absent_is_empty(self):
         u, grid = make_pair(np.full((3, 3), np.nan), np.full((3, 3), np.nan))
-        assert plan_section(u, grid, ScanConfig()) == []
+        assert len(plan_section(u, grid, ScanConfig())) == 0
 
 
 class TestRowAdmission:
@@ -106,19 +108,19 @@ class TestRowAdmission:
         u, grid = make_pair(pans, tilts)
         cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.15)
         points = plan_section(u, grid, cfg)
-        admitted_rows = sorted({p.i for p in points})
+        admitted_rows = sorted(set(points.cells[:, 0].tolist()))
         assert admitted_rows == [0, 2, 4, 6, 8, 10]
 
     def test_last_row_supplementary_rule_admits(self):
         # Final gap 1.2 deg: below the 1.7 threshold, above VFOV/2 = 1.0.
         u, grid = make_pair(np.zeros((2, 1)), np.array([[0.0], [-1.2]]))
         cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.15)
-        assert sorted({p.i for p in plan_section(u, grid, cfg)}) == [0, 1]
+        assert sorted(set(plan_section(u, grid, cfg).cells[:, 0].tolist())) == [0, 1]
 
     def test_last_row_supplementary_rule_rejects_small_gap(self):
         u, grid = make_pair(np.zeros((2, 1)), np.array([[0.0], [-0.9]]))
         cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.15)
-        assert sorted({p.i for p in plan_section(u, grid, cfg)}) == [0]
+        assert sorted(set(plan_section(u, grid, cfg).cells[:, 0].tolist())) == [0]
 
     def test_last_column_supplementary_rule(self):
         cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.15)
@@ -133,7 +135,7 @@ class TestRowAdmission:
         pans = np.zeros_like(tilts)
         u, grid = make_pair(pans, tilts)
         cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.15)
-        assert sorted({p.i for p in plan_section(u, grid, cfg)}) == [0, 1]
+        assert sorted(set(plan_section(u, grid, cfg).cells[:, 0].tolist())) == [0, 1]
 
 
 class TestSpacingInvariant:
@@ -262,34 +264,43 @@ class TestPlanFull:
 
     def test_plan_iterates_all_points(self):
         plan = plan_full(self.make_sections(), ScanConfig(), quadrant=3)
-        assert len(list(plan)) == len(plan)
+        assert len([shot for section in plan.sections for shot in section]) == len(plan)
         assert isinstance(plan, ScanPlan)
 
 
 class TestAttachLabels:
-    """Planning attaches to each point the surface point of its (i, j) cell.
+    """Planning labels each shot with the surface point of its (i, j) cell.
 
-    An index off the grid, or on an absent cell, resolves to no label.
+    Executing a plan rejects a cell off the grid or absent from it.
     """
+
+    def run(self, plan, grid):
+        pose = CameraPose(vec3(-7.0, 0.0, 10.0), quat_from_yaw_pitch(20.0))
+        section = SectionPlan(grid.section.name, grid.section.kind, *plan)
+        execute_plan(ScanPlan((section,)), pose, pose, [grid], ScanConfig(), quadrant=3)
 
     def test_labels_match_cells(self):
         u, grid = make_pair(np.array([[0.0, 3.0]]), np.array([[-18.0, -17.0]]))
-        points = plan_section(u, grid, ScanConfig())
-        assert points
-        for p in points:
-            np.testing.assert_array_equal(p.label, grid.cell(p.i, p.j))
+        plan = plan_section(u, grid, ScanConfig(hfov_deg=2.0, vfov_deg=2.0))
+        assert len(plan) == 2
+        i, j = plan.cells[:, 0], plan.cells[:, 1]
+        assert plan.labels.tobytes() == grid.points[i, j].tobytes()
+        assert plan.pans.tobytes() == u.pans[i, j].tobytes()
+        assert plan.tilts.tobytes() == u.tilts[i, j].tobytes()
 
     def test_tampered_index_rejected(self):
         u, grid = make_pair(np.array([[0.0]]), np.array([[-18.0]]))
-        [point] = plan_section(u, grid, ScanConfig())
-        with pytest.raises(IndexError):
-            grid.cell(point.i + 5, point.j)
+        plan = plan_section(u, grid, ScanConfig())
+        for cell in [(5, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match=r"point 0: cell \(.*\) is off the 1x1 grid"):
+                self.run((np.array([cell]), plan.pans, plan.tilts, plan.labels), grid)
 
     def test_absent_cell_rejected(self):
         u, grid = make_pair(np.array([[0.0, np.nan]]), np.array([[-18.0, np.nan]]))
-        [point] = plan_section(u, grid, ScanConfig())
-        assert (point.i, point.j) == (0, 0)
-        assert grid.cell(point.i, point.j + 1) is None
+        plan = plan_section(u, grid, ScanConfig())
+        assert plan.cells.tolist() == [[0, 0]]
+        with pytest.raises(ValueError, match=r"cell \(0, 1\) is absent from the grid"):
+            self.run((plan.cells + [0, 1], plan.pans, plan.tilts, plan.labels), grid)
 
     def test_cylinder_plan_labels_on_surface(self):
         # End to end on an interpolated arc: every selected label obeys the
@@ -308,9 +319,8 @@ class TestAttachLabels:
         u = grid_to_pantilt(grid, setup)
         points = plan_section(u, grid, ScanConfig())
         assert len(points) > 3
-        for p in points:
-            residual = p.label[0] ** 2 + (p.label[2] - h0) ** 2 - r0**2
-            assert abs(residual) < 2 * r0 * 1e-3
+        residual = points.labels[:, 0] ** 2 + (points.labels[:, 2] - h0) ** 2 - r0**2
+        assert np.abs(residual).max() < 2 * r0 * 1e-3
 
 
 class TestAlignmentValidation:

@@ -1,5 +1,6 @@
 """Tests for virtual-PTZ plan execution: footprints, casting, reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -439,14 +440,21 @@ class TestBatchedCastMatchesReference:
             return _grid_offset(grid, pts)
 
         monkeypatch.setattr(simulator, "_grid_offset", counting)
-        pans = [p.pan_deg for p in cyl_plan]
-        tilts = [p.tilt_deg for p in cyl_plan]
+        [section] = cyl_plan.sections
+        pans, tilts = section.pans.tolist(), section.tilts.tolist()
         hits, missed = cast_to_surface(true_pose, pans, tilts, 0.0, cyl_grid)
         assert 1 < len(calls) < 61
         assert not missed.any()
         for row, pan, tilt in zip(hits, pans, tilts):
             expected = _reference_cast(Ray(CAMERA, direction_from_pantilt(pan, tilt)), cyl_grid)
             assert row.tobytes() == expected.tobytes()
+
+
+def _with_first(array, row):
+    """A copy of ``array`` whose first row is ``row``."""
+    out = array.copy()
+    out[0] = row
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +503,12 @@ class TestExecutePlan:
         rep = execute_plan(empty, true_pose, true_pose, [cyl_grid], cfg, QUADRANT)
         assert rep.image_count == 0 and rep.sections == ()
         zero_shots = ScanPlan(
-            sections=(SectionPlan(name="fuselage", kind=KIND_FUSELAGE, points=()),)
+            sections=(
+                SectionPlan(
+                    "fuselage", KIND_FUSELAGE, np.empty((0, 2), dtype=int), np.empty(0),
+                    np.empty(0), np.empty((0, 3)),
+                ),
+            )
         )
         rep2 = execute_plan(zero_shots, true_pose, true_pose, [cyl_grid], cfg, QUADRANT)
         assert rep2.sections[0].coverage == 0.0
@@ -504,7 +517,7 @@ class TestExecutePlan:
     def test_hits_and_missed_follow_the_plan(self, report, cyl_plan):
         assert report.plan is cyl_plan
         assert report.hits.shape == (len(cyl_plan), 3) and report.missed.dtype == bool
-        assert report.shot_errors == report.errors().tolist()
+        assert report.shot_errors.tobytes() == report.errors().tobytes()
 
     @pytest.mark.parametrize(
         "edit",
@@ -527,6 +540,28 @@ class TestExecutePlan:
         other = cylinder_surface_grid(-1.0, 0.0, 0.0, 1.0, step=0.05, name="other")
         with pytest.raises(ValueError, match="unknown section"):
             execute_plan(cyl_plan, true_pose, true_pose, [other], cfg, QUADRANT)
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda cells, labels: (_with_first(cells, cells[0] + [0, 1]), labels),
+             r"point 0: cell \(\d+, \d+\) holds another point than the label"),
+            (lambda cells, labels: (cells, _with_first(labels, np.nextafter(labels[0], np.inf))),
+             "point 0: .* holds another point than the label"),
+            # Equal in value, but not bit for bit: the first column's y is 0.0.
+            (lambda cells, labels: (cells, np.where(labels == 0.0, -0.0, labels)),
+             "point 0: .* holds another point than the label"),
+        ],
+        ids=["neighbouring-cell", "label-one-ulp-off", "label-negative-zero"],
+    )
+    def test_plan_that_does_not_fit_its_grid_raises(
+        self, cyl_plan, true_pose, cyl_grid, cfg, edit, where
+    ):
+        [section] = cyl_plan.sections
+        cells, labels = edit(section.cells, section.labels)
+        edited = dataclasses.replace(section, cells=cells, labels=labels)
+        with pytest.raises(ValueError, match=where):
+            execute_plan(ScanPlan((edited,)), true_pose, true_pose, [cyl_grid], cfg, QUADRANT)
 
     def test_deterministic_given_same_inputs(self, cyl_plan, true_pose, cyl_grid, cfg):
         cyl = CylinderModel(axis_height=H0, radius=R0)

@@ -16,7 +16,6 @@ from ptzscan.surface import (
     PointCloud,
     PointCloudParseError,
     SectionSpec,
-    SurfaceGrid,
     interpolate_section,
     load_point_cloud,
     section_points,
@@ -323,7 +322,7 @@ class TestInterpolateSection:
         i = int(np.argmin(np.abs(grid.row_values - 0.9)))
         j = int(np.argmin(np.abs(grid.col_values - 0.9)))
         assert not grid.valid[i, j]
-        assert grid.cell(i, j) is None
+        assert np.isnan(grid.points[i, j]).all()
 
     def test_no_overshoot(self):
         rng = np.random.default_rng(13)
@@ -429,31 +428,3 @@ class TestInterpolateSection:
         )
         grid = interpolate_section(PointCloud(pts), make_spec())
         assert grid.valid.any()
-
-
-class TestGridCell:
-    @pytest.fixture
-    def grid(self) -> SurfaceGrid:
-        rng = np.random.default_rng(31)
-        xy = rng.uniform(0, 1, size=(100, 2))
-        z = xy[:, 0] + 2 * xy[:, 1]
-        return interpolate_section(PointCloud(np.column_stack([xy, z])), make_spec())
-
-    def test_valid_cell_returns_point(self, grid):
-        i, j = grid.shape[0] // 2, grid.shape[1] // 2
-        assert grid.valid[i, j]
-        cell = grid.cell(i, j)
-        np.testing.assert_allclose(cell[0], grid.row_values[i], atol=1e-12)
-        np.testing.assert_allclose(cell[1], grid.col_values[j], atol=1e-12)
-
-    def test_out_of_range_raises(self, grid):
-        with pytest.raises(IndexError):
-            grid.cell(grid.shape[0], 0)
-        with pytest.raises(IndexError):
-            grid.cell(-1, 0)
-
-    def test_cell_copy_is_isolated(self, grid):
-        i, j = grid.shape[0] // 2, grid.shape[1] // 2
-        cell = grid.cell(i, j)
-        cell[0] = 999.0
-        assert grid.points[i, j, 0] != 999.0
