@@ -122,11 +122,7 @@ def _build_grids(cloud_path, sections_path):
     if not specs:
         raise CliError(EXIT_CONFIG, f"{sections_path}: no sections defined")
     cloud = load_point_cloud(cloud_path)
-    grids = []
-    for spec in specs:
-        sub = section_points(cloud, spec)
-        grids.append(interpolate_section(sub, spec))
-    return grids
+    return [interpolate_section(section_points(cloud, spec), spec) for spec in specs]
 
 
 def _parse_cylinder(text: str) -> CylinderModel:

@@ -131,6 +131,8 @@ def _fields(context: str):
 
 def _floats(values, n, context) -> list[float]:
     try:
+        if any(isinstance(v, bool) for v in values):  # float() would read true as 1.0
+            raise TypeError("a boolean is not a number")
         out = [float(v) for v in values]
     except (OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{context}: expected numbers, got {values!r}") from exc
@@ -306,9 +308,7 @@ def read_boundary_config(path: Union[str, Path]) -> DeploymentBoundary:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -417,11 +417,7 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
             "generator": manifest.generator,
             "seed": manifest.seed,
             "hfov_deg": manifest.hfov_deg,
-            "sizes": {
-                "train": manifest.sizes.train,
-                "val": manifest.sizes.val,
-                "test": manifest.sizes.test,
-            },
+            "sizes": {name: getattr(manifest.sizes, name) for name in ("train", "val", "test")},
             "boundary": _boundary_to_record(manifest.boundary),
         },
         "samples": [0] if len(manifest.draws) else [],

@@ -259,10 +259,7 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
 
     # Numerically stable pair of roots.
     sq = math.sqrt(disc)
-    if b >= 0.0:
-        qv = -0.5 * (b + sq)
-    else:
-        qv = -0.5 * (b - sq)
+    qv = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
     roots = sorted((qv / a, c / qv)) if qv != 0.0 else sorted((0.0, -b / a))
 
     for t in roots:

@@ -80,11 +80,8 @@ class QuadrantSetup:
             raise ValueError(f"quadrant must be 1..4, got {self.quadrant}")
         if not math.isfinite(self.estimated_yaw_deg):
             raise ValueError("estimated yaw must be finite")
-        object.__setattr__(
-            self,
-            "camera_position",
-            vec3(*np.asarray(self.camera_position, dtype=np.float64)),
-        )
+        position = vec3(*np.asarray(self.camera_position, dtype=np.float64))
+        object.__setattr__(self, "camera_position", position)
 
     @property
     def pan_offset_deg(self) -> float:

@@ -236,8 +236,7 @@ def estimate_image_count(
         raise ValueError(f"unknown section kind {kind!r}")
     row_channel, col_channel, row_fov, col_fov = _roles(u, cfg, kind)
     lam = cfg.spacing_factor
-    medians = []
-    spans = []
+    medians, spans = [], []
     for i in range(u.shape[0]):
         present = u.valid[i]
         if not present.any():

@@ -105,17 +105,13 @@ class DeploymentBoundary:
 
     @property
     def yaw_range_deg(self) -> tuple[float, float]:
-        return (
-            self.nominal_pan_deg - self.yaw_window_deg,
-            self.nominal_pan_deg + self.yaw_window_deg,
-        )
+        pan, window = self.nominal_pan_deg, self.yaw_window_deg
+        return (pan - window, pan + window)
 
     @property
     def tilt_range_deg(self) -> tuple[float, float]:
-        return (
-            self.tilt_center_deg - self.tilt_tolerance_deg,
-            self.tilt_center_deg + self.tilt_tolerance_deg,
-        )
+        tilt, tolerance = self.tilt_center_deg, self.tilt_tolerance_deg
+        return (tilt - tolerance, tilt + tolerance)
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,11 @@ def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fc = (b - grid.col_values[0]) / GRID_RESOLUTION
     nr, nc = grid.shape
     out = np.full(fr.shape, np.nan)
-    i0 = np.floor(fr).astype(int)
-    j0 = np.floor(fc).astype(int)
     # Boundary queries use the nearest interior cell; the half-cell margin
     # extrapolates the edge patches so rays aimed exactly at the lattice
     # rim still produce a bracketable crossing instead of a NaN gap.
-    i0 = np.clip(i0, 0, max(nr - 2, 0))
-    j0 = np.clip(j0, 0, max(nc - 2, 0))
+    i0 = np.clip(np.floor(fr).astype(int), 0, max(nr - 2, 0))
+    j0 = np.clip(np.floor(fc).astype(int), 0, max(nc - 2, 0))
     ok = (fr >= -0.5) & (fr <= nr - 0.5) & (fc >= -0.5) & (fc <= nc - 0.5)
     if nr < 2 or nc < 2 or not ok.any():
         return out
@@ -165,8 +163,7 @@ def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         + grid.points[i0k, j0k + 1, vi] * (1 - wa) * wb
         + grid.points[i0k + 1, j0k + 1, vi] * wa * wb
     )
-    vals = np.where(corners_ok, vals, np.nan)
-    out[ok] = vals
+    out[ok] = np.where(corners_ok, vals, np.nan)
     return out
 
 
@@ -265,8 +262,12 @@ def _overlap_ratio(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_cells(section_plan: SectionPlan, grid: SurfaceGrid) -> None:
-    """A plan runs only on the grids it was made from: each shot's cell must
-    be a present cell of ``grid`` whose point is the shot's label, bit for bit."""
+    """A plan runs only on the grids it was made from: the section's kind must
+    be its grid's, and each shot's cell a present cell of ``grid`` whose point
+    is the shot's label, bit for bit."""
+    if section_plan.kind != grid.section.kind:
+        raise ValueError(f"plan section {section_plan.name!r} has kind {section_plan.kind!r}, "
+                         f"its grid {grid.section.kind!r}")
     nr, nc = grid.shape
     i, j = section_plan.cells.T
     # Bounds are compared explicitly, since numpy would wrap a negative index.
@@ -309,10 +310,13 @@ def execute_plan(
     hits: list[np.ndarray] = [np.empty((0, 3))]
     missed: list[np.ndarray] = [np.zeros(0, dtype=bool)]
     section_reports: list[SectionReport] = []
+    names = [s.name for s in plan.sections]
     for section_plan in plan.sections:
         grid = by_name.get(section_plan.name)
         if grid is None:
             raise ValueError(f"plan references unknown section {section_plan.name!r}")
+        if names.count(section_plan.name) > 1:
+            raise ValueError(f"plan lists section {section_plan.name!r} more than once")
         _check_cells(section_plan, grid)
         u_true = grid_to_pantilt(grid, true_setup)
         section_hits, section_missed = cast_to_surface(
@@ -401,8 +405,7 @@ def error_propagation(
     draws: list[PropagationDraw] = []
     errors: list[np.ndarray] = []
     for k in range(n_draws):
-        estimate = noisy_oracle(true_pose, sigma_pos_m, sigma_yaw_deg, seed=int(draw_seeds[k]))
-        est_pose = estimate.pose
+        est_pose = noisy_oracle(true_pose, sigma_pos_m, sigma_yaw_deg, seed=int(draw_seeds[k])).pose
         est_setup = QuadrantSetup(
             quadrant, yaw_from_quaternion(est_pose.orientation), est_pose.position
         )
@@ -429,11 +432,10 @@ def error_propagation(
                 missed_count=report.missed_count,
             )
         )
-    all_errors = np.concatenate(errors) if errors else np.empty(0)
     return PropagationStudy(
         seed=seed,
         sigma_pos_m=sigma_pos_m,
         sigma_yaw_deg=sigma_yaw_deg,
         draws=tuple(draws),
-        all_errors_m=all_errors,
+        all_errors_m=np.concatenate(errors),  # n_draws >= 1
     )

@@ -12,6 +12,13 @@ Grid rows share one row coordinate (x, or z for the tail) and columns share
 one y value; lattice points outside the convex hull of the section's data
 are marked invalid. Input points are sorted and de-duplicated before
 triangulation so repeated runs are bit-identical regardless of file order.
+
+Each simplex's barycentric transform is a 2x2 LU solve that SciPy runs
+through LAPACK one simplex at a time; ``_barycentric_transforms`` runs it in
+numpy with the bundled OpenBLAS arithmetic, bit for bit, and leaves rows it
+cannot vouch for to SciPy. SciPy has no public way to supply a transform, so
+it goes in through ``Delaunay._transform``, the private cache the
+interpolator reads; ``tests/test_surface.py`` fails loudly if that changes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -161,16 +169,13 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     path = Path(path)
     try:
         skip, count = _ply_header(path)
-        # Bulk parse; a body it rejects (comments, a bad line, no rows) goes to the line loop.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                points = np.loadtxt(
-                    path, dtype=np.float64, comments=None, skiprows=skip,
-                    usecols=(0, 1, 2), ndmin=2, encoding="utf-8",
-                )
-        except ValueError:
-            points = np.empty((0, 3))
+        # Bulk parse; a body it rejects is parsed again without its comment
+        # lines, and one still rejected (a bad line, no rows) goes to the line loop.
+        points = _loadtxt(path, skip)
+        if not len(points):
+            with open(path, "r", encoding="utf-8") as fh:
+                body = islice(fh, skip, None)
+                points = _loadtxt(line for line in body if not line.lstrip().startswith("#"))
         if not len(points):
             points = _parse_rows(path, skip)
     except UnicodeDecodeError as exc:
@@ -180,6 +185,17 @@ def load_point_cloud(path: str | Path) -> PointCloud:
             f"{path}: header declares {count} vertices, body has {len(points)}"
         )
     return PointCloud(points)
+
+
+def _loadtxt(source, skip: int = 0) -> np.ndarray:
+    """The first three values of each row, or no rows where np.loadtxt rejects the body."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(source, dtype=np.float64, comments=None, skiprows=skip,
+                              usecols=(0, 1, 2), ndmin=2, encoding="utf-8")
+    except ValueError:
+        return np.empty((0, 3))
 
 
 def _ply_header(path: Path) -> tuple[int, Optional[int]]:
@@ -281,14 +297,18 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         )
     # Imported on first use: only the commands that interpolate load SciPy.
     from scipy.interpolate import LinearNDInterpolator
-    from scipy.spatial import QhullError
+    from scipy.spatial import Delaunay, QhullError
+    from scipy.spatial._qhull import _get_barycentric_transforms
 
     try:
-        interp = LinearNDInterpolator(proj, pts[:, spec.value_axis])
+        tri = Delaunay(proj)
     except QhullError as exc:
-        raise DegenerateSectionError(
-            f"section {spec.name!r}: triangulation failed ({exc})"
-        ) from exc
+        raise DegenerateSectionError(f"section {spec.name!r}: triangulation failed ({exc})") from exc
+    # SciPy's own transform, bit for bit, set where the interpolator reads it.
+    transform, unsure = _barycentric_transforms(tri.points, tri.simplices)
+    transform[unsure] = _get_barycentric_transforms(tri.points, tri.simplices[unsure], _EPS)
+    tri._transform = transform
+    interp = LinearNDInterpolator(tri, pts[:, spec.value_axis])
 
     rows, cols = pts[:, spec.row_axis], pts[:, 1]
     row_values = _lattice(rows.min(), rows.max(), GRID_RESOLUTION)
@@ -301,11 +321,92 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     valid = np.isfinite(interpolated)
     points[..., spec.value_axis] = interpolated
     points[~valid] = np.nan
-    return SurfaceGrid(
-        section=spec,
-        row_values=row_values,
-        col_values=col_values,
-        points=points,
-        valid=valid,
-    )
+    return SurfaceGrid(spec, row_values, col_values, points, valid)
 
+
+# Delaunay.transform's tolerance: SciPy's routine gives a simplex whose
+# LAPACK-estimated reciprocal condition number is under 1000 * _EPS a NaN
+# transform. That estimate never falls below the true value, so a row whose
+# true value clears 16 times the limit is one SciPy solves; the rest are
+# left to SciPy.
+_EPS = float(np.finfo(np.float64).eps)
+_RCOND_SURE = 16 * 1000 * _EPS
+
+
+def _two_sum(a, b):
+    """``a + b`` rounded, and its exact rounding error (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 significant bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@np.errstate(all="ignore")  # elements outside the exact range are flagged, not warned about
+def _fma(a, b, c):
+    """Elementwise ``a * b + c`` rounded once, and where that is guaranteed.
+
+    Boldo and Melquiond's emulation of a fused multiply-add: Dekker's exact
+    product p + e = a * b, Knuth's exact sum s + t = c + p, then t + e
+    rounded to odd, so that adding it to s rounds only once. Every step is
+    exact while |a|, |b| and |c| stay under 2**900 and a * b is zero or at
+    least 2**-900 in magnitude; the second array marks those elements.
+    """
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    s, t = _two_sum(c, p)
+    v, w = _two_sum(t, e)
+    # Round to odd: an inexact v whose last bit is even steps one ulp towards w.
+    even = v.view(np.int64) & 1 == 0
+    v = np.where((w != 0) & even, np.nextafter(v, np.copysign(np.inf, w)), v)
+    big = 2.0**900
+    exact = (abs(a) < big) & (abs(b) < big) & (abs(c) < big)
+    exact &= (a == 0) | (b == 0) | (abs(p) >= 1.0 / big)
+    return np.where(v == 0, s, s + v), exact  # s, not s + 0, keeps an exact -0
+
+
+@np.errstate(all="ignore")  # a singular or non-finite row is flagged, not warned about
+def _barycentric_transforms(points: np.ndarray, simplices: np.ndarray):
+    """``Delaunay.transform`` of 2D simplices, bit for bit, and the rows left to SciPy.
+
+    Row k of each (3, 2) block is column k of A^-1, where A has rows
+    e0 = p0 - p2 and e1 = p1 - p2 (SciPy's T, which Fortran sees
+    transposed); row 2 is p2. SciPy gets A^-1 from LAPACK's dgetrf and
+    dgetrs, which the bundled OpenBLAS runs as: swap the rows only when
+    |e1x| > |e0x|, then with pivot row (a, b) and other row (c, d),
+    l = c * (1/a) and u22 = d - l * b; each column (B0, B1) of the
+    row-permuted identity gives x1 = (B1 - l * B0) * (1/u22) and
+    x0 = fma(-b, x1, B0) * (1/a). The second array marks rows this cannot
+    vouch for: not finite, a reciprocal condition number within a factor
+    of 16 of SciPy's limit, or fma operands outside ``_fma``'s exact range.
+    """
+    v = points[simplices]
+    r = v[:, 2]
+    e0, e1 = v[:, 0] - r, v[:, 1] - r
+    swap = abs(e1[:, 0]) > abs(e0[:, 0])
+    (a, b), (c, d) = np.where(swap, e1.T, e0.T), np.where(swap, e0.T, e1.T)
+    out = np.empty((len(r), 3, 2))
+    out[:, 2] = r
+    inv_a = 1.0 / a
+    l = c * inv_a
+    u22 = d - l * b
+    inv_u22 = 1.0 / u22
+    sure = np.ones(len(r), dtype=bool)
+    for k, b0 in enumerate((np.where(swap, 0.0, 1.0), np.where(swap, 1.0, 0.0))):
+        x1 = ((1.0 - b0) - l * b0) * inv_u22
+        x0, exact = _fma(-b, x1, b0)
+        out[:, k] = np.column_stack([x0 * inv_a, x1])
+        sure &= exact
+    # The 1-norm reciprocal condition number of a 2x2 A is
+    # |det A| / (||A||_1 ||A||_inf), with det A = a * u22; taken as two
+    # ratios, it neither overflows nor underflows where it matters.
+    norm_1 = np.maximum(abs(e0[:, 0]) + abs(e1[:, 0]), abs(e0[:, 1]) + abs(e1[:, 1]))
+    norm_inf = np.maximum(abs(e0).sum(axis=1), abs(e1).sum(axis=1))
+    sure &= abs(a) / norm_1 * (abs(u22) / norm_inf) >= _RCOND_SURE
+    return out, ~(sure & np.isfinite(out).all(axis=(1, 2)))

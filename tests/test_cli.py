@@ -633,11 +633,17 @@ class TestStrictJsonInput:
              "sections[0].points[1]: cell index must be an integer, got 1e+308"),
             (lambda plan: plan["sections"][0]["points"][1].update(i=f"@{BIG_INT}"),
              "sections[0].points[1]: Python int too large to convert"),
+            (lambda plan: plan["sections"][0]["points"][1].update(pan_deg=True),
+             "sections[0].points[1]: expected numbers, got [True, "),
+            (lambda plan: plan["sections"][0]["points"][1].update(tilt_deg=False),
+             "sections[0].points[1]: expected numbers, got ["),
+            (lambda plan: plan["sections"][0]["points"][1]["label_m"].__setitem__(1, False),
+             "sections[0].points[1]: expected numbers, got ["),
         ],
         ids=["points-not-a-list", "nan-pan", "overflowing-index", "huge-int-label",
              "overflowing-pan", "overflowing-label", "label-norm-overflows", "huge-pan",
              "pan-at-minus-180", "huge-tilt", "fractional-index", "bool-index", "float-index",
-             "huge-int-index"],
+             "huge-int-index", "bool-pan", "bool-tilt", "bool-label"],
     )
     def test_bad_plan_exits_parse_error(self, world, plan_path, tmp_path, capsys, edit, where):
         plan = json.loads(plan_path.read_text())
@@ -659,8 +665,9 @@ class TestStrictJsonInput:
     @pytest.mark.parametrize(
         "field, value, where",
         [("quadrant", f"@{BIG_FLOAT}", "cannot convert float infinity"),
-         ("tilt_center_deg", "@-Infinity", "invalid JSON (non-finite number -Infinity)")],
-        ids=["overflowing-quadrant", "infinite-tilt"],
+         ("tilt_center_deg", "@-Infinity", "invalid JSON (non-finite number -Infinity)"),
+         ("x_range_m", [-10.5, True], "expected numbers, got [-10.5, True]")],
+        ids=["overflowing-quadrant", "infinite-tilt", "bool-range-end"],
     )
     def test_bad_boundary_exits_parse_error(self, world, tmp_path, capsys, field, value, where):
         bad = tmp_path / "boundary.json"
@@ -683,6 +690,17 @@ class TestStrictJsonInput:
         [err] = capsys.readouterr().err.splitlines()
         assert f"category=parse-error: {bad}: sections[0]: expected numbers" in err
 
+    def test_bool_section_corner_exits_parse_error(self, world, tmp_path, capsys):
+        bad = tmp_path / "sections.json"
+        config = json.loads((world / "sections.json").read_text())
+        config["sections"][0]["box_min_m"][2] = False
+        bad.write_text(json.dumps(config))
+        code = main(["interpolate", "--cloud", str(world / "cloud.xyz"), "--sections", str(bad),
+                     "--out", str(tmp_path / "grids")])
+        assert code == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert f"category=parse-error: {bad}: sections[0]: expected numbers, got [-1.9, -0.1, False]" in err
+
     @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
     @pytest.mark.parametrize(
         "edit, where",
@@ -693,8 +711,12 @@ class TestStrictJsonInput:
             (lambda r: r.update(weights={"s_x": f"@{BIG_INT}"}),
              "weights: int too large to convert to float"),
             (lambda r: r["true"].update(position_m=[f"@{BIG_INT}", 0, 6]), "true: expected numbers"),
+            (lambda r: r["true"]["quaternion_wxyz"].__setitem__(0, True), "true: expected numbers, got [True, "),
+            (lambda r: r["predicted"].update(position_m=[0, True, 6]),
+             "predicted: expected numbers, got [0, True, 6]"),
         ],
-        ids=["nan-anywhere", "infinite-pitch", "huge-int-weight", "huge-int-position"],
+        ids=["nan-anywhere", "infinite-pitch", "huge-int-weight", "huge-int-position",
+             "bool-quaternion", "bool-position"],
     )
     def test_bad_batch_line_exits_parse_error(self, world, tmp_path, capsys, command, edit, where):
         lines = (world / "batch.jsonl").read_text().splitlines()
@@ -758,6 +780,31 @@ class TestSimulatePlanFitsItsGrids:
         assert re.search(r"category=config-error: .* is absent from the grid$", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda sections: sections.append(sections[0]),
+             "plan lists section 'fuselage' more than once"),
+            (lambda sections: sections[0].update(kind="wing"),
+             "plan section 'fuselage' has kind 'wing', its grid 'fuselage'"),
+            (lambda sections: sections[0].update(kind="hull"),
+             "plan section 'fuselage' has kind 'hull', its grid 'fuselage'"),
+        ],
+        ids=["section-twice", "other-kind", "unknown-kind"],
+    )
+    def test_section_that_does_not_match_its_grid_exits_config_error(
+        self, world, plan_path, tmp_path, capsys, edit, where
+    ):
+        plan = json.loads(plan_path.read_text())
+        edit(plan["sections"])
+        bad = tmp_path / "plan.json"
+        bad.write_text(json.dumps(plan))
+        out = tmp_path / "r.json"
+        assert self.simulate(world, _base(world), bad, out) == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: category=config-error: {where}"
+        assert not out.exists()
+
 
 def _around(*values):
     return [v for x in values for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
@@ -769,7 +816,7 @@ NEIGHBOUR = object()
 PLAN_EDITS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e308, -1, 2.9]),
     st.sampled_from(_around(180.0, -180.0, 90.0, -90.0)),
-    st.sampled_from([10**400, "x", None, True, [1.0]]),
+    st.sampled_from([10**400, "x", None, True, False, [1.0]]),
     st.sampled_from([NEIGHBOUR, KeyError]),
 )
 PLAN_FIELDS = ["pan_deg", "tilt_deg", "label_m", "label_m", "label_m", "i", "j"]
@@ -834,6 +881,8 @@ class TestSimulatePlanEdits:
             assert code in (0, 3, 4, 5), stderr.getvalue()
             if index_changed:
                 assert code in (3, 4), (field, value)
+            if type(value) is bool:  # JSON true and false are not numbers
+                assert code == 3, (field, value)
             if code:
                 [line] = stderr.getvalue().splitlines()
                 assert line.startswith("error: category=")

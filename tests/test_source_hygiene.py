@@ -4,7 +4,9 @@ Every imported name must be used, and every ``__all__`` entry must name
 something the module defines or imports. ``__init__.py`` imports purely to
 re-export, so only its ``__all__`` (if any) is checked. SciPy may only be
 imported inside a function, so commands that never interpolate skip its
-import cost. Every public name (``__all__`` entries and public methods)
+import cost, and only ``surface`` may touch SciPy's private names
+(``scipy.spatial._qhull``, ``Delaunay._transform``), so a SciPy upgrade has
+one module to check. Every public name (``__all__`` entries and public methods)
 must have a caller outside the unit tests: the package itself, the demos,
 the benchmark or the acceptance suite. The package namespace is the
 ``__all__`` of every module but ``formats`` and ``cli``, and no name is in
@@ -162,6 +164,49 @@ def test_scipy_is_not_imported_at_module_level(path):
         if module.split(".")[0] == "scipy"
     )
     assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"
+
+
+# Modules that may touch SciPy's private names: the one place to check when
+# SciPy is upgraded.
+SCIPY_PRIVATE_ALLOWED = {"surface.py"}
+SCIPY_PRIVATE_ATTRIBUTES = {"_transform"}
+
+
+def _scipy_private_uses(tree: ast.Module) -> list[int]:
+    """Lines that import a private SciPy module or name, or touch one of
+    ``SCIPY_PRIVATE_ATTRIBUTES`` (e.g. ``Delaunay._transform``)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            names = [node.module, *(a.name for a in node.names)]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr] if node.attr in SCIPY_PRIVATE_ATTRIBUTES else []
+        else:
+            continue
+        if any(part.startswith("_") for name in names for part in name.split(".")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scipy_private_uses_finder():
+    tree = ast.parse(
+        "import scipy.spatial\n"
+        "from scipy.spatial import Delaunay\n"
+        "from scipy.spatial._qhull import f\n"
+        "from scipy.spatial import _qhull\n"
+        "import scipy._lib\n"
+        "tri._transform = t\n"
+        "x = tri.transform\n"
+        "from numpy import _core\n"
+    )
+    assert _scipy_private_uses(tree) == [3, 4, 5, 6]
+
+
+def test_scipy_private_names_only_where_allowed():
+    users = {p.name for p in [*MODULES, *CALLERS] if _scipy_private_uses(_parse(p))}
+    assert users == SCIPY_PRIVATE_ALLOWED, f"modules using SciPy private names: {sorted(users)}"
 
 
 def test_public_names_have_a_caller():

@@ -2,13 +2,15 @@
 
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ptzscan.surface as surface
 from ptzscan.surface import (
     GRID_RESOLUTION,
     DegenerateSectionError,
@@ -182,12 +184,14 @@ def xyz_line(draw):
     kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "short", "long"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "   ", "\t"]))
-    if kind == "comment":
-        return "#" + draw(st.sampled_from(["", " 1 2 3", "comment"]))
+    if kind == "comment":  # the first token starts with '#', after any whitespace
+        lead = draw(st.sampled_from(["", "", " ", "\t", "\xa0", "\x1c"]))
+        return lead + "#" + draw(st.sampled_from(["", " 1 2 3", "comment", "#"]))
     count = {"row": 3, "short": 2, "long": 4}[kind]
     tokens = [draw(st.one_of(xyz_float.map(repr), token)) for _ in range(count)]
     sep = draw(separator)
-    tail = draw(st.sampled_from(["", " ", " # trailing"]))  # no inline comments
+    # A '#' after whitespace is one more token; glued to a value it spoils the value.
+    tail = draw(st.sampled_from(["", " ", " # trailing", "#x", "#"]))
     return draw(st.sampled_from(["", " "])) + sep.join(tokens) + tail
 
 
@@ -222,6 +226,22 @@ class TestXyzLoaderMatchesLineLoop:
             path.write_bytes(data)
             expected = _outcome(_reference_load_xyz, path)
             assert _outcome(load_point_cloud, path) == expected
+
+    @pytest.mark.parametrize("header", ["", "ply\nformat ascii 1.0\nelement vertex 3\nend_header\n"])
+    def test_comment_lines_stay_on_the_bulk_path(self, tmp_path, monkeypatch, header):
+        def line_loop(path, skip):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(surface, "_parse_rows", line_loop)
+        p = tmp_path / "cloud.xyz"
+        p.write_text(header + "# scanner export\n1 2 3\n  #4 5 6\n7 8 9 10\n\n-1 -2 -3\n")
+        np.testing.assert_array_equal(load_point_cloud(p).points, [[1, 2, 3], [7, 8, 9], [-1, -2, -3]])
+
+    def test_value_glued_to_a_comment_is_rejected(self, tmp_path):
+        p = tmp_path / "cloud.xyz"
+        p.write_text("# scanner export\n1 2 3#x\n")
+        with pytest.raises(PointCloudParseError, match=r"cloud.xyz:2: could not convert string to float: '3#x'"):
+            load_point_cloud(p)
 
 
 class TestSectionSpec:
@@ -411,13 +431,13 @@ class TestInterpolateSection:
     def test_qhull_failure_is_degenerate_section(self, monkeypatch):
         # SciPy is imported inside interpolate_section, so patching the
         # class where it lives reaches the call.
-        import scipy.interpolate
+        import scipy.spatial
         from scipy.spatial import QhullError
 
         def failing(*args, **kwargs):
             raise QhullError("QH6154 Qhull precision error: initial simplex is flat")
 
-        monkeypatch.setattr(scipy.interpolate, "LinearNDInterpolator", failing)
+        monkeypatch.setattr(scipy.spatial, "Delaunay", failing)
         pts = np.array([[0.0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
         with pytest.raises(DegenerateSectionError, match="triangulation failed"):
             interpolate_section(PointCloud(pts), make_spec())
@@ -428,3 +448,206 @@ class TestInterpolateSection:
         )
         grid = interpolate_section(PointCloud(pts), make_spec())
         assert grid.valid.any()
+
+
+    def test_interpolator_reads_the_transform_set_on_the_triangulation(self, monkeypatch):
+        # interpolate_section hands its transform to SciPy through the private
+        # Delaunay._transform. A sentinel that halves the first two barycentric
+        # coordinates of the one triangle makes every lattice node read as
+        # inside it; if SciPy stopped reading the attribute, half would not.
+        pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 4.0], [1.0, 0.0, 2.0]])
+        plain = interpolate_section(PointCloud(pts), make_spec())
+        assert 0 < plain.valid.sum() < plain.valid.size
+        seen = []
+
+        def halved(points, simplices):
+            transform, unsure = real(points, simplices)
+            transform[:, :2] *= 0.5
+            seen.append((transform.copy(), simplices.copy()))
+            return transform, unsure
+
+        real = surface._barycentric_transforms
+        monkeypatch.setattr(surface, "_barycentric_transforms", halved)
+        grid = interpolate_section(PointCloud(pts), make_spec())
+        assert grid.valid.all()
+        [(transform, simplices)] = seen
+        c = transform[0, :2] @ (np.array([1.0, 1.0]) - transform[0, 2])
+        expected = np.array([*c, 1.0 - c.sum()]) @ pts[simplices[0], 2]
+        np.testing.assert_allclose(grid.points[-1, -1], [1.0, 1.0, expected], rtol=1e-12)
+        assert abs(expected - 5.0) > 0.1  # the plane through the points gives 5 there
+
+
+# --- The numpy barycentric transform against SciPy's own ---------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _fma_reference(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, to nearest-even, from the exact rational value."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    return float(exact) if exact else a * b + c  # an exact zero keeps IEEE's sign rule
+
+
+# Significands that put products and sums on or next to rounding ties.
+significand = st.one_of(
+    st.integers(2**52, 2**53 - 1),
+    st.integers(0, 64).map(lambda k: 2**52 + k),
+    st.integers(1, 64).map(lambda k: 2**53 - k),
+    st.integers(0, 2**26).map(lambda k: 2**52 + k * 2**26),
+    st.integers(2**26, 2**27 - 1).map(lambda k: k * 2**26),
+)
+
+
+@st.composite
+def fma_operands(draw):
+    """(a, b, c) inside _fma's exact range: |a|, |b|, |c| < 2**900 and
+    2**-900 <= |a * b| < 2**900, or a zero factor."""
+    ea = draw(st.integers(-899, 898))
+    eb = draw(st.integers(max(-899, -898 - ea), min(898, 898 - ea)))
+    a = math.ldexp(draw(significand), ea - 52) * draw(st.sampled_from([1, -1]))
+    b = math.ldexp(draw(significand), eb - 52) * draw(st.sampled_from([1, -1]))
+    a, b = draw(st.sampled_from([(a, b)] * 9 + [(0.0, b), (a, -0.0)]))
+    p = a * b
+    kind = draw(st.sampled_from(["unit", "cancel", "power", "free"]))
+    if kind == "unit":  # the values the transform passes
+        c = draw(st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    elif kind == "cancel" and p:  # c within a few (fractional) ulps of -a * b
+        step = math.ulp(p) * draw(st.sampled_from([1, 0.5, 0.25, 2**-27, 2**-53]))
+        c = -p + draw(st.integers(-8, 8)) * step
+    elif kind == "power":  # a power of two near a * b: sums fall on half-ulps
+        shift = draw(st.integers(-60, 60))
+        c = math.ldexp(draw(st.sampled_from([1.0, -1.0, 1.5])), math.frexp(p or 1.0)[1] + shift)
+    else:
+        c = math.ldexp(draw(significand), draw(st.integers(-1074, 899)) - 52)
+    assume(abs(c) < 2.0**900)
+    return a, b, c
+
+
+# Operands on which rounding t + e to nearest, not to odd, before adding it
+# to s gives a result one ulp off (found by a random search).
+DOUBLE_ROUNDING = [
+    tuple(map(float.fromhex, case))
+    for case in [("-0x1.0000000000015p-130", "-0x1.fffffffffffd7p+227", "0x1p+151"),
+                 ("0x1.ffffffffffff5p-97", "0x1.0000000000006p+141", "0x1.8p+98")]
+]
+
+
+class TestFmaEmulation:
+    @settings(derandomize=True, deadline=None, max_examples=3000)
+    @given(fma_operands())
+    @example(DOUBLE_ROUNDING[0])
+    @example(DOUBLE_ROUNDING[1])
+    def test_correctly_rounded(self, operands):
+        a, b, c = operands
+        got, exact = surface._fma(np.array([a]), np.array([b]), np.array([c]))
+        assert exact[0]
+        assert _bits(got[0]) == _bits(_fma_reference(a, b, c)), (a.hex(), b.hex(), c.hex())
+
+    @pytest.mark.parametrize("operands", DOUBLE_ROUNDING)
+    def test_double_rounding_cases_are_real(self, operands):
+        # Without the rounding to odd these come out one ulp off, so the
+        # examples above do test it.
+        a, b, c = (np.array([v]) for v in operands)
+        p = a * b
+        (ah, al), (bh, bl) = surface._split(a), surface._split(b)
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        s, t = surface._two_sum(c, p)
+        assert (s + (t + e))[0] != _fma_reference(*operands)
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [(2.0**900, 1.0, 0.0), (1.0, -(2.0**901), 1.0), (1.0, 1.0, 2.0**900),
+         (2.0**-500, 2.0**-401, 1.0), (5e-324, 1.0, 0.0), (math.inf, 1.0, 0.0),
+         (math.nan, 1.0, 1.0)],
+    )
+    def test_outside_the_exact_range_is_flagged(self, a, b, c):
+        _, exact = surface._fma(np.array([a]), np.array([b]), np.array([c]))
+        assert not exact[0]
+
+
+def _cloud_2d(draw, n):
+    """n finite (x, y) points of one of the drawn layouts."""
+    layout = draw(st.sampled_from(["scattered", "lattice", "cocircular", "sliver", "collinear"]))
+    scale = 10.0 ** draw(st.integers(-6, 4))
+    origin = np.array(draw(st.tuples(*[st.floats(-1e4, 1e4)] * 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if layout == "scattered":
+        xy = rng.uniform(-1, 1, (n, 2))
+    elif layout == "lattice":
+        side = draw(st.integers(2, 8))
+        xy = np.stack(np.meshgrid(np.arange(side), np.arange(draw(st.integers(2, 8)))), -1).reshape(-1, 2)
+        xy = xy * draw(st.sampled_from([0.05, 0.01, 1.0, 0.1]))
+    elif layout == "cocircular":
+        angles = 2 * np.pi * np.arange(n) / n + draw(st.floats(0, 1))
+        xy = np.column_stack([np.cos(angles), np.sin(angles)])
+        xy = np.vstack([xy, [[0.0, 0.0]]]) if draw(st.booleans()) else xy
+    elif layout == "sliver":
+        xy = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n) * 10.0 ** draw(st.integers(-12, -3))])
+    else:  # along a line, off it by a relative 1e-16 .. 1e-8
+        t = rng.uniform(-1, 1, n)
+        off = rng.uniform(-1, 1, n) * 10.0 ** draw(st.floats(-16, -8))
+        angle = draw(st.floats(0, np.pi))
+        xy = np.column_stack([t * np.cos(angle) - off * np.sin(angle), t * np.sin(angle) + off * np.cos(angle)])
+    return origin + scale * xy
+
+
+def _scipy_rows(points, simplices):
+    """SciPy's own transform of the given simplices, with Delaunay.transform's eps."""
+    from scipy.spatial._qhull import _get_barycentric_transforms
+
+    return _get_barycentric_transforms(points, np.ascontiguousarray(simplices, dtype=np.intc), _EPS)
+
+
+class TestBarycentricTransforms:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_matches_delaunay_transform_bit_for_bit(self, data):
+        from scipy.spatial import Delaunay, QhullError
+
+        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 40)))
+        try:
+            tri = Delaunay(xy)
+        except QhullError:
+            assume(False)
+        mine, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
+        reference = tri.transform  # SciPy's own, as nothing set the cache
+        sure = ~unsure
+        np.testing.assert_array_equal(_bits(mine[sure]), _bits(reference[sure]))
+        assert not np.isnan(reference[sure]).any()
+        # Filled from SciPy's routine with Delaunay's eps, the flagged rows match too.
+        mine[unsure] = _scipy_rows(tri.points, tri.simplices[unsure])
+        np.testing.assert_array_equal(_bits(mine), _bits(reference))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_singular_and_non_finite_rows_are_left_to_scipy(self, data):
+        # Arbitrary triangles over one point set: repeated vertices, collinear
+        # triples and NaN coordinates give SciPy's NaN rows.
+        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 12)))
+        xy = np.vstack([xy, xy[:2].mean(axis=0), xy[0] + 2 * (xy[1] - xy[0])])
+        xy[data.draw(st.lists(st.integers(0, len(xy) - 1), max_size=2)), data.draw(st.integers(0, 1))] = np.nan
+        simplices = np.array(
+            data.draw(st.lists(st.tuples(*[st.integers(0, len(xy) - 1)] * 3), min_size=1, max_size=30)),
+            dtype=np.intc,
+        )
+        reference = _scipy_rows(xy, simplices)
+        mine, unsure = surface._barycentric_transforms(xy, simplices)
+        assert unsure[np.isnan(reference).any(axis=(1, 2))].all()
+        np.testing.assert_array_equal(_bits(mine[~unsure]), _bits(reference[~unsure]))
+
+    def test_benchmark_sized_lattice_and_scatter(self):
+        # About 20k simplices each: a lattice (cocircular everywhere) and a scatter.
+        from scipy.spatial import Delaunay
+
+        rng = np.random.default_rng(11)
+        xs, ys = np.meshgrid(np.arange(-1.8, 0.0, 0.01), np.arange(10.0, 10.6, 0.01))
+        for xy in (np.column_stack([xs.ravel(), ys.ravel()]), rng.uniform([-1.8, 0], [0, 0.6], (10_000, 2))):
+            tri = Delaunay(xy)
+            mine, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
+            assert not unsure.any()
+            np.testing.assert_array_equal(_bits(mine), _bits(tri.transform))
