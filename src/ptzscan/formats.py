@@ -6,10 +6,10 @@ their inputs (keys sorted, shortest round-trip float repr, no timestamps),
 so rewriting unchanged data reproduces the file byte for byte. JSON never
 holds NaN or Infinity: writers refuse to emit them and readers reject them,
 naming the file (and line). A record field that is missing or fails its
-type's check is a ``FormatError`` naming the record. Writers also go through
-a temp-file rename, so a failed write never leaves a truncated file behind.
-A dataset manifest is written row by row from its draw block, and a plan
-section by section from its arrays; plan cell indices are JSON integers.
+JSON type's check (in ``_floats`` or ``_integer``: never a coercion, and a
+boolean is not a number) is a ``FormatError`` naming the record. Writes go
+through a temp-file rename, so a failed write leaves no truncated file. A
+manifest is written row by row from its draw block, a plan from its arrays.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
@@ -130,17 +130,26 @@ def _fields(context: str):
 
 
 def _floats(values, n, context) -> list[float]:
-    try:
-        if any(isinstance(v, bool) for v in values):  # float() would read true as 1.0
-            raise TypeError("a boolean is not a number")
-        out = [float(v) for v in values]
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"{context}: expected numbers, got {values!r}") from exc
+    """``n`` finite floats from a JSON list of ints and floats, never booleans."""
+    try:  # a value of any other type is skipped, and fails the length test
+        out = [float(v) for v in values if type(v) is float or type(v) is int]
+    except (OverflowError, TypeError):  # an int past float's range, or not a list
+        out = []
+    if type(values) is not list or len(out) != len(values):
+        raise FormatError(f"{context}: expected numbers, got {values!r}")
     if len(out) != n:
         raise FormatError(f"{context}: expected {n} values, got {len(out)}")
     if not all(map(math.isfinite, out)):
         raise FormatError(f"{context}: expected finite numbers, got {out!r}")
     return out
+
+
+def _integer(value) -> int:
+    """A JSON integer that fits in 64 bits, never a boolean."""
+    integer = int(value)  # first, so that an overflowing float keeps int()'s message
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(np.int64(integer))  # OverflowError past 64 bits
 
 
 def _finite_or_none(value):
@@ -207,11 +216,8 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
         weights = None
         if w is not None:
             with _fields(f"{context}: weights"):
-                weights = LossWeights(
-                    s_x=float(w.get("s_x", 0.0)),
-                    s_q=float(w.get("s_q", 0.0)),
-                    s_c=float(w.get("s_c", 0.0)),
-                )
+                logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
+                weights = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
         out.append(BatchSample(sample=sample, weights=weights))
     return out
 
@@ -251,15 +257,16 @@ def read_section_config(path: Union[str, Path]) -> list[SectionSpec]:
         if not isinstance(entry, dict):
             raise FormatError(f"{context}: expected an object")
         with _fields(context):
-            out.append(
-                SectionSpec(
-                    name=str(entry["name"]),
-                    kind=str(entry["kind"]),
-                    box_min=tuple(_floats(entry["box_min_m"], 3, context)),
-                    box_max=tuple(_floats(entry["box_max_m"], 3, context)),
-                    relevance=str(entry.get("relevance", RELEVANCE_BACK)),
-                )
+            spec = SectionSpec(
+                name=entry["name"],
+                kind=entry["kind"],
+                box_min=tuple(_floats(entry["box_min_m"], 3, context)),
+                box_max=tuple(_floats(entry["box_max_m"], 3, context)),
+                relevance=entry.get("relevance", RELEVANCE_BACK),
             )
+        if any(s.name == spec.name for s in out):
+            raise FormatError(f"{context}: section name {spec.name!r} is used twice")
+        out.append(spec)
     return out
 
 
@@ -275,20 +282,6 @@ def _boundary_to_record(boundary: DeploymentBoundary) -> dict:
     }
 
 
-def _record_to_boundary(record: dict, context: str) -> DeploymentBoundary:
-    """Strict: every field of ``_boundary_to_record`` must be present."""
-    with _fields(context):
-        return DeploymentBoundary(
-            quadrant=int(record["quadrant"]),
-            x_range=tuple(_floats(record["x_range_m"], 2, context)),
-            y_range=tuple(_floats(record["y_range_m"], 2, context)),
-            height_range=tuple(_floats(record["height_range_m"], 2, context)),
-            yaw_window_deg=float(record["yaw_window_deg"]),
-            tilt_center_deg=float(record["tilt_center_deg"]),
-            tilt_tolerance_deg=float(record["tilt_tolerance_deg"]),
-        )
-
-
 # Fields a hand-written boundary config may omit, with DeploymentBoundary's defaults.
 _BOUNDARY_DEFAULTS = {
     name: getattr(DeploymentBoundary, name)
@@ -300,7 +293,16 @@ def read_boundary_config(path: Union[str, Path]) -> DeploymentBoundary:
     payload = _load_json(path)
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    return _record_to_boundary({**_BOUNDARY_DEFAULTS, **payload}, str(path))
+    record, context = {**_BOUNDARY_DEFAULTS, **payload}, str(path)
+    with _fields(context):
+        scalars = _floats([record[name] for name in _BOUNDARY_DEFAULTS], 3, context)
+        return DeploymentBoundary(
+            quadrant=_integer(record["quadrant"]),
+            x_range=tuple(_floats(record["x_range_m"], 2, context)),
+            y_range=tuple(_floats(record["y_range_m"], 2, context)),
+            height_range=tuple(_floats(record["height_range_m"], 2, context)),
+            **dict(zip(_BOUNDARY_DEFAULTS, scalars)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +365,6 @@ def write_plan_json(path: Union[str, Path], plan: ScanPlan) -> None:
     _write_text(path, _dump_json({"sections": sections}))
 
 
-def _cell_index(value) -> int:
-    """A plan cell index: a JSON integer that fits the plan's int64 cell array."""
-    index = int(value)  # first, so that an overflowing float keeps int()'s message
-    if type(value) is not int:
-        raise TypeError(f"cell index must be an integer, got {value!r}")
-    return int(np.int64(index))  # OverflowError past 64 bits
-
-
 # A label whose norm overflows is rejected by vec3 without numpy's warning.
 @np.errstate(over="ignore")
 def read_plan_json(path: Union[str, Path]) -> ScanPlan:
@@ -380,8 +374,8 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
     sections = []
     for k, entry in enumerate(payload["sections"]):
         context = f"{path}: sections[{k}]"
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise FormatError(f"{context}: need 'name' and 'kind'")
+        if not isinstance(entry, dict) or {type(entry.get(k)) for k in ("name", "kind")} != {str}:
+            raise FormatError(f"{context}: need 'name' and 'kind' strings")
         if not isinstance(entry.get("points", []), list):
             raise FormatError(f"{context}: 'points' must be a list")
         cells, shots = [], []
@@ -390,12 +384,12 @@ def read_plan_json(path: Union[str, Path]) -> ScanPlan:
             with _fields(pcontext):
                 shot = PanTilt(*_floats([rec["pan_deg"], rec["tilt_deg"]], 2, pcontext))
                 label = vec3(*_floats(rec["label_m"], 3, pcontext))
-                cells.append([_cell_index(rec["i"]), _cell_index(rec["j"])])
+                cells.append([_integer(rec["i"]), _integer(rec["j"])])
             shots.append([shot.pan_deg, shot.tilt_deg, *label])
         cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
         shots = np.array(shots, dtype=np.float64).reshape(-1, 5)  # pan, tilt, label x, y, z
         pans, tilts, labels = shots[:, 0], shots[:, 1], shots[:, 2:]
-        sections.append(SectionPlan(str(entry["name"]), str(entry["kind"]), cells, pans, tilts, labels))
+        sections.append(SectionPlan(entry["name"], entry["kind"], cells, pans, tilts, labels))
     return ScanPlan(sections=tuple(sections))
 
 

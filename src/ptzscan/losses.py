@@ -49,6 +49,8 @@ __all__ = [
 
 ICSC_HIT = "hit"
 ICSC_SKIPPED = "fallback-skipped"
+# The smallest log-variance s whose loss weight exp(-s) is a finite float.
+_MIN_LOG_VARIANCE = -math.log(np.finfo(np.float64).max)
 
 
 class InvalidSetupError(Exception):
@@ -106,8 +108,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("s_x", "s_q", "s_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if not (math.isfinite(s := getattr(self, name)) and s >= _MIN_LOG_VARIANCE):
+                raise ValueError(f"{name} must be finite and at least {_MIN_LOG_VARIANCE}, got {s}")
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,8 @@ class SectionSpec:
     relevance: str = RELEVANCE_BACK
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name and "/" not in self.name):
+            raise ValueError(f"section name must be a file name without '/', got {self.name!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown section kind {self.kind!r}")
         if self.relevance not in (RELEVANCE_BACK, RELEVANCE_FRONT):

@@ -25,7 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptzscan import cli
+from ptzscan import (
+    EmptySectionWarning,
+    GimbalLockWarning,
+    SectionMismatchWarning,
+    YawToleranceWarning,
+    cli,
+)
 from ptzscan.cli import build_parser, main
 from ptzscan.formats import read_plan_json
 from ptzscan.geometry import quat_from_yaw_pitch
@@ -167,6 +173,31 @@ class TestInterpolate:
         assert "category=io-error" in err
         assert "nope.xyz" in err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda sections: sections.append({**sections[0], "kind": "wing"}),
+             "sections[1]: section name 'fuselage' is used twice"),
+            (lambda sections: sections[0].update(name="grids/fuselage"),
+             "sections[0]: section name must be a file name without '/', got 'grids/fuselage'"),
+        ],
+        ids=["duplicate-name", "slash-name"],
+    )
+    def test_name_that_cannot_name_one_grid_file_exits_parse_error(
+        self, world, tmp_path, capsys, edit, where
+    ):
+        config = json.loads((world / "sections.json").read_text())
+        edit(config["sections"])
+        bad = tmp_path / "sections.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "grids"
+        code = main(["interpolate", "--cloud", str(world / "cloud.xyz"), "--sections", str(bad),
+                     "--out", str(out)])
+        assert code == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == f"error: category=parse-error: {bad}: {where}"
+        assert not out.exists()
 
 
 class TestPlan:
@@ -478,6 +509,19 @@ class TestLossCheck:
         [err] = capsys.readouterr().err.splitlines()
         assert "category=config-error" in err and "finite square" in err
 
+    def test_weight_whose_exponential_overflows_exits_cleanly(self, world, tmp_path, capsys):
+        # A log-variance s weights its loss by exp(-s), which overflows below about -709.78.
+        code = main(["loss-check", "--predictions", str(world / "batch.jsonl"), "--s-x", "-800"])
+        [err] = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert "category=config-error: s_x must be finite and at least -709.78" in err
+        record = json.loads((world / "batch.jsonl").read_text().splitlines()[0])
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps({**record, "weights": {"s_q": -800.0}}) + "\n")
+        assert main(["loss-check", "--predictions", str(batch)]) == 3
+        [err] = capsys.readouterr().err.splitlines()
+        assert f"category=parse-error: {batch}:1: weights: s_q must be finite and at least" in err
+
     # A level ray from x = 1.3e154 toward the axis: b * b overflows in the quadratic.
     FAR = {"position_m": [1.3e154, 1.0, 2.0], "yaw_deg": 180.0}
 
@@ -626,11 +670,11 @@ class TestStrictJsonInput:
             (lambda plan: plan["sections"][0]["points"][1].update(tilt_deg=-1e300),
              "sections[0].points[1]: tilt -1e+300 outside [-90, 90]"),
             (lambda plan: plan["sections"][0]["points"][1].update(i=2.9),
-             "sections[0].points[1]: cell index must be an integer, got 2.9"),
+             "sections[0].points[1]: expected an integer, got 2.9"),
             (lambda plan: plan["sections"][0]["points"][1].update(i=True),
-             "sections[0].points[1]: cell index must be an integer, got True"),
+             "sections[0].points[1]: expected an integer, got True"),
             (lambda plan: plan["sections"][0]["points"][1].update(j=1e308),
-             "sections[0].points[1]: cell index must be an integer, got 1e+308"),
+             "sections[0].points[1]: expected an integer, got 1e+308"),
             (lambda plan: plan["sections"][0]["points"][1].update(i=f"@{BIG_INT}"),
              "sections[0].points[1]: Python int too large to convert"),
             (lambda plan: plan["sections"][0]["points"][1].update(pan_deg=True),
@@ -709,7 +753,7 @@ class TestStrictJsonInput:
             (lambda r: r["true"].update(pitch_deg="@Infinity"),
              "invalid JSON (non-finite number Infinity)"),
             (lambda r: r.update(weights={"s_x": f"@{BIG_INT}"}),
-             "weights: int too large to convert to float"),
+             f"weights: expected numbers, got [{BIG_INT}, 0.0, 0.0]"),
             (lambda r: r["true"].update(position_m=[f"@{BIG_INT}", 0, 6]), "true: expected numbers"),
             (lambda r: r["true"]["quaternion_wxyz"].__setitem__(0, True), "true: expected numbers, got [True, "),
             (lambda r: r["predicted"].update(position_m=[0, True, 6]),
@@ -816,7 +860,7 @@ NEIGHBOUR = object()
 PLAN_EDITS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 1e308, -1, 2.9]),
     st.sampled_from(_around(180.0, -180.0, 90.0, -90.0)),
-    st.sampled_from([10**400, "x", None, True, False, [1.0]]),
+    st.sampled_from([10**400, "x", "12", {}, None, True, False, [1.0]]),
     st.sampled_from([NEIGHBOUR, KeyError]),
 )
 PLAN_FIELDS = ["pan_deg", "tilt_deg", "label_m", "label_m", "label_m", "i", "j"]
@@ -836,6 +880,25 @@ def coarse_plan(world, tmp_path_factory):
     argv = ["plan", *base, "--camera", str(world / "camera.json"), "--quadrant", "3"]
     assert main([*argv, "--out", str(root / "plan.json")]) == 0
     return base, root / "plan.json"
+
+
+def _run(argv) -> tuple[int, str, str, list]:
+    """Exit code, stdout, stderr and the warnings raised of ``main(argv)`` run
+    in process. Any run prints one error line if, and only if, it fails."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stderr(stderr),
+        contextlib.redirect_stdout(stdout),
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    if code:
+        [line] = stderr.getvalue().splitlines()
+        assert line.startswith("error: category="), line
+    else:
+        assert stderr.getvalue() == ""
+    return code, stdout.getvalue(), stderr.getvalue(), [w.message for w in caught]
 
 
 class TestSimulatePlanEdits:
@@ -864,32 +927,179 @@ class TestSimulatePlanEdits:
         with tempfile.TemporaryDirectory() as tmp:
             bad, out = Path(tmp) / "plan.json", Path(tmp) / "report.json"
             bad.write_text(json.dumps(plan))
-            stderr = io.StringIO()
-            with (
-                warnings.catch_warnings(record=True) as caught,
-                contextlib.redirect_stderr(stderr),
-                contextlib.redirect_stdout(io.StringIO()),
-            ):
-                warnings.simplefilter("always")
-                code = main(
-                    ["simulate", *base, "--plan", str(bad),
-                     "--true-camera", str(world / "camera.json"),
-                     "--estimated-camera", str(world / "camera.json"),
-                     "--quadrant", "3", "--out", str(out)]
-                )
-            assert not caught, [str(w.message) for w in caught]
-            assert code in (0, 3, 4, 5), stderr.getvalue()
+            code, _, stderr, caught = _run(
+                ["simulate", *base, "--plan", str(bad),
+                 "--true-camera", str(world / "camera.json"),
+                 "--estimated-camera", str(world / "camera.json"),
+                 "--quadrant", "3", "--out", str(out)]
+            )
+            assert not caught, [str(w) for w in caught]
+            assert code in (0, 3, 4, 5), stderr
             if index_changed:
                 assert code in (3, 4), (field, value)
-            if type(value) is bool:  # JSON true and false are not numbers
+            if value is None or isinstance(value, (bool, str, dict, list)):  # not a JSON number
                 assert code == 3, (field, value)
             if code:
-                [line] = stderr.getvalue().splitlines()
-                assert line.startswith("error: category=")
                 assert not out.exists()
             else:
-                assert stderr.getvalue() == ""
                 json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
+@pytest.fixture(scope="module")
+def field_inputs(world, coarse_plan):
+    """Each hand-written input kind: (a valid record, the argv of a command
+    that reads it from "{path}" and writes under "{out}")."""
+    base, plan_path = coarse_plan
+    camera = str(world / "camera.json")
+    plan_argv = ["--quadrant", "3", "--out", "{out}/plan.json"]
+    batch_line = json.loads((world / "batch.jsonl").read_text().splitlines()[0])
+    boundary = json.loads((world / "boundary.json").read_text())
+    return {
+        "pose": (
+            {"position_m": [-7.0, 1.0, 6.75], "yaw_deg": 20.0, "pitch_deg": 0.0},
+            ["plan", *base, "--camera", "{path}", *plan_argv],
+        ),
+        "batch": (
+            {**batch_line, "weights": {"s_x": 0.5, "s_q": -0.5, "s_c": 0.0}},
+            ["loss-check", "--predictions", "{path}", "--out", "{out}/loss.json"],
+        ),
+        "sections": (
+            json.loads((world / "sections.json").read_text()),
+            ["plan", *base[:2], "--sections", "{path}", "--camera", camera, *plan_argv],
+        ),
+        "boundary": (
+            {**boundary, "yaw_window_deg": 5.0, "tilt_center_deg": -18.0,
+             "tilt_tolerance_deg": 0.5},
+            ["randomize", "--boundary", "{path}", "--train", "4", "--val", "1", "--test", "1",
+             "--out", "{out}/manifest.json"],
+        ),
+        "plan": (
+            json.loads(plan_path.read_text()),
+            ["simulate", *base, "--plan", "{path}", "--true-camera", camera,
+             "--estimated-camera", camera, "--quadrant", "3", "--out", "{out}/report.json"],
+        ),
+    }
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every value inside a decoded JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if type(node) is list else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _field_paths(child, (*prefix, key))
+
+
+def _run_edited(field_inputs, kind, path, value) -> tuple[int, str, str, str]:
+    """Run the command of input ``kind`` on its record with the field at
+    ``path`` set to ``value`` (deleted for ``KeyError``); every JSON it
+    writes, to a file or to stdout, must parse strictly. Returns the exit
+    code, stdout, stderr and the edited file's path."""
+    record, argv = field_inputs[kind]
+    record = json.loads(json.dumps(record))
+    *parents, key = path
+    target = record
+    for parent in parents:
+        target = target[parent]
+    if value is KeyError:
+        del target[key]
+    else:
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / f"{kind}.json", Path(tmp) / "out"
+        out.mkdir()
+        bad.write_text(_with_literals(record) + "\n")
+        code, stdout, stderr, caught = _run([arg.format(path=bad, out=out) for arg in argv])
+        assert all(isinstance(w, DOMAIN_WARNINGS) for w in caught), [str(w) for w in caught]
+        assert code in (0, 2, 3, 4, 5), stderr
+        for output in out.iterdir():
+            json.loads(output.read_text(), parse_constant=_reject_constant)
+    if argv[0] == "loss-check" and stdout:
+        json.loads(stdout, parse_constant=_reject_constant)
+    return code, stdout, stderr, str(bad)
+
+
+# The package's own warnings, which flag a questionable but valid setup:
+# a camera yaw outside its deployment band, a section on the camera's far
+# half, a pose at gimbal lock, or a section box that selects no points.
+DOMAIN_WARNINGS = (
+    YawToleranceWarning, SectionMismatchWarning, GimbalLockWarning, EmptySectionWarning
+)
+
+# One-field edits of a hand-written input: wrong JSON types, digit strings,
+# ±0, the smallest subnormal, huge floats, a literal that overflows to inf,
+# an int past float's range, and a deleted field.
+FIELD_EDITS = st.sampled_from(
+    [True, False, "3", "12", "123", "000", "1.5", "x", {}, [1.0], None,
+     0.0, -0.0, 5e-324, 1e300, -1e300, f"@{BIG_FLOAT}", 10**400, KeyError]
+)
+
+
+def _json_kind(value):
+    """The kind of a JSON value: "number" for any number (the overflowing
+    literal included), else its Python type."""
+    return "number" if type(value) in (int, float) or value == f"@{BIG_FLOAT}" else type(value)
+
+
+class TestInputFieldEdits:
+    """Any one edit of one field of a pose file, a batch line, a section config
+    or a boundary config either runs or fails cleanly. A field is read by its
+    JSON type: a number field takes only numbers and a name only strings, and
+    any other type is a parse error naming the file."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_one_field_edit_exits_cleanly(self, field_inputs, data):
+        kind = data.draw(st.sampled_from(["pose", "batch", "sections", "boundary"]))
+        record = field_inputs[kind][0]
+        path = data.draw(st.sampled_from(list(_field_paths(record))))
+        value = data.draw(FIELD_EDITS)
+        old = record
+        for key in path:
+            old = old[key]
+        code, _, stderr, bad = _run_edited(field_inputs, kind, path, value)
+        typed = type(old) in (int, float, str)
+        if typed and value is not KeyError and _json_kind(value) != _json_kind(old):
+            assert code == 3 and bad in stderr, (path, value)
+
+    @pytest.mark.parametrize(
+        "kind, path, value, where",
+        [
+            ("pose", ("position_m",), "123", ": expected numbers, got '123'"),
+            ("pose", ("position_m",), {"1": 0, "2": 0, "3": 0}, ": expected numbers, got {'1': 0"),
+            ("pose", ("pitch_deg",), "5", ": expected numbers, got [20.0, '5']"),
+            ("sections", ("sections", 0, "box_min_m"), "000",
+             ": sections[0]: expected numbers, got '000'"),
+            ("sections", ("sections", 0, "name"), None,
+             ": sections[0]: section name must be a file name without '/', got None"),
+            ("boundary", ("x_range_m",), "12", ": expected numbers, got '12'"),
+            ("boundary", ("quadrant",), True, ": expected an integer, got True"),
+            ("boundary", ("quadrant",), 3.9, ": expected an integer, got 3.9"),
+            ("boundary", ("quadrant",), "3", ": expected an integer, got '3'"),
+            ("boundary", ("tilt_tolerance_deg",), True,
+             ": expected numbers, got [5.0, -18.0, True]"),
+            ("boundary", ("tilt_tolerance_deg",), "1.5",
+             ": expected numbers, got [5.0, -18.0, '1.5']"),
+            ("batch", ("weights", "s_x"), True,
+             ":1: weights: expected numbers, got [True, -0.5, 0.0]"),
+            ("batch", ("weights", "s_c"), "2",
+             ":1: weights: expected numbers, got [0.5, -0.5, '2']"),
+            ("plan", ("sections", 0, "points", 1, "pan_deg"), "12",
+             ": sections[0].points[1]: expected numbers, got ['12', "),
+            ("plan", ("sections", 0, "points", 1, "label_m"), "123",
+             ": sections[0].points[1]: expected numbers, got '123'"),
+            ("plan", ("sections", 0, "name"), None,
+             ": sections[0]: need 'name' and 'kind' strings"),
+            ("plan", ("sections", 0, "kind"), 1, ": sections[0]: need 'name' and 'kind' strings"),
+        ],
+        ids=["text-position", "object-position", "text-pitch", "text-box", "null-section-name",
+             "text-range", "bool-quadrant", "fractional-quadrant", "text-quadrant",
+             "bool-tolerance", "text-tolerance", "bool-weight", "text-weight", "text-pan",
+             "text-label", "null-plan-name", "number-plan-kind"],
+    )
+    def test_mistyped_field_exits_parse_error(self, field_inputs, kind, path, value, where):
+        code, stdout, stderr, bad = _run_edited(field_inputs, kind, path, value)
+        assert code == 3 and stdout == ""
+        assert f"error: category=parse-error: {bad}{where}" in stderr
 
 
 def test_unexpected_failure_prints_traceback_then_one_error_line(

@@ -16,7 +16,10 @@ it is on ``ENVIRONMENT_ALLOWLIST``, so every knob a run obeys is a visible
 decision. Importing ``ptzscan.cli``, the start-up cost of every command,
 loads nothing beyond the standard library, NumPy and the package itself.
 Every command-line option is recorded in ``CLI_OPTIONS``, so adding or
-removing a knob is a visible diff here too.
+removing a knob is a visible diff here too. ``formats`` calls ``float``,
+``int`` or ``str`` on a decoded record's field only inside its two type
+checks, ``_floats`` and ``_integer``, so a mistyped field is refused in one
+place rather than coerced in another.
 """
 
 import argparse
@@ -229,6 +232,52 @@ def test_no_name_is_exported_twice():
     counts = Counter(n for p in REEXPORTED for n in _dunder_all(_parse(p)))
     twice = sorted(n for n, c in counts.items() if c > 1)
     assert not twice, f"names in two modules' __all__: {twice}"
+
+
+# The functions of formats that check a decoded field's JSON type.
+FORMATS_TYPE_CHECKS = {"_floats", "_integer"}
+
+
+def _field_coercions(tree: ast.Module) -> list[int]:
+    """Lines that call ``float``, ``int`` or ``str`` on a subscript or a
+    ``.get(...)`` outside the functions in ``FORMATS_TYPE_CHECKS``."""
+    lines = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in FORMATS_TYPE_CHECKS:
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "int", "str")
+            and node.args
+        ):
+            arg = node.args[0]
+            get = isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "get"
+            if isinstance(arg, ast.Subscript) or get:
+                lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_field_coercions_finder():
+    tree = ast.parse(
+        "def _floats(values):\n"
+        "    return [float(v[0]) for v in values]\n"
+        "def read(record, entry, path, values):\n"
+        "    a = float(record['x'])\n"
+        "    b = int(record.get('i', 0))\n"
+        "    c = [str(e['name']) for e in entry]\n"
+        "    d = str(path), float(values), repr(record['x'])\n"
+        "    e = _floats(record['x']), int(bool(values[0])), record.get('x')\n"
+    )
+    assert _field_coercions(tree) == [4, 5, 6]
+
+
+def test_formats_reads_fields_only_through_its_type_checks():
+    lines = _field_coercions(_parse(ROOT / "src" / "ptzscan" / "formats.py"))
+    assert not lines, f"formats.py: float/int/str of a record field at line(s) {lines}"
 
 
 def _environment_reads(tree: ast.Module) -> list[tuple[int, object]]:
