@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 import traceback
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,6 +70,7 @@ from ptzscan.randomizer import DatasetManifest, SplitSizes, generate_manifest
 from ptzscan.simulator import error_propagation, execute_plan
 from ptzscan.surface import (
     DegenerateSectionError,
+    EmptySectionWarning,
     PointCloudParseError,
     interpolate_section,
     load_point_cloud,
@@ -122,7 +124,9 @@ def _build_grids(cloud_path, sections_path):
     if not specs:
         raise CliError(EXIT_CONFIG, f"{sections_path}: no sections defined")
     cloud = load_point_cloud(cloud_path)
-    return [interpolate_section(section_points(cloud, spec), spec) for spec in specs]
+    with warnings.catch_warnings():  # interpolate_section raises on an empty section
+        warnings.simplefilter("ignore", EmptySectionWarning)
+        return [interpolate_section(section_points(cloud, spec), spec) for spec in specs]
 
 
 def _parse_cylinder(text: str) -> CylinderModel:
@@ -264,7 +268,7 @@ def cmd_loss_check(args) -> int:
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
     l_x, l_q, l_c = [], [], []
     totals = []
-    for entry in batch:
+    for k, entry in enumerate(batch, start=1):
         weights = entry.weights if entry.weights is not None else default_weights
         breakdown = combined_loss(
             entry.sample,
@@ -277,11 +281,19 @@ def cmd_loss_check(args) -> int:
         if breakdown.l_c is not None:
             l_c.append(breakdown.l_c)
         totals.append(breakdown.total)
+        if math.isinf(breakdown.total):  # name its overflowing term; an overflowing sum is named below
+            for w, loss in zip(("s_x", "s_q", "s_c"), (breakdown.l_x, breakdown.l_q, breakdown.l_c)):
+                if loss is not None and math.isinf(loss * math.exp(-getattr(weights, w))):
+                    raise CliError(EXIT_CONFIG, f"{args.predictions}: sample {k}: weighted {w} term overflows")
+    with np.errstate(over="ignore"):  # finite totals can sum past the float range
+        mean_total = float(np.mean(totals))
+    if math.isinf(mean_total):
+        raise CliError(EXIT_CONFIG, f"{args.predictions}: mean_total of the weighted losses overflows")
 
     optima, gradients = {}, {}
     report = {
         "n": len(batch),
-        "mean_total": float(np.mean(totals)),
+        "mean_total": mean_total,
         "optimal_log_variance": optima,
         "gradient_at_optimum": gradients,
     }

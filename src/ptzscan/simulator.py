@@ -128,50 +128,41 @@ def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray
     return inside
 
 
-def _grid_value(grid: SurfaceGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the grid's value axis.
-
-    ``a`` indexes the row axis, ``b`` the column axis (both in metres).
-    Returns NaN where any of the four surrounding lattice cells is absent
-    or the query leaves the lattice.
-    """
+@np.errstate(all="ignore")  # off-lattice queries are masked, not warned about
+def _grid_value(grid: SurfaceGrid, plane: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of ``plane``, the grid's value axis with NaN at
+    absent cells, at rows ``a`` and columns ``b`` (metres). NaN where any of
+    the four surrounding cells is absent or the query leaves the lattice."""
     fr = (a - grid.row_values[0]) / GRID_RESOLUTION
     fc = (b - grid.col_values[0]) / GRID_RESOLUTION
-    nr, nc = grid.shape
-    out = np.full(fr.shape, np.nan)
+    nr, nc = plane.shape
+    if nr < 2 or nc < 2:
+        return np.full(fr.shape, np.nan)
     # Boundary queries use the nearest interior cell; the half-cell margin
     # extrapolates the edge patches so rays aimed exactly at the lattice
     # rim still produce a bracketable crossing instead of a NaN gap.
-    i0 = np.clip(np.floor(fr).astype(int), 0, max(nr - 2, 0))
-    j0 = np.clip(np.floor(fc).astype(int), 0, max(nc - 2, 0))
-    ok = (fr >= -0.5) & (fr <= nr - 0.5) & (fc >= -0.5) & (fc <= nc - 0.5)
-    if nr < 2 or nc < 2 or not ok.any():
-        return out
-    i0k, j0k = i0[ok], j0[ok]
-    corners_ok = (
-        grid.valid[i0k, j0k]
-        & grid.valid[i0k + 1, j0k]
-        & grid.valid[i0k, j0k + 1]
-        & grid.valid[i0k + 1, j0k + 1]
-    )
-    vi = grid.section.value_axis
-    wa = fr[ok] - i0k
-    wb = fc[ok] - j0k
+    i0 = np.clip(np.floor(fr).astype(int), 0, nr - 2)
+    j0 = np.clip(np.floor(fc).astype(int), 0, nc - 2)
+    wa = fr - i0
+    wb = fc - j0
+    # Corner (i0, j0) in the flattened plane: one-axis gathers are cheaper.
+    k = i0 * nc + j0
+    flat = plane.ravel()
     vals = (
-        grid.points[i0k, j0k, vi] * (1 - wa) * (1 - wb)
-        + grid.points[i0k + 1, j0k, vi] * wa * (1 - wb)
-        + grid.points[i0k, j0k + 1, vi] * (1 - wa) * wb
-        + grid.points[i0k + 1, j0k + 1, vi] * wa * wb
+        flat[k] * (1 - wa) * (1 - wb)
+        + flat[k + nc] * wa * (1 - wb)
+        + flat[k + 1] * (1 - wa) * wb
+        + flat[k + nc + 1] * wa * wb
     )
-    out[ok] = np.where(corners_ok, vals, np.nan)
-    return out
+    ok = (fr >= -0.5) & (fr <= nr - 0.5) & (fc >= -0.5) & (fc <= nc - 0.5)
+    return np.where(ok, vals, np.nan)
 
 
-def _grid_offset(grid: SurfaceGrid, pts: np.ndarray) -> np.ndarray:
+def _grid_offset(grid: SurfaceGrid, plane: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Signed offset of points from the grid surface along its value axis
-    (NaN off-lattice)."""
+    (NaN off-lattice); ``plane`` is as for ``_grid_value``."""
     spec = grid.section
-    return pts[:, spec.value_axis] - _grid_value(grid, pts[:, spec.row_axis], pts[:, 1])
+    return pts[:, spec.value_axis] - _grid_value(grid, plane, pts[:, spec.row_axis], pts[:, 1])
 
 
 def _cast_to_grid(
@@ -192,11 +183,12 @@ def _cast_to_grid(
     finite = grid.points[grid.valid]
     if finite.size == 0 or n == 0:
         return hits, missed
+    plane = np.where(grid.valid, grid.points[..., grid.section.value_axis], np.nan)
     t_max = float(np.max(np.linalg.norm(finite - origin, axis=1))) + 1.0
     step = GRID_RESOLUTION / 2.0
     ts = np.arange(0.0, t_max + step, step)
     pts = origin + ts[None, :, None] * directions[:, None, :]
-    f = _grid_offset(grid, pts.reshape(-1, 3)).reshape(n, len(ts))
+    f = _grid_offset(grid, plane, pts.reshape(-1, 3)).reshape(n, len(ts))
     crossing = np.isfinite(f[:, :-1]) & np.isfinite(f[:, 1:]) & (f[:, :-1] * f[:, 1:] <= 0.0)
     rows = np.nonzero(crossing.any(axis=1))[0]
     k = crossing[rows].argmax(axis=1)
@@ -209,7 +201,7 @@ def _cast_to_grid(
         mid = 0.5 * (lo + hi)
         if not (bisecting & (lo < mid) & (mid < hi)).any():
             break
-        f_mid = _grid_offset(grid, origin + mid[:, None] * d)
+        f_mid = _grid_offset(grid, plane, origin + mid[:, None] * d)
         bisecting &= np.isfinite(f_mid)
         up = bisecting & (f_lo * f_mid > 0.0)
         lo = np.where(up, mid, lo)

@@ -17,8 +17,9 @@ Each simplex's barycentric transform is a 2x2 LU solve that SciPy runs
 through LAPACK one simplex at a time; ``_barycentric_transforms`` runs it in
 numpy with the bundled OpenBLAS arithmetic, bit for bit, and leaves rows it
 cannot vouch for to SciPy. SciPy has no public way to supply a transform, so
-it goes in through ``Delaunay._transform``, the private cache the
-interpolator reads; ``tests/test_surface.py`` fails loudly if that changes.
+it goes in through ``Delaunay._transform``, the private cache ``find_simplex``
+reads (``tests/test_surface.py`` fails loudly if that changes); ``_linear_nd``
+then sums the barycentric terms as SciPy's interpolator would, in numpy.
 """
 
 from __future__ import annotations
@@ -298,7 +299,6 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
             f"section {spec.name!r}: need >= 3 non-collinear projected points"
         )
     # Imported on first use: only the commands that interpolate load SciPy.
-    from scipy.interpolate import LinearNDInterpolator
     from scipy.spatial import Delaunay, QhullError
     from scipy.spatial._qhull import _get_barycentric_transforms
 
@@ -306,11 +306,10 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         tri = Delaunay(proj)
     except QhullError as exc:
         raise DegenerateSectionError(f"section {spec.name!r}: triangulation failed ({exc})") from exc
-    # SciPy's own transform, bit for bit, set where the interpolator reads it.
+    # SciPy's own transform, bit for bit, set where find_simplex reads it.
     transform, unsure = _barycentric_transforms(tri.points, tri.simplices)
     transform[unsure] = _get_barycentric_transforms(tri.points, tri.simplices[unsure], _EPS)
     tri._transform = transform
-    interp = LinearNDInterpolator(tri, pts[:, spec.value_axis])
 
     rows, cols = pts[:, spec.row_axis], pts[:, 1]
     row_values = _lattice(rows.min(), rows.max(), GRID_RESOLUTION)
@@ -319,11 +318,30 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     points = np.empty((len(row_values), len(col_values), 3), dtype=np.float64)
     points[..., spec.row_axis] = row_values[:, None]
     points[..., 1] = col_values[None, :]
-    interpolated = interp(points[..., axes].reshape(-1, 2)).reshape(points.shape[:2])
+    interpolated = _linear_nd(tri, pts[:, spec.value_axis], points[..., axes].reshape(-1, 2))
+    interpolated = interpolated.reshape(points.shape[:2])
     valid = np.isfinite(interpolated)
     points[..., spec.value_axis] = interpolated
     points[~valid] = np.nan
     return SurfaceGrid(spec, row_values, col_values, points, valid)
+
+
+@np.errstate(all="ignore")  # SciPy's loop warns about nothing either
+def _linear_nd(tri, values: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``LinearNDInterpolator(tri, values)(xi)``, bit for bit: SciPy's simplex
+    walk (``find_simplex``), then the interpolator's sum in its order. Next to
+    a NaN transform row find_simplex searches ten times wider than the
+    interpolator, so such a triangulation is left to the interpolator."""
+    if np.isnan(tri.transform).any():
+        from scipy.interpolate import LinearNDInterpolator
+        return LinearNDInterpolator(tri, values)(xi)
+    simplex = tri.find_simplex(xi)
+    t = tri.transform[simplex]
+    d = xi - t[:, 2]
+    c = (0.0 + t[:, :2, 0] * d[:, :1]) + t[:, :2, 1] * d[:, 1:]
+    v = values[tri.simplices[simplex]]
+    out = ((0.0 + c[:, 0] * v[:, 0]) + c[:, 1] * v[:, 1]) + ((1.0 - c[:, 0]) - c[:, 1]) * v[:, 2]
+    return np.where(simplex == -1, np.nan, out)
 
 
 # Delaunay.transform's tolerance: SciPy's routine gives a simplex whose

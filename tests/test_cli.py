@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptzscan import (
-    EmptySectionWarning,
     GimbalLockWarning,
     SectionMismatchWarning,
     YawToleranceWarning,
@@ -236,6 +235,19 @@ class TestPlan:
         )
         assert code == 4
         assert "category=config-error" in capsys.readouterr().err
+
+    def test_empty_section_prints_one_error_line(self, world, tmp_path):
+        # section_points warns about the empty box, but the CLI reports it once.
+        sections = json.loads((world / "sections.json").read_text())
+        sections["sections"][0]["box_min_m"][0], sections["sections"][0]["box_max_m"][0] = 1e300, 1.5e300
+        path = tmp_path / "sections.json"
+        path.write_text(json.dumps(sections) + "\n")
+        code, _, stderr, caught = _run(
+            ["plan", "--cloud", str(world / "cloud.xyz"), "--sections", str(path), "--camera",
+             str(world / "camera.json"), "--quadrant", "3", "--out", str(tmp_path / "plan.json")]
+        )
+        assert code == 5 and not caught
+        assert stderr == "error: category=compute-error: section 'fuselage' has no points\n"
 
 
 class TestSimulate:
@@ -521,6 +533,33 @@ class TestLossCheck:
         assert main(["loss-check", "--predictions", str(batch)]) == 3
         [err] = capsys.readouterr().err.splitlines()
         assert f"category=parse-error: {batch}:1: weights: s_q must be finite and at least" in err
+
+    def test_weighted_term_that_overflows_names_file_sample_and_channel(self, world, tmp_path, capsys):
+        # exp(709.7) is finite, but 100 m times it is not.
+        lines = (world / "batch.jsonl").read_text().splitlines()[:2]
+        record = json.loads(lines[1])
+        record["predicted"]["position_m"][0] += 100.0
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(lines[0] + "\n" + json.dumps({**record, "weights": {"s_x": -709.7}}) + "\n")
+        assert main(["loss-check", "--predictions", str(batch), "--out", str(tmp_path / "loss.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "loss.json").exists()
+        [err] = captured.err.splitlines()
+        assert err == f"error: category=config-error: {batch}: sample 2: weighted s_x term overflows"
+
+    def test_mean_total_that_overflows_exits_config_error(self, world, tmp_path, capsys):
+        # Each total is about 1.6e308 * 0.6, finite; their sum is not.
+        record = json.loads((world / "batch.jsonl").read_text().splitlines()[0])
+        record["predicted"]["position_m"] = record["true"]["position_m"][:2] + [
+            record["true"]["position_m"][2] + 0.6]
+        line = json.dumps({**record, "weights": {"s_x": -709.7}}) + "\n"
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(line * 2)
+        assert main(["loss-check", "--predictions", str(batch)]) == 4
+        captured = capsys.readouterr()
+        [err] = captured.err.splitlines()
+        assert captured.out == ""
+        assert err == f"error: category=config-error: {batch}: mean_total of the weighted losses overflows"
 
     # A level ray from x = 1.3e154 toward the axis: b * b overflows in the quadratic.
     FAR = {"position_m": [1.3e154, 1.0, 2.0], "yaw_deg": 180.0}
@@ -1020,10 +1059,9 @@ def _run_edited(field_inputs, kind, path, value) -> tuple[int, str, str, str]:
 
 # The package's own warnings, which flag a questionable but valid setup:
 # a camera yaw outside its deployment band, a section on the camera's far
-# half, a pose at gimbal lock, or a section box that selects no points.
-DOMAIN_WARNINGS = (
-    YawToleranceWarning, SectionMismatchWarning, GimbalLockWarning, EmptySectionWarning
-)
+# half, or a pose at gimbal lock. A section box that selects no points is
+# one error line, with no warning before it.
+DOMAIN_WARNINGS = (YawToleranceWarning, SectionMismatchWarning, GimbalLockWarning)
 
 # One-field edits of a hand-written input: wrong JSON types, digit strings,
 # ±0, the smallest subnormal, huge floats, a literal that overflows to inf,

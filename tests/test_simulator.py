@@ -22,6 +22,7 @@ from ptzscan.planner import ScanConfig, ScanPlan, SectionPlan, plan_full
 from ptzscan.simulator import (
     SimulationReport,
     _grid_offset,
+    _grid_value,
     cast_to_surface,
     error_propagation,
     execute_plan,
@@ -116,6 +117,11 @@ def tiny_u(pans, tilts, valid=None):
     return PanTiltGrid(pans=pans, tilts=tilts, valid=np.asarray(valid))
 
 
+def _plane(grid):
+    """The value plane ``_cast_to_grid`` builds: the value axis, NaN where absent."""
+    return np.where(grid.valid, grid.points[..., grid.section.value_axis], np.nan)
+
+
 def _reference_cast(ray, grid):
     """Scalar march-and-bisect of one ray: the reference for the batched
     grid cast. Returns the hit, or None on a miss (no bracketed crossing,
@@ -127,7 +133,7 @@ def _reference_cast(ray, grid):
     step = GRID_RESOLUTION / 2.0
     ts = np.arange(0.0, t_max + step, step)
     pts = ray.origin[None, :] + ts[:, None] * ray.direction[None, :]
-    f = _grid_offset(grid, pts)
+    f = _reference_offset(grid, pts)
     both = np.isfinite(f[:-1]) & np.isfinite(f[1:])
     crossing = both & (f[:-1] * f[1:] <= 0.0) & (ts[1:] > 0.0)
     idx = np.nonzero(crossing)[0]
@@ -140,7 +146,7 @@ def _reference_cast(ray, grid):
         return ray.at(float(lo))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        f_mid = _grid_offset(grid, ray.at(mid)[None, :])[0]
+        f_mid = _reference_offset(grid, ray.at(mid)[None, :])[0]
         if not math.isfinite(f_mid):
             return None
         if f_lo * f_mid > 0.0:
@@ -328,7 +334,7 @@ class TestCastToSurface:
         # first march sample has offset exactly 0 and brackets the crossing.
         grid = flat_grid()
         camera = np.array([grid.row_values[10], grid.col_values[10], 3.0])
-        assert _grid_offset(grid, camera[None, :])[0] == 0.0
+        assert _grid_offset(grid, _plane(grid), camera[None, :])[0] == 0.0
         pose = CameraPose(camera, quat_from_yaw_pitch(0.0))
         hits, missed = cast_to_surface(pose, [30.0, -120.0], [-60.0, -5.0], 0.0, grid)
         assert not missed.any()
@@ -369,6 +375,8 @@ def cast_cases(draw):
     valid = rng.random((nr, nc)) >= holes
     grid = cylinder_lattice(kind, i0, nr, j0, nc, valid)
     surface = cylinder_lattice(kind, i0, nr, j0, nc).points
+    if draw(st.booleans()):  # absent cells that keep finite points
+        grid = dataclasses.replace(grid, points=surface)
     tangent_node = surface[draw(st.integers(0, nr - 1)), draw(st.integers(0, nc - 1))]
     if draw(st.booleans()):
         theta = math.atan2(tangent_node[2] - H0, tangent_node[0])
@@ -435,9 +443,9 @@ class TestBatchedCastMatchesReference:
 
         calls = []
 
-        def counting(grid, pts):
+        def counting(grid, plane, pts):
             calls.append(len(pts))
-            return _grid_offset(grid, pts)
+            return _grid_offset(grid, plane, pts)
 
         monkeypatch.setattr(simulator, "_grid_offset", counting)
         [section] = cyl_plan.sections
@@ -448,6 +456,81 @@ class TestBatchedCastMatchesReference:
         for row, pan, tilt in zip(hits, pans, tilts):
             expected = _reference_cast(Ray(CAMERA, direction_from_pantilt(pan, tilt)), cyl_grid)
             assert row.tobytes() == expected.tobytes()
+
+
+def _reference_grid_value(grid, a, b):
+    """The lookup before the value plane: the four corners' ``valid`` flags
+    gathered apart, and only on-lattice queries interpolated."""
+    fr = (a - grid.row_values[0]) / GRID_RESOLUTION
+    fc = (b - grid.col_values[0]) / GRID_RESOLUTION
+    nr, nc = grid.shape
+    out = np.full(fr.shape, np.nan)
+    i0 = np.clip(np.floor(fr).astype(int), 0, max(nr - 2, 0))
+    j0 = np.clip(np.floor(fc).astype(int), 0, max(nc - 2, 0))
+    ok = (fr >= -0.5) & (fr <= nr - 0.5) & (fc >= -0.5) & (fc <= nc - 0.5)
+    if nr < 2 or nc < 2 or not ok.any():
+        return out
+    i0k, j0k = i0[ok], j0[ok]
+    corners_ok = (
+        grid.valid[i0k, j0k]
+        & grid.valid[i0k + 1, j0k]
+        & grid.valid[i0k, j0k + 1]
+        & grid.valid[i0k + 1, j0k + 1]
+    )
+    vi = grid.section.value_axis
+    wa = fr[ok] - i0k
+    wb = fc[ok] - j0k
+    vals = (
+        grid.points[i0k, j0k, vi] * (1 - wa) * (1 - wb)
+        + grid.points[i0k + 1, j0k, vi] * wa * (1 - wb)
+        + grid.points[i0k, j0k + 1, vi] * (1 - wa) * wb
+        + grid.points[i0k + 1, j0k + 1, vi] * wa * wb
+    )
+    out[ok] = np.where(corners_ok, vals, np.nan)
+    return out
+
+
+def _reference_offset(grid, pts):
+    spec = grid.section
+    return pts[:, spec.value_axis] - _reference_grid_value(grid, pts[:, spec.row_axis], pts[:, 1])
+
+
+def _lookup_coords(rng, values, n):
+    """Coordinates along one grid axis: on lattice nodes, on and just past the
+    half-cell rim, anywhere within a cell of the lattice, and far off it."""
+    rim = np.array([-0.5, len(values) - 0.5, -0.5 - 1e-9, len(values) - 0.5 + 1e-9])
+    choices = [
+        rng.choice(values, n),
+        values[0] + GRID_RESOLUTION * rng.choice(rim, n),
+        values[0] + GRID_RESOLUTION * rng.uniform(-1.0, len(values), n),
+        rng.choice([-1e300, -1e6, 1e6, 1e300], n),
+    ]
+    return np.choose(rng.integers(0, len(choices), n), choices)
+
+
+class TestGridValueMatchesReference:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        kind=st.sampled_from([KIND_FUSELAGE, KIND_TAIL]),
+        origin=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        present=st.sampled_from([1.0, 0.8, 0.5, 0.0]),
+        stale=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_for_bit(self, shape, kind, origin, present, stale, seed):
+        # Holes, one-row and one-column grids, rim and far-off queries; a
+        # stale grid keeps finite points in its absent cells.
+        rng = np.random.default_rng(seed)
+        rows, cols = (o + GRID_RESOLUTION * np.arange(n) for o, n in zip(origin, shape))
+        values = rng.normal(0.0, 2.0, shape)
+        grid = lattice_grid(kind, rows, cols, lambda rr, cc: values, rng.random(shape) < present)
+        if stale:
+            grid = dataclasses.replace(grid, points=lattice_grid(kind, rows, cols, lambda rr, cc: values).points)
+        a, b = _lookup_coords(rng, rows, 64), _lookup_coords(rng, cols, 64)
+        with np.errstate(all="ignore"):  # the reference casts far-off floats to int
+            expected = _reference_grid_value(grid, a, b)
+        assert _grid_value(grid, _plane(grid), a, b).tobytes() == expected.tobytes()
 
 
 def _with_first(array, row):

@@ -34,6 +34,7 @@ import pytest
 
 import ptzscan
 from ptzscan.cli import build_parser
+import test_cli_golden as golden
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ptzscan").glob("*.py"))
@@ -341,6 +342,38 @@ print(*sorted({name.split(".")[0] for name in set(sys.modules) - before}))
     extra = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "ptzscan"})
     assert not extra, f"importing ptzscan.cli loads {extra}"
     assert {"numpy", "ptzscan"} <= loaded
+
+
+# A sliver (its third point 2e-14 above the bottom edge): Delaunay gives it
+# a NaN transform row, so interpolate_section falls back to SciPy's interpolator.
+SLIVER_CLOUD = "-1 10 1\n0 10 2\n-0.6686209525383975 10.000000000000021 3\n-1 11 4\n0 11 5\n"
+
+
+@pytest.mark.parametrize("name", ["pipeline", "simulate-draws", "sliver"])
+def test_only_a_degenerate_triangulation_loads_scipy_interpolate(tmp_path, name):
+    """The commands that interpolate load scipy.spatial; scipy.interpolate
+    only for a triangulation with a degenerate simplex."""
+    inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
+    golden.write_inputs(inputs)
+    outputs.mkdir()
+    argv = dict(golden.commands(inputs, outputs)).get(name)
+    if name == "sliver":
+        (inputs / "sliver.xyz").write_text(SLIVER_CLOUD)
+        argv = ["interpolate", "--cloud", str(inputs / "sliver.xyz"),
+                "--sections", str(inputs / "sections.json"), "--out", str(outputs)]
+    script = f"""
+import sys
+from ptzscan.cli import main
+assert main({argv!r}) == 0
+print("scipy.spatial" in sys.modules, "scipy.interpolate" in sys.modules)
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["True", str(name == "sliver")]
 
 
 def test_cli_options_are_recorded():

@@ -451,10 +451,11 @@ class TestInterpolateSection:
 
 
     def test_interpolator_reads_the_transform_set_on_the_triangulation(self, monkeypatch):
-        # interpolate_section hands its transform to SciPy through the private
-        # Delaunay._transform. A sentinel that halves the first two barycentric
-        # coordinates of the one triangle makes every lattice node read as
-        # inside it; if SciPy stopped reading the attribute, half would not.
+        # interpolate_section hands its transform to SciPy's find_simplex
+        # through the private Delaunay._transform. A sentinel that halves the
+        # first two barycentric coordinates of the one triangle makes every
+        # lattice node read as inside it; if find_simplex stopped reading the
+        # attribute, half would not.
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 4.0], [1.0, 0.0, 2.0]])
         plain = interpolate_section(PointCloud(pts), make_spec())
         assert 0 < plain.valid.sum() < plain.valid.size
@@ -651,3 +652,61 @@ class TestBarycentricTransforms:
             mine, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
             assert not unsure.any()
             np.testing.assert_array_equal(_bits(mine), _bits(tri.transform))
+
+
+# --- The numpy barycentric sum against SciPy's interpolator ------------------
+
+# A sliver (its third point 2e-14 above the bottom edge) beside a triangle
+# 1.3e-8 high. At the query, find_simplex's brute-force search, ten times
+# wider than the interpolator's next to a NaN transform row, finds a simplex
+# where the interpolator finds none (found by a random search).
+SLIVER = np.array([[0.0, 0.0], [1.0, 0.0], [0.3313790474616025, 2.1939325044749243e-14],
+                   [0.25490852188700364, 1.2946690620719386e-08], [0.37274851746951454, 1.0],
+                   [0.0, 1.0], [1.0, 1.0]])
+SLIVER_QUERY = np.array([[0.07343326958964913, 3.533790634915233e-15]])
+
+
+class TestLinearNdEvaluation:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_matches_linear_nd_interpolator_bit_for_bit(self, data):
+        from scipy.interpolate import LinearNDInterpolator
+        from scipy.spatial import Delaunay, QhullError
+
+        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 40)))
+        try:
+            tri = Delaunay(xy)
+        except QhullError:
+            assume(False)
+        assume(tri.simplices.max() < len(xy))  # Qhull's point at infinity in a simplex
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            values = rng.choice([0.0, -0.0, 1.0, -2.5], len(xy))  # signed zeros survive the sum
+        else:
+            values = rng.normal(0.0, 10.0 ** data.draw(st.integers(-6, 6)), len(xy))
+        tri._transform, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
+        tri._transform[unsure] = _scipy_rows(tri.points, tri.simplices[unsure])
+        # Lattices on and past the bounding box, the points and chord midpoints.
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        lattices = [np.stack(np.meshgrid(*np.linspace(lo - pad, hi + pad, 17).T), -1).reshape(-1, 2)
+                    for pad in (0.0, 0.2 * (hi - lo))]
+        queries = np.vstack([*lattices, xy, (xy + np.roll(xy, 1, axis=0)) / 2])
+        expected = LinearNDInterpolator(tri, values)(queries)
+        got = surface._linear_nd(tri, values, queries)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+    def test_nan_transform_row_goes_to_the_interpolator(self, monkeypatch):
+        import scipy.interpolate
+        from scipy.spatial import Delaunay
+
+        tri = Delaunay(SLIVER)
+        assert np.isnan(tri.transform).any()
+        values = np.arange(len(SLIVER), dtype=np.float64)
+        expected = scipy.interpolate.LinearNDInterpolator(tri, values)(SLIVER_QUERY)
+        assert np.isnan(expected[0]) and tri.find_simplex(SLIVER_QUERY)[0] != -1
+        calls = []
+        real = scipy.interpolate.LinearNDInterpolator
+        monkeypatch.setattr(scipy.interpolate, "LinearNDInterpolator", lambda *a: calls.append(a) or real(*a))
+        got = surface._linear_nd(tri, values, SLIVER_QUERY)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
