@@ -39,10 +39,11 @@ def main():
     manifest = generate_manifest(boundary, sizes=sizes, seed=2718)
     print(f"{len(manifest.samples)} samples "
           f"(train {sizes.train} / val {sizes.val} / test {sizes.test})")
-    first = manifest.samples[0]
-    print(f"first sample: position {np.round(first.position, 3)}, "
-          f"yaw {first.yaw_deg:.2f}, pan {first.pan_deg:.2f}, tilt {first.tilt_deg:.2f}")
-    print(f"randomised objects: {sorted(first.colors)}\n")
+    first = manifest.samples[0]  # a sample is its manifest record
+    print(f"first sample: position {np.round(first['position_m'], 3)}, "
+          f"yaw {first['yaw_deg']:.2f}, pan {first['pan_deg']:.2f}, "
+          f"tilt {first['tilt_deg']:.2f}")
+    print(f"randomised objects: {sorted(first['colors'])}\n")
 
     print("--- 3. Validating every deployment ---\n")
     failures = sum(

@@ -268,10 +268,10 @@ def cmd_loss_check(args) -> int:
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
     l_x, l_q, l_c = [], [], []
     totals = []
-    for k, entry in enumerate(batch, start=1):
-        weights = entry.weights if entry.weights is not None else default_weights
+    for k, (sample, weights) in enumerate(batch, start=1):
+        weights = weights or default_weights
         breakdown = combined_loss(
-            entry.sample,
+            sample,
             weights,
             cylinder=cylinder,
             include_icsc=cylinder is not None,

@@ -1,10 +1,11 @@
 """Pose-estimate abstraction and error statistics.
 
-A PoseEstimate is a camera-pose guess tagged with its source,
-``noisy_oracle`` or a predictions file. ``median_rmse`` is the one
-median / RMSE formula: ``evaluate`` applies it to position error (metres)
-and orientation error (degrees, quaternion angular distance), and the
-simulator to labelling errors.
+A PoseEstimate is a ``CameraPose`` tagged with its source: ``noisy_oracle``
+or an external estimator. ``evaluate`` scores any camera poses; a batch
+file's predictions are the poses its ``PoseSample`` records checked once,
+when read. ``median_rmse`` is the one median / RMSE formula: ``evaluate``
+applies it to position error (metres) and orientation error (degrees,
+quaternion angular distance), and the simulator to labelling errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ptzscan.geometry import (
     angular_distance,
     quat_from_axis_angle,
     quat_multiply,
-    vec3,
     vector_norm,
 )
 
@@ -40,23 +40,15 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
-class PoseEstimate:
-    """A pose guess: position, unit quaternion and a ``SOURCE_*`` tag."""
+class PoseEstimate(CameraPose):
+    """A camera pose guess tagged with the ``SOURCE_*`` that made it."""
 
-    position: np.ndarray
-    orientation: np.ndarray
     source: str
 
     def __post_init__(self):
-        pose = CameraPose(self.position, self.orientation)  # validates both
-        object.__setattr__(self, "position", pose.position)
-        object.__setattr__(self, "orientation", pose.orientation)
+        super().__post_init__()
         if self.source not in (SOURCE_NOISY_ORACLE, SOURCE_EXTERNAL):
             raise ValueError(f"unknown source tag {self.source!r}")
-
-    @property
-    def pose(self) -> CameraPose:
-        return CameraPose(self.position, self.orientation)
 
 
 @dataclass(frozen=True)
@@ -89,9 +81,7 @@ def median_rmse(errors: np.ndarray) -> tuple[float, float]:
     return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
 
 
-def evaluate(
-    predictions: list[PoseEstimate], ground_truths: list[CameraPose]
-) -> ErrorStats:
+def evaluate(predictions: list[CameraPose], ground_truths: list[CameraPose]) -> ErrorStats:
     """Paired error statistics between estimates and ground-truth poses.
 
     Position error is the Euclidean distance; orientation error is the
@@ -134,9 +124,8 @@ def noisy_oracle(
     rng = np.random.default_rng(seed)
     offset = rng.normal(0.0, sigma_pos / math.sqrt(3.0), size=3)
     yaw_delta = rng.normal(0.0, sigma_yaw_deg)
-    position = vec3(*(ground_truth.position + offset))
     orientation = quat_multiply(
         quat_from_axis_angle(_Z_AXIS, yaw_delta), ground_truth.orientation
     )
     orientation = orientation / vector_norm(orientation)
-    return PoseEstimate(position, orientation, SOURCE_NOISY_ORACLE)
+    return PoseEstimate(ground_truth.position + offset, orientation, SOURCE_NOISY_ORACLE)

@@ -13,7 +13,9 @@ manifest is written row by row from its draw block, a plan from its arrays.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
-``pitch_deg``; no writer emits them.
+``pitch_deg``; no writer emits them. A batch line is read into a
+``(PoseSample, weights)`` pair, and the sample is the one check of its
+poses: a line it rejects is a ``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -26,25 +28,22 @@ import os
 import re
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ptzscan.evaluation import SOURCE_EXTERNAL, PoseEstimate
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.losses import LossWeights, PoseSample
 from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
-from ptzscan.randomizer import DatasetManifest, DeploymentBoundary, sample_fields
+from ptzscan.randomizer import GENERATOR_NAME, DatasetManifest, DeploymentBoundary, sample_fields
 from ptzscan.simulator import PropagationStudy, SimulationReport
 from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
 
 __all__ = [
     "FormatError",
-    "BatchSample",
     "record_to_pose",
     "read_pose_json",
     "read_sample_batch",
@@ -188,16 +187,9 @@ def read_pose_json(path: Union[str, Path]) -> CameraPose:
     return record_to_pose(_load_json(path), str(path))
 
 
-@dataclass(frozen=True)
-class BatchSample:
-    """One line of a batch file: a pose pair plus optional loss weights."""
-
-    sample: PoseSample
-    weights: Optional[LossWeights] = None
-
-
 @np.errstate(over="ignore")
-def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
+def read_sample_batch(path: Union[str, Path]) -> list[tuple[PoseSample, Optional[LossWeights]]]:
+    """(sample, weights) of each batch line; weights is None where the line has none."""
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -218,30 +210,15 @@ def read_sample_batch(path: Union[str, Path]) -> list[BatchSample]:
             with _fields(f"{context}: weights"):
                 logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
                 weights = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
-        out.append(BatchSample(sample=sample, weights=weights))
+        out.append((sample, weights))
     return out
 
 
-def load_external_predictions(
-    path: Union[str, Path],
-) -> tuple[list[PoseEstimate], list[CameraPose]]:
-    """Read a batch file as (predictions, ground truths) for evaluation.
-
-    Predicted orientations are normalized into estimates tagged with the
-    external-file source.
-    """
-    predictions, truths = [], []
-    for batch in read_sample_batch(path):
-        sample = batch.sample
-        predictions.append(
-            PoseEstimate(
-                position=sample.predicted_position,
-                orientation=sample.predicted_orientation,
-                source=SOURCE_EXTERNAL,
-            )
-        )
-        truths.append(sample.true_pose)
-    return predictions, truths
+def load_external_predictions(path: Union[str, Path]) -> tuple[list[CameraPose], list[CameraPose]]:
+    """Read a batch file as (predicted poses, ground truths) for evaluation:
+    each prediction is its sample's ``predicted`` pose, normalized once."""
+    batch = read_sample_batch(path)
+    return [s.predicted for s, _ in batch], [s.true_pose for s, _ in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +385,7 @@ def write_plan_csv(path: Union[str, Path], plan: ScanPlan) -> None:
 def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> None:
     payload = {
         "header": {
-            "generator": manifest.generator,
+            "generator": GENERATOR_NAME,
             "seed": manifest.seed,
             "hfov_deg": manifest.hfov_deg,
             "sizes": {name: getattr(manifest.sizes, name) for name in ("train", "val", "test")},

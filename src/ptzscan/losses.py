@@ -7,16 +7,18 @@ Components are combined with per-task log-variance weights ``s`` as
 ``l * exp(-s) + s``; the equivalent variance form ``l / sigma2 + log(sigma2)``
 is provided for cross-checking.
 
-The quaternion residual is deliberately the plain Euclidean norm against the
-normalized prediction, with no hemisphere alignment: antipodal quaternions
-encode the same rotation but still score a nonzero loss here. Use
-``geometry.angular_distance`` when a rotation metric is wanted instead.
+A ``PoseSample`` normalizes its raw predicted quaternion once, into the
+checked ``predicted`` pose that every loss reads. The quaternion residual is
+deliberately the plain Euclidean norm against that normalized prediction,
+with no hemisphere alignment: antipodal quaternions encode the same rotation
+but still score a nonzero loss here. Use ``geometry.angular_distance`` when
+a rotation metric is wanted instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +28,6 @@ from ptzscan.geometry import (
     CylinderIntersectionError,
     CylinderModel,
     intersect_cylinder,
-    vec3,
     vector_norm,
     view_ray,
 )
@@ -63,38 +64,29 @@ class PoseSample:
     """One evaluation sample: ground-truth pose plus raw network outputs.
 
     ``predicted_orientation_raw`` is a 4-vector of any finite, nonzero
-    norm; it is normalized on use, mirroring how an unconstrained
-    regression head is consumed.
+    norm. It is normalized once, mirroring how an unconstrained regression
+    head is consumed, into the checked ``predicted`` pose: a raw quaternion
+    whose normalized form is not a unit quaternion (its squared norm
+    underflows) is rejected here.
     """
 
     true_pose: CameraPose
     predicted_position: np.ndarray
     predicted_orientation_raw: np.ndarray
+    predicted: CameraPose = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "predicted_position",
-            vec3(*np.asarray(self.predicted_position, dtype=np.float64)),
-        )
-        if not math.isfinite(vector_norm(self.true_pose.position - self.predicted_position)):
-            raise ValueError("position error must have a finite norm")
         raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
         if raw.shape != (4,):
             raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
         if not np.isfinite(raw).all() or not 0.0 < vector_norm(raw) < math.inf:
             raise ValueError("raw orientation must be finite with a finite, nonzero norm")
+        predicted = CameraPose(self.predicted_position, raw / vector_norm(raw))
+        if not math.isfinite(vector_norm(self.true_pose.position - predicted.position)):
+            raise ValueError("position error must have a finite norm")
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "predicted_position", predicted.position)
         object.__setattr__(self, "predicted_orientation_raw", raw)
-
-    @property
-    def predicted_orientation(self) -> np.ndarray:
-        """Normalized predicted quaternion."""
-        raw = self.predicted_orientation_raw
-        return raw / vector_norm(raw)
-
-    @property
-    def predicted_pose(self) -> CameraPose:
-        return CameraPose(self.predicted_position, self.predicted_orientation)
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ def orientation_loss(sample: PoseSample) -> float:
     Literal quaternion-difference norm: no hemisphere correction, so a
     sign-flipped prediction of the true rotation scores up to 2.
     """
-    return vector_norm(sample.true_pose.orientation - sample.predicted_orientation)
+    return vector_norm(sample.true_pose.orientation - sample.predicted.orientation)
 
 
 def icsc_loss(sample: PoseSample, cylinder: CylinderModel) -> tuple[Optional[float], str]:
@@ -156,7 +148,7 @@ def icsc_loss(sample: PoseSample, cylinder: CylinderModel) -> tuple[Optional[flo
     except CylinderIntersectionError as exc:
         raise InvalidSetupError(f"true-pose view ray misses the cylinder: {exc}") from exc
     try:
-        pred_hit = intersect_cylinder(view_ray(sample.predicted_pose), cylinder)
+        pred_hit = intersect_cylinder(view_ray(sample.predicted), cylinder)
     except CylinderIntersectionError:
         return None, ICSC_SKIPPED
     return vector_norm(true_hit - pred_hit), ICSC_HIT

@@ -13,8 +13,9 @@ a row per sample and a column per field, mapped as ``lo + (hi - lo) * u``, so
 a manifest is a pure function of (boundary, sizes, seed). Column (consumption)
 order: x, y, height, yaw, pan, tilt; per object in SCENE_OBJECTS order ambient
 then specular RGB; per object the texture placement fields of TEXTURE_RANGES.
-``sample_fields`` is the one home of that layout. A manifest keeps the block
-itself; its ``RandomizationSample`` objects are built when first read.
+``sample_fields`` is the one home of that layout, and ``column_ranges`` of
+each column's range. A manifest keeps the block itself, checked once against
+those ranges; a sample is its manifest record, ``sample_fields`` of its row.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ __all__ = [
     "SCENE_OBJECTS",
     "TEXTURE_RANGES",
     "DeploymentBoundary",
-    "MaterialColor",
-    "TexturePlacement",
-    "RandomizationSample",
     "SplitSizes",
     "DatasetManifest",
     "ConstraintViolation",
     "DeploymentReport",
+    "column_ranges",
     "generate_manifest",
     "sample_fields",
     "validate_deployment",
@@ -115,60 +114,6 @@ class DeploymentBoundary:
 
 
 @dataclass(frozen=True)
-class MaterialColor:
-    """Ambient and specular RGB of one object's texture, components in [0, 1]."""
-
-    ambient_rgb: tuple[float, float, float]
-    specular_rgb: tuple[float, float, float]
-
-    def __post_init__(self):
-        for name in ("ambient_rgb", "specular_rgb"):
-            rgb = tuple(float(v) for v in getattr(self, name))
-            if len(rgb) != 3 or not all(0.0 <= v <= 1.0 for v in rgb):
-                raise ValueError(f"{name} must be three values in [0, 1], got {rgb}")
-            object.__setattr__(self, name, rgb)
-
-
-@dataclass(frozen=True)
-class TexturePlacement:
-    """Where and how a texture sits on a surface: UV offset, rotation, scale."""
-
-    offset_u: float
-    offset_v: float
-    rotation_deg: float
-    scale_u: float
-    scale_v: float
-
-    def __post_init__(self):
-        for name, rng in TEXTURE_RANGES.items():
-            v = float(getattr(self, name))
-            if not rng[0] <= v <= rng[1]:
-                raise ValueError(f"{name}={v} outside {rng}")
-
-
-@dataclass(frozen=True, eq=False)
-class RandomizationSample:
-    """One fully-specified synthetic capture."""
-
-    position: np.ndarray
-    yaw_deg: float
-    pan_deg: float
-    tilt_deg: float
-    colors: dict[str, MaterialColor]
-    textures: dict[str, TexturePlacement]
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.isfinite(pos).all():
-            raise ValueError("position must be a finite 3-vector")
-        object.__setattr__(self, "position", pos)
-        if not np.isfinite([self.yaw_deg, self.pan_deg, self.tilt_deg]).all():
-            raise ValueError("yaw, pan and tilt must be finite")
-        if set(self.colors) != set(SCENE_OBJECTS) or set(self.textures) != set(SCENE_OBJECTS):
-            raise ValueError(f"colors and textures must cover exactly {SCENE_OBJECTS}")
-
-
-@dataclass(frozen=True)
 class SplitSizes:
     """Dataset split cardinalities."""
 
@@ -190,8 +135,9 @@ class SplitSizes:
 class DatasetManifest:
     """A reproducible dataset description: header plus the read-only
     ``(n, 39)`` draw block, a row per sample in ``sample_fields`` order and in
-    the train, val, test order of ``splits``. ``samples`` builds each row's
-    validated objects once, when first read."""
+    the train, val, test order of ``splits``. Each draw must lie in its
+    column's range, where ``lo + (hi - lo) * u`` puts it for u in [0, 1];
+    ``samples`` holds each row's manifest record, built when first read."""
 
     seed: int
     sizes: SplitSizes
@@ -199,20 +145,26 @@ class DatasetManifest:
     draws: np.ndarray
     splits: tuple[str, ...]
     hfov_deg: float = 72.5
-    generator: str = GENERATOR_NAME
 
     def __post_init__(self):
         draws = np.array(self.draws, dtype=np.float64)
         if draws.shape != (self.sizes.total, 39) or len(self.splits) != self.sizes.total:
             raise ValueError("draw rows and split counts must match the declared sizes")
-        if not np.isfinite(draws).all():
-            raise ValueError("draws must be finite")
+        names, lo, hi = column_ranges(self.boundary)
+        top = lo + (hi - lo)
+        outside = ~((lo <= draws) & (draws <= top))  # NaN is outside too
+        if outside.any():
+            row, col = np.argwhere(outside)[0]
+            raise ValueError(
+                f"draws must be finite and in their column's range: sample {row} {names[col]}"
+                f" = {draws[row, col]} outside [{lo[col]}, {top[col]}]"
+            )
         draws.flags.writeable = False
         object.__setattr__(self, "draws", draws)
 
     @cached_property
-    def samples(self) -> tuple[RandomizationSample, ...]:
-        return tuple(map(_sample_from_row, self.draws.tolist()))
+    def samples(self) -> tuple[dict, ...]:
+        return tuple(map(sample_fields, self.draws.tolist()))
 
 
 @dataclass(frozen=True)
@@ -248,14 +200,19 @@ def sample_fields(v) -> dict:
     }
 
 
-def _sample_from_row(v: list[float]) -> RandomizationSample:
-    """The sample whose fields are one row of drawn values, in column order."""
-    f = sample_fields(v)
-    return RandomizationSample(
-        np.array(f["position_m"]), f["yaw_deg"], f["pan_deg"], f["tilt_deg"],
-        colors={obj: MaterialColor(**c) for obj, c in f["colors"].items()},
-        textures={obj: TexturePlacement(**t) for obj, t in f["textures"].items()},
-    )
+def column_ranges(boundary: DeploymentBoundary) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Names, lows and highs of the 39 draw columns, in ``sample_fields``
+    order; a name is its field's path in the manifest record."""
+    ranges = [(f"position_m[{k}]", *r) for k, r in enumerate(
+        (boundary.x_range, boundary.y_range, boundary.height_range))]
+    ranges += [(name, *boundary.yaw_range_deg) for name in ("yaw_deg", "pan_deg")]
+    ranges.append(("tilt_deg", *boundary.tilt_range_deg))
+    ranges += [(f"colors.{obj}.{rgb}[{k}]", 0.0, 1.0) for obj in SCENE_OBJECTS
+               for rgb in ("ambient_rgb", "specular_rgb") for k in range(3)]
+    ranges += [(f"textures.{obj}.{name}", *r) for obj in SCENE_OBJECTS
+               for name, r in TEXTURE_RANGES.items()]
+    names, lo, hi = zip(*ranges)
+    return names, np.array(lo), np.array(hi)
 
 
 def generate_manifest(
@@ -267,22 +224,18 @@ def generate_manifest(
     """Deterministic manifest: sample k is row k of one block of draws in the
     module's column order, and samples fill the train, val, and test blocks
     in that order. A row equals scalar ``uniform`` draws of its fields."""
-    ranges = [boundary.x_range, boundary.y_range, boundary.height_range]
-    ranges += [boundary.yaw_range_deg] * 2 + [boundary.tilt_range_deg]
-    ranges += [(0.0, 1.0)] * (6 * len(SCENE_OBJECTS))
-    ranges += list(TEXTURE_RANGES.values()) * len(SCENE_OBJECTS)
-    lo, hi = np.array(ranges).T
-    draws = lo + (hi - lo) * np.random.default_rng(seed).random((sizes.total, len(ranges)))
+    _, lo, hi = column_ranges(boundary)
+    draws = lo + (hi - lo) * np.random.default_rng(seed).random((sizes.total, len(lo)))
     splits = ("train",) * sizes.train + ("val",) * sizes.val + ("test",) * sizes.test
     return DatasetManifest(
         seed=seed, sizes=sizes, boundary=boundary, draws=draws, splits=splits, hfov_deg=hfov_deg
     )
 
 
-def sample_pose(sample: RandomizationSample) -> CameraPose:
-    """Camera pose implied by a sample: its position with a pure-yaw
+def sample_pose(sample: dict) -> CameraPose:
+    """Camera pose implied by a sample record: its position with a pure-yaw
     orientation (the camera base is levelled)."""
-    return CameraPose(sample.position, quat_from_yaw_pitch(sample.yaw_deg))
+    return CameraPose(sample["position_m"], quat_from_yaw_pitch(sample["yaw_deg"]))
 
 
 def validate_deployment(pose: CameraPose, boundary: DeploymentBoundary) -> DeploymentReport:

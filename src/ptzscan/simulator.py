@@ -397,7 +397,7 @@ def error_propagation(
     draws: list[PropagationDraw] = []
     errors: list[np.ndarray] = []
     for k in range(n_draws):
-        est_pose = noisy_oracle(true_pose, sigma_pos_m, sigma_yaw_deg, seed=int(draw_seeds[k])).pose
+        est_pose = noisy_oracle(true_pose, sigma_pos_m, sigma_yaw_deg, seed=int(draw_seeds[k]))
         est_setup = QuadrantSetup(
             quadrant, yaw_from_quaternion(est_pose.orientation), est_pose.position
         )

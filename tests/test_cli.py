@@ -607,7 +607,11 @@ class TestMalformedPoseRecords:
 
     POSE = {"position_m": [-7.0, 1.0, 6.0], "yaw_deg": 0.0, "pitch_deg": 24.0}
 
-    @pytest.mark.parametrize("command", ["evaluate", "loss-check"])
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["loss-check"], ["loss-check", "--cylinder", "2.0,2.0"]],
+        ids=["evaluate", "loss-check", "loss-check-cylinder"],
+    )
     @pytest.mark.parametrize(
         "line",
         [
@@ -623,6 +627,10 @@ class TestMalformedPoseRecords:
             json.dumps(
                 {"true": {**POSE, "quaternion_wxyz": [1e200, 0, 0, 0]}, "predicted": POSE}
             ),
+            # The squared norm is subnormal: normalising gives norm 1.0000056, not 1.
+            json.dumps(
+                {"true": POSE, "predicted": {**POSE, "quaternion_wxyz": [1e-160, 0, 0, 0]}}
+            ),
             # Position norms that overflow: each position's, then only the error's.
             json.dumps({"true": POSE, "predicted": {**POSE, "position_m": [1e200, 0, 6]}}),
             json.dumps({"true": {**POSE, "position_m": [1e200, 0, 6]}, "predicted": POSE}),
@@ -635,7 +643,7 @@ class TestMalformedPoseRecords:
         ],
         ids=[
             "number", "string", "text-yaw", "list-yaw", "text-pitch",
-            "overflow-quaternion", "overflow-true-quaternion",
+            "overflow-quaternion", "overflow-true-quaternion", "underflow-quaternion",
             "overflow-position", "overflow-true-position", "overflow-position-error",
         ],
     )
@@ -643,7 +651,7 @@ class TestMalformedPoseRecords:
         path = tmp_path / "bad.jsonl"
         good = (world / "batch.jsonl").read_text().splitlines()[0]
         path.write_text(f"{good}\n{line}\n")
-        assert main([command, "--predictions", str(path)]) == 3
+        assert main([*command, "--predictions", str(path)]) == 3
         captured = capsys.readouterr()
         [err] = captured.err.splitlines()
         assert "category=parse-error" in err

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptzscan.evaluation import SOURCE_EXTERNAL, evaluate, median_rmse
+from ptzscan.evaluation import evaluate, median_rmse
 from ptzscan.formats import (
     FormatError,
     format_stats,
@@ -37,12 +37,10 @@ from ptzscan.pantilt import PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import (
     SCENE_OBJECTS,
+    TEXTURE_RANGES,
     DatasetManifest,
     DeploymentBoundary,
-    MaterialColor,
-    RandomizationSample,
     SplitSizes,
-    TexturePlacement,
     generate_manifest,
 )
 from ptzscan.simulator import SectionReport, SimulationReport
@@ -119,15 +117,14 @@ class TestSampleBatch:
         write_batch(path, samples, weights)
         back = read_sample_batch(path)
         assert len(back) == 5
-        for orig, got, w in zip(samples, back, weights):
-            np.testing.assert_array_equal(got.sample.predicted_position, orig.predicted_position)
+        for orig, (got, got_weights), w in zip(samples, back, weights):
+            np.testing.assert_array_equal(got.predicted_position, orig.predicted_position)
             np.testing.assert_array_equal(
-                got.sample.predicted_orientation_raw, orig.predicted_orientation_raw
+                got.predicted_orientation_raw, orig.predicted_orientation_raw
             )
-            np.testing.assert_array_equal(
-                got.sample.true_pose.position, orig.true_pose.position
-            )
-            assert got.weights == w
+            np.testing.assert_array_equal(got.predicted.orientation, orig.predicted.orientation)
+            np.testing.assert_array_equal(got.true_pose.position, orig.true_pose.position)
+            assert got_weights == w
 
     def test_empty_batch(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -150,9 +147,9 @@ class TestExternalPredictions:
         write_batch(path, samples)
         predictions, truths = load_external_predictions(path)
         assert len(predictions) == len(truths) == 8
-        assert all(p.source == SOURCE_EXTERNAL for p in predictions)
-        for p in predictions:
+        for p, s in zip(predictions, samples):
             assert np.linalg.norm(p.orientation) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(p.orientation, s.predicted.orientation)
         stats = evaluate(predictions, truths)
         assert stats.n == 8
 
@@ -325,7 +322,7 @@ class TestManifestJson:
         back = json.loads(a.read_text())
         header = back["header"]
         assert header["seed"] == manifest.seed
-        assert header["generator"] == manifest.generator
+        assert header["generator"] == "numpy-pcg64"
         assert header["hfov_deg"] == manifest.hfov_deg
         assert header["sizes"] == {"train": 4, "val": 2, "test": 1}
         assert tuple(back["splits"]) == manifest.splits
@@ -340,49 +337,22 @@ class TestManifestJson:
         }
         assert len(back["samples"]) == 7
         for orig, got in zip(manifest.samples, back["samples"]):
-            assert got["position_m"] == orig.position.tolist()
+            assert got["position_m"] == orig["position_m"]
             assert (got["yaw_deg"], got["pan_deg"], got["tilt_deg"]) == (
-                orig.yaw_deg, orig.pan_deg, orig.tilt_deg
+                orig["yaw_deg"], orig["pan_deg"], orig["tilt_deg"]
             )
-            assert {
-                name: MaterialColor(tuple(c["ambient_rgb"]), tuple(c["specular_rgb"]))
-                for name, c in got["colors"].items()
-            } == orig.colors
-            textures = {name: TexturePlacement(**t) for name, t in got["textures"].items()}
-            assert textures == orig.textures
+            assert got["colors"] == orig["colors"]
+            assert got["textures"] == orig["textures"]
         write_manifest_json(b, manifest)
         assert a.read_bytes() == b.read_bytes()
 
 
 def _reference_manifest_text(manifest, samples):
-    """The manifest as one indented ``json.dumps`` of ``samples``' record dicts."""
-
-    def record(sample):
-        return {
-            "position_m": [float(v) for v in sample.position],
-            "yaw_deg": sample.yaw_deg,
-            "pan_deg": sample.pan_deg,
-            "tilt_deg": sample.tilt_deg,
-            "colors": {
-                name: {"ambient_rgb": list(c.ambient_rgb), "specular_rgb": list(c.specular_rgb)}
-                for name, c in sample.colors.items()
-            },
-            "textures": {
-                name: {
-                    "offset_u": t.offset_u,
-                    "offset_v": t.offset_v,
-                    "rotation_deg": t.rotation_deg,
-                    "scale_u": t.scale_u,
-                    "scale_v": t.scale_v,
-                }
-                for name, t in sample.textures.items()
-            },
-        }
-
+    """The manifest as one indented ``json.dumps`` of the ``samples`` records."""
     b = manifest.boundary
     payload = {
         "header": {
-            "generator": manifest.generator,
+            "generator": "numpy-pcg64",
             "seed": manifest.seed,
             "hfov_deg": manifest.hfov_deg,
             "sizes": {
@@ -400,7 +370,7 @@ def _reference_manifest_text(manifest, samples):
                 "tilt_tolerance_deg": b.tilt_tolerance_deg,
             },
         },
-        "samples": [record(s) for s in samples],
+        "samples": list(samples),
         "splits": list(manifest.splits),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -411,38 +381,42 @@ anywhere = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_in
 
 
 def within(lo, hi):
+    """Floats a draw column of range (lo, hi) holds: lo to lo + (hi - lo)."""
+    hi = lo + (hi - lo)
     edges = [v for v in EDGES + [lo, hi, np.nextafter(hi, lo)] if lo <= v <= hi]
     return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
 
 
 @st.composite
-def samples(draw):
-    colors = {
-        obj: MaterialColor(*(tuple(draw(within(0.0, 1.0)) for _ in range(3)) for _ in range(2)))
+def samples(draw, boundary):
+    """A manifest record whose values lie in ``boundary``'s column ranges."""
+    ranges = (boundary.x_range, boundary.y_range, boundary.height_range)
+    record = {"position_m": [draw(within(*r)) for r in ranges]}
+    yaw_and_pan = [draw(within(*boundary.yaw_range_deg)) for _ in range(2)]
+    record["yaw_deg"], record["pan_deg"] = yaw_and_pan
+    record["tilt_deg"] = draw(within(*boundary.tilt_range_deg))
+    record["colors"] = {
+        obj: {
+            rgb: [draw(within(0.0, 1.0)) for _ in range(3)]
+            for rgb in ("ambient_rgb", "specular_rgb")
+        }
         for obj in draw(st.permutations(SCENE_OBJECTS))
     }
-    textures = {
-        obj: TexturePlacement(
-            draw(within(0.0, 1.0)),
-            draw(within(0.0, 1.0)),
-            draw(within(0.0, 360.0)),
-            draw(within(0.5, 2.0)),
-            draw(within(0.5, 2.0)),
-        )
+    record["textures"] = {
+        obj: {name: draw(within(*r)) for name, r in TEXTURE_RANGES.items()}
         for obj in draw(st.permutations(SCENE_OBJECTS))
     }
-    position = [draw(anywhere) for _ in range(3)]
-    return RandomizationSample(position, draw(anywhere), draw(anywhere), draw(anywhere), colors, textures)
+    return record
 
 
-def _sample_values(sample) -> list:
-    """A sample's 39 values in the randomizer's column order."""
-    values = [*sample.position.tolist(), sample.yaw_deg, sample.pan_deg, sample.tilt_deg]
+def _sample_values(s) -> list:
+    """A sample record's 39 values in the randomizer's column order."""
+    values = [*s["position_m"], s["yaw_deg"], s["pan_deg"], s["tilt_deg"]]
     for obj in SCENE_OBJECTS:
-        values += sample.colors[obj].ambient_rgb + sample.colors[obj].specular_rgb
+        values += s["colors"][obj]["ambient_rgb"] + s["colors"][obj]["specular_rgb"]
     for obj in SCENE_OBJECTS:
-        t = sample.textures[obj]
-        values += [t.offset_u, t.offset_v, t.rotation_deg, t.scale_u, t.scale_v]
+        t = s["textures"][obj]
+        values += [t["offset_u"], t["offset_v"], t["rotation_deg"], t["scale_u"], t["scale_v"]]
     return values
 
 
@@ -450,16 +424,18 @@ def _sample_values(sample) -> list:
 def manifests(draw):
     """A hand-built manifest whose draw block holds the drawn samples' values,
     returned with those samples."""
-    drawn = draw(st.one_of(st.just([]), st.lists(samples(), min_size=1, max_size=1),
-                           st.lists(samples(), min_size=2, max_size=8)))
-    train = draw(st.integers(0, len(drawn)))
-    val = draw(st.integers(0, len(drawn) - train))
-    sizes = SplitSizes(train=train, val=val, test=len(drawn) - train - val)
     boundary = DeploymentBoundary(
         quadrant=draw(st.integers(1, 4)),
         x_range=(-1e300, draw(st.sampled_from([-1e300, -0.0, 5e-324, 1e300]))),
         y_range=(draw(st.sampled_from([-2.5, 0.0])), 3.0),
+        height_range=draw(st.sampled_from([(6.25, 7.25), (-0.0, 0.0), (5e-324, 1e300)])),
     )
+    record = samples(boundary)
+    drawn = draw(st.one_of(st.just([]), st.lists(record, min_size=1, max_size=1),
+                           st.lists(record, min_size=2, max_size=8)))
+    train = draw(st.integers(0, len(drawn)))
+    val = draw(st.integers(0, len(drawn) - train))
+    sizes = SplitSizes(train=train, val=val, test=len(drawn) - train - val)
     # Labels that imitate the samples list's layout must not move the records.
     label = st.sampled_from(["train", "0", '"samples": [\n    0\n  ]', "\n    0\n"])
     manifest = DatasetManifest(
@@ -469,7 +445,6 @@ def manifests(draw):
         draws=np.array([_sample_values(s) for s in drawn]).reshape(len(drawn), 39),
         splits=tuple(draw(label) for _ in drawn),
         hfov_deg=draw(anywhere),
-        generator=draw(label),
     )
     return manifest, drawn
 
@@ -698,12 +673,7 @@ class TestReportExports:
 class TestStatsReport:
     def test_flat_key_value_lines(self, tmp_path):
         samples = make_samples(4, seed=5)
-        from ptzscan.evaluation import PoseEstimate
-
-        predictions = [
-            PoseEstimate(s.predicted_position, s.predicted_orientation, "external-file")
-            for s in samples
-        ]
+        predictions = [s.predicted for s in samples]
         truths = [s.true_pose for s in samples]
         stats = evaluate(predictions, truths)
         text = format_stats(stats)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptzscan.evaluation import SOURCE_EXTERNAL, PoseEstimate, evaluate
+from ptzscan.evaluation import evaluate
 from ptzscan.geometry import (
     FORWARD,
     CameraPose,
@@ -196,10 +196,7 @@ class TestEvaluate:
     @SETTINGS
     @given(st.lists(pose_samples(), min_size=1, max_size=12))
     def test_matches_numpy_formula(self, samples):
-        predictions = [
-            PoseEstimate(s.predicted_position, s.predicted_orientation, SOURCE_EXTERNAL)
-            for s in samples
-        ]
+        predictions = [s.predicted for s in samples]
         truths = [s.true_pose for s in samples]
         pos_err = np.array(
             [float(np.linalg.norm(p.position - g.position)) for p, g in zip(predictions, truths)]

@@ -1,20 +1,23 @@
 """Tests for deployment boundaries and dataset manifest generation."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptzscan.formats import write_manifest_json
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.randomizer import (
     SCENE_OBJECTS,
     DatasetManifest,
     DeploymentBoundary,
-    MaterialColor,
-    RandomizationSample,
     SplitSizes,
-    TexturePlacement,
+    column_ranges,
     generate_manifest,
+    sample_fields,
     sample_pose,
     validate_deployment,
 )
@@ -23,7 +26,7 @@ ONE = SplitSizes(train=1, val=0, test=0)
 
 
 def one_sample(boundary, seed):
-    """The single sample of a one-sample manifest."""
+    """The single sample record of a one-sample manifest."""
     return generate_manifest(boundary, ONE, seed=seed).samples[0]
 
 
@@ -75,12 +78,12 @@ class TestSampleSetup:
     def test_deterministic(self, q3_boundary):
         a = one_sample(q3_boundary, 7)
         b = one_sample(q3_boundary, 7)
-        np.testing.assert_array_equal(a.position, b.position)
-        assert a.yaw_deg == b.yaw_deg
-        assert a.pan_deg == b.pan_deg
-        assert a.tilt_deg == b.tilt_deg
-        assert a.colors == b.colors
-        assert a.textures == b.textures
+        np.testing.assert_array_equal(a["position_m"], b["position_m"])
+        assert a["yaw_deg"] == b["yaw_deg"]
+        assert a["pan_deg"] == b["pan_deg"]
+        assert a["tilt_deg"] == b["tilt_deg"]
+        assert a["colors"] == b["colors"]
+        assert a["textures"] == b["textures"]
 
     def test_degenerate_boundary_single_sample(self):
         b = DeploymentBoundary(
@@ -92,25 +95,26 @@ class TestSampleSetup:
             tilt_tolerance_deg=0.0,
         )
         s = one_sample(b, 0)
-        np.testing.assert_array_equal(s.position, [-7.0, 3.0, 6.75])
-        assert s.yaw_deg == 20.0
-        assert s.pan_deg == 20.0
-        assert s.tilt_deg == -18.0
+        np.testing.assert_array_equal(s["position_m"], [-7.0, 3.0, 6.75])
+        assert s["yaw_deg"] == 20.0
+        assert s["pan_deg"] == 20.0
+        assert s["tilt_deg"] == -18.0
 
     def test_monte_carlo_ranges_and_means(self, q3_boundary):
         n = 10_000
         manifest = generate_manifest(q3_boundary, SplitSizes(train=n, val=0, test=0), seed=11)
         xs, yaws, tilts = [], [], []
         for s in manifest.samples:
-            assert q3_boundary.x_range[0] <= s.position[0] <= q3_boundary.x_range[1]
-            assert q3_boundary.y_range[0] <= s.position[1] <= q3_boundary.y_range[1]
-            assert q3_boundary.height_range[0] <= s.position[2] <= q3_boundary.height_range[1]
-            assert 10.0 <= s.yaw_deg <= 30.0
-            assert 10.0 <= s.pan_deg <= 30.0
-            assert -18.5 <= s.tilt_deg <= -17.5
-            xs.append(s.position[0])
-            yaws.append(s.yaw_deg)
-            tilts.append(s.tilt_deg)
+            x, y, height = s["position_m"]
+            assert q3_boundary.x_range[0] <= x <= q3_boundary.x_range[1]
+            assert q3_boundary.y_range[0] <= y <= q3_boundary.y_range[1]
+            assert q3_boundary.height_range[0] <= height <= q3_boundary.height_range[1]
+            assert 10.0 <= s["yaw_deg"] <= 30.0
+            assert 10.0 <= s["pan_deg"] <= 30.0
+            assert -18.5 <= s["tilt_deg"] <= -17.5
+            xs.append(x)
+            yaws.append(s["yaw_deg"])
+            tilts.append(s["tilt_deg"])
         # Uniform[a,b]: mean sigma is (b-a)/sqrt(12 n).
         for values, (lo, hi) in [
             (xs, q3_boundary.x_range),
@@ -122,29 +126,18 @@ class TestSampleSetup:
 
     def test_covers_all_scene_objects(self, q3_boundary):
         s = one_sample(q3_boundary, 3)
-        assert set(s.colors) == set(SCENE_OBJECTS)
-        assert set(s.textures) == set(SCENE_OBJECTS)
-        for c in s.colors.values():
-            assert all(0.0 <= v <= 1.0 for v in c.ambient_rgb + c.specular_rgb)
-
-    def test_color_range_validation(self):
-        with pytest.raises(ValueError):
-            MaterialColor((1.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-    def test_texture_range_validation(self):
-        with pytest.raises(ValueError):
-            TexturePlacement(0.0, 0.0, 400.0, 1.0, 1.0)
+        assert set(s["colors"]) == set(SCENE_OBJECTS)
+        assert set(s["textures"]) == set(SCENE_OBJECTS)
+        for c in s["colors"].values():
+            assert all(0.0 <= v <= 1.0 for v in c["ambient_rgb"] + c["specular_rgb"])
 
     @pytest.mark.parametrize("field", ["yaw_deg", "pan_deg", "tilt_deg"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angle_rejected(self, q3_boundary, field, value):
-        s = one_sample(q3_boundary, 3)
-        fields = {
-            "position": s.position, "yaw_deg": 20.0, "pan_deg": 20.0, "tilt_deg": -18.0,
-            "colors": s.colors, "textures": s.textures,
-        }
-        with pytest.raises(ValueError, match="must be finite"):
-            RandomizationSample(**{**fields, field: value})
+        draws = generate_manifest(q3_boundary, ONE, seed=3).draws.copy()
+        draws[0, 3 + ("yaw_deg", "pan_deg", "tilt_deg").index(field)] = value
+        with pytest.raises(ValueError, match=f"must be finite.*: sample 0 {field} = "):
+            DatasetManifest(0, ONE, q3_boundary, draws, ("train",))
 
 
 def _reference_draws(boundary, n, seed):
@@ -170,13 +163,13 @@ def _reference_draws(boundary, n, seed):
 
 
 def _sample_values(s):
-    """A sample's values in consumption order."""
-    out = [*s.position.tolist(), s.yaw_deg, s.pan_deg, s.tilt_deg]
+    """A sample record's values in consumption order."""
+    out = [*s["position_m"], s["yaw_deg"], s["pan_deg"], s["tilt_deg"]]
     for obj in SCENE_OBJECTS:
-        out += [*s.colors[obj].ambient_rgb, *s.colors[obj].specular_rgb]
+        out += [*s["colors"][obj]["ambient_rgb"], *s["colors"][obj]["specular_rgb"]]
     for obj in SCENE_OBJECTS:
-        t = s.textures[obj]
-        out += [t.offset_u, t.offset_v, t.rotation_deg, t.scale_u, t.scale_v]
+        t = s["textures"][obj]
+        out += [t["offset_u"], t["offset_v"], t["rotation_deg"], t["scale_u"], t["scale_v"]]
     return out
 
 
@@ -220,6 +213,33 @@ class TestBlockDrawMatchesPerSampleDraws:
         ]
 
 
+class TestDrawBlockCheck:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(boundaries(), st.integers(1, 6), st.integers(0, 2**63 - 1), st.data())
+    def test_drawn_blocks_pass_and_one_ulp_outside_fails(self, boundary, n, seed, data):
+        # Widths run from 0 and 5e-324 to 2e300. Every drawn block passes the
+        # manifest's check, since generate_manifest builds the manifest.
+        sizes = SplitSizes(train=n, val=0, test=0)
+        drawn = generate_manifest(boundary, sizes, seed=seed)
+        names, lo, hi = column_ranges(boundary)
+        row = data.draw(st.integers(0, n - 1))
+        for col in range(39):
+            for outside in (np.nextafter(lo[col], -np.inf),
+                            np.nextafter(lo[col] + (hi[col] - lo[col]), np.inf)):
+                draws = drawn.draws.copy()
+                draws[row, col] = outside
+                with pytest.raises(ValueError, match=re.escape(f": sample {row} {names[col]} = ")):
+                    DatasetManifest(seed, sizes, boundary, draws, drawn.splits)
+
+    def test_column_names_are_record_paths(self, q3_boundary):
+        record = sample_fields(list(range(39)))
+        for col, name in enumerate(column_ranges(q3_boundary)[0]):
+            value = record
+            for key, index in re.findall(r"(\w+)(?:\[(\d)\])?", name):
+                value = value[key] if not index else value[key][int(index)]
+            assert value == col, name
+
+
 class TestGenerateManifest:
     def test_split_cardinalities(self, q3_boundary):
         sizes = SplitSizes(train=40, val=7, test=3)
@@ -239,15 +259,15 @@ class TestGenerateManifest:
         a = generate_manifest(q3_boundary, sizes, seed=123)
         b = generate_manifest(q3_boundary, sizes, seed=123)
         for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.position, sb.position)
-            assert sa.textures == sb.textures
-            assert sa.colors == sb.colors
+            np.testing.assert_array_equal(sa["position_m"], sb["position_m"])
+            assert sa["textures"] == sb["textures"]
+            assert sa["colors"] == sb["colors"]
 
     def test_different_seeds_differ(self, q3_boundary):
         sizes = SplitSizes(train=2, val=1, test=1)
         a = generate_manifest(q3_boundary, sizes, seed=1)
         b = generate_manifest(q3_boundary, sizes, seed=2)
-        assert not np.array_equal(a.samples[0].position, b.samples[0].position)
+        assert not np.array_equal(a.samples[0]["position_m"], b.samples[0]["position_m"])
 
     def test_default_sizes_are_4000_700_300(self, q3_boundary):
         assert SplitSizes() == SplitSizes(train=4000, val=700, test=300)
@@ -258,11 +278,13 @@ class TestGenerateManifest:
             report = validate_deployment(sample_pose(s), q3_boundary)
             assert report.passed, report.violations
 
-    def test_header_fields(self, q3_boundary):
+    def test_header_fields(self, q3_boundary, tmp_path):
         m = generate_manifest(q3_boundary, SplitSizes(1, 1, 1), seed=4, hfov_deg=60.0)
-        assert m.generator == "numpy-pcg64"
-        assert m.hfov_deg == 60.0
-        assert m.seed == 4
+        write_manifest_json(tmp_path / "m.json", m)
+        header = json.loads((tmp_path / "m.json").read_text())["header"]
+        assert header["generator"] == "numpy-pcg64"
+        assert header["hfov_deg"] == m.hfov_deg == 60.0
+        assert header["seed"] == m.seed == 4
 
     def test_size_mismatch_rejected(self, q3_boundary):
         # Too few rows, too few columns, a flat block, too few splits.

@@ -19,7 +19,9 @@ Every command-line option is recorded in ``CLI_OPTIONS``, so adding or
 removing a knob is a visible diff here too. ``formats`` calls ``float``,
 ``int`` or ``str`` on a decoded record's field only inside its two type
 checks, ``_floats`` and ``_integer``, so a mistyped field is refused in one
-place rather than coerced in another.
+place rather than coerced in another. The package sources stay within
+``LINE_BUDGET`` lines, so a change that grows them raises it in a visible
+diff.
 """
 
 import argparse
@@ -61,6 +63,9 @@ CLI_OPTIONS = {
     "loss-check": "--predictions --s-x --s-q --s-c --cylinder --out",
     "pipeline": f"{_SCAN} --camera --true-camera --cylinder --out",
 }
+
+# ``wc -l src/ptzscan/*.py``: the most source lines the package may hold.
+LINE_BUDGET = 3264
 
 
 def _parse(path: Path) -> ast.Module:
@@ -384,3 +389,9 @@ def test_cli_options_are_recorded():
         strings = (s for action in sub._actions for s in action.option_strings)
         found[name] = sorted(set(strings) - {"-h", "--help"})
     assert found == {name: sorted(options.split()) for name, options in CLI_OPTIONS.items()}
+
+
+def test_source_stays_within_its_line_budget():
+    counts = {p.name: p.read_bytes().count(b"\n") for p in SOURCES}
+    total = sum(counts.values())
+    assert total <= LINE_BUDGET, f"{total} source lines, over the {LINE_BUDGET} budget: {counts}"
