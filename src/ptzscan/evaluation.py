@@ -1,11 +1,11 @@
 """Pose-estimate abstraction and error statistics.
 
 A PoseEstimate is a ``CameraPose`` tagged with its source: ``noisy_oracle``
-or an external estimator. ``evaluate`` scores any camera poses; a batch
-file's predictions are the poses its ``PoseSample`` records checked once,
-when read. ``median_rmse`` is the one median / RMSE formula: ``evaluate``
-applies it to position error (metres) and orientation error (degrees,
-quaternion angular distance), and the simulator to labelling errors.
+or an external estimator. ``evaluate`` scores any camera poses (a batch's
+are checked once, when read) as stacked arrays, each error with the bits
+of its pair scored alone. ``median_rmse`` is the one median / RMSE formula:
+``evaluate`` applies it to position error (metres) and orientation error
+(degrees, quaternion angular distance), and the simulator to labelling errors.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ SOURCE_EXTERNAL = "external-file"
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PoseEstimate(CameraPose):
     """A camera pose guess tagged with the ``SOURCE_*`` that made it."""
 
     source: str
 
     def __post_init__(self):
-        super().__post_init__()
+        CameraPose.__post_init__(self)  # slots=True rebuilds the class, so no bare super()
         if self.source not in (SOURCE_NOISY_ORACLE, SOURCE_EXTERNAL):
             raise ValueError(f"unknown source tag {self.source!r}")
 
@@ -64,12 +64,7 @@ class ErrorStats:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        for name in (
-            "median_position",
-            "rmse_position",
-            "median_orientation",
-            "rmse_orientation",
-        ):
+        for name in ("median_position", "rmse_position", "median_orientation", "rmse_orientation"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -88,23 +83,16 @@ def evaluate(predictions: list[CameraPose], ground_truths: list[CameraPose]) -> 
     quaternion angular distance in degrees. Pairing is positional, so the
     result is invariant under any simultaneous permutation of both lists.
     """
-    if len(predictions) != len(ground_truths):
-        raise ValueError(
-            f"length mismatch: {len(predictions)} predictions vs "
-            f"{len(ground_truths)} ground truths"
-        )
+    if (n := len(predictions)) != (m := len(ground_truths)):
+        raise ValueError(f"length mismatch: {n} predictions vs {m} ground truths")
     if not predictions:
         raise ValueError("cannot evaluate an empty batch")
-    pos_err = np.array(
-        [vector_norm(p.position - g.position) for p, g in zip(predictions, ground_truths)]
-    )
-    ori_err = np.array(
-        [
-            angular_distance(p.orientation, g.orientation)
-            for p, g in zip(predictions, ground_truths)
-        ]
-    )
-    return ErrorStats(*median_rmse(pos_err), *median_rmse(ori_err), n=len(predictions))
+    # Each stack lives only as long as it is used, which keeps the peak memory down.
+    stacks = (np.array([x.orientation for x in poses]).T for poses in (predictions, ground_truths))
+    ori_err = angular_distance(*stacks)
+    d = np.array([p.position for p in predictions]) - np.array([g.position for g in ground_truths])
+    pos_err = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())  # vector_norm's bits, stacked
+    return ErrorStats(*median_rmse(pos_err), *median_rmse(ori_err), n=n)
 
 
 def noisy_oracle(

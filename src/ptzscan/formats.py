@@ -13,9 +13,10 @@ manifest is written row by row from its draw block, a plan from its arrays.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
-``pitch_deg``; no writer emits them. A batch line is read into a
-``(PoseSample, weights)`` pair, and the sample is the one check of its
-poses: a line it rejects is a ``FormatError`` naming the file and line.
+``pitch_deg``; no writer emits them. A batch is read a line at a time, so
+it costs one line of text plus its ``(PoseSample, weights)`` pairs; the
+sample is the one check of its poses, and a line it rejects (or one not
+UTF-8) is a ``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ def _write_text(path: Union[str, Path], text: Union[str, Iterable[str]]) -> None
         raise
 
 
-def _read_text(path: Union[str, Path]) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
 
@@ -113,7 +107,11 @@ def _decode(text: str, context: str):
 
 
 def _load_json(path: Union[str, Path]):
-    return _decode(_read_text(path), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    return _decode(text, str(path))
 
 
 @contextmanager
@@ -174,10 +172,8 @@ def _pose_fields(record: dict, context: str) -> tuple[np.ndarray, np.ndarray]:
 
 def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
     position, quat = _pose_fields(record, context)
-    try:
+    with _fields(context):
         return CameraPose(position, quat)
-    except ValueError as exc:
-        raise FormatError(f"{context}: {exc}") from exc
 
 
 # Pose readers reject an overflowing quaternion norm without numpy's warning.
@@ -189,28 +185,33 @@ def read_pose_json(path: Union[str, Path]) -> CameraPose:
 
 @np.errstate(over="ignore")
 def read_sample_batch(path: Union[str, Path]) -> list[tuple[PoseSample, Optional[LossWeights]]]:
-    """(sample, weights) of each batch line; weights is None where the line has none."""
+    """(sample, weights) of each batch line; weights is None where the line has none.
+    Lines are read one at a time, each ended by LF, CR LF or CR, and the first
+    bad line, UTF-8 or not, is the one reported."""
     out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        context = f"{path}:{lineno}"
-        record = _decode(line, context)
-        if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
-            raise FormatError(f"{context}: need 'true' and 'predicted' records")
-        true_pose = record_to_pose(record["true"], f"{context}: true")
-        position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
-        try:
-            sample = PoseSample(true_pose, position, raw)
-        except ValueError as exc:
-            raise FormatError(f"{context}: {exc}") from exc
-        w = record.get("weights")
-        weights = None
-        if w is not None:
-            with _fields(f"{context}: weights"):
-                logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
-                weights = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
-        out.append((sample, weights))
+    with open(path, "rb") as handle:
+        lines = (line for chunk in handle for line in chunk.splitlines())  # chunks end at \n
+        for lineno, data in enumerate(lines, start=1):
+            context = f"{path}:{lineno}"
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
+            if not line.strip():
+                continue
+            record = _decode(line, context)
+            if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
+                raise FormatError(f"{context}: need 'true' and 'predicted' records")
+            true_pose = record_to_pose(record["true"], f"{context}: true")
+            position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
+            with _fields(context):
+                sample = PoseSample(true_pose, position, raw)
+            w, weights = record.get("weights"), None
+            if w is not None:
+                with _fields(f"{context}: weights"):
+                    logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
+                    weights = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
+            out.append((sample, weights))
     return out
 
 

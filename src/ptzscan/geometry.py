@@ -155,7 +155,7 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CameraPose:
     """Position (m) plus unit-quaternion orientation in the scene frame."""
 
@@ -163,7 +163,12 @@ class CameraPose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", vec3(*np.asarray(self.position, dtype=np.float64)))
+        position = np.array(self.position, dtype=np.float64)
+        if position.shape != (3,):
+            raise ValueError(f"position must have shape (3,), got {position.shape}")
+        if not math.isfinite(position.dot(position)):
+            raise ValueError(f"vector must have a finite norm, got {position}")
+        object.__setattr__(self, "position", position)
         object.__setattr__(self, "orientation", _as_unit_quaternion(self.orientation))
 
 
@@ -288,17 +293,20 @@ def yaw_from_quaternion(q: np.ndarray) -> float:
     return math.degrees(math.atan2(r[1, 0], r[0, 0]))
 
 
-def angular_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Rotation angle between two unit quaternions, degrees in [0, 180].
+def angular_distance(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Rotation angle between checked unit quaternions (``CameraPose`` checks
+    them), degrees in [0, 180]: of two, or of each column of two (4, n) stacks.
 
     Symmetric and invariant under a sign flip of either argument. Computed
     from the relative rotation with atan2, which stays accurate for tiny
     angles where an arccos-of-dot formulation loses precision.
     """
-    q1 = _as_unit_quaternion(q1)
-    q2 = _as_unit_quaternion(q2)
     r = quat_multiply(quat_conjugate(q1), q2)
-    return math.degrees(2.0 * math.atan2(vector_norm(r[1:]), abs(float(r[0]))))
+    v = np.ascontiguousarray(r[1:].T).reshape(-1, 3)
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())  # vector_norm's bits, stacked
+    # math.atan2 per element: np.arctan2's bits differ from it on some inputs.
+    angles = (math.degrees(2.0 * math.atan2(n, abs(w))) for n, w in zip(norms, np.ravel(r[0])))
+    return np.fromiter(angles, np.float64, len(norms)).reshape(r.shape[1:])
 
 
 def wrap_degrees(angle: float) -> float:

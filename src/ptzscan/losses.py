@@ -7,12 +7,12 @@ Components are combined with per-task log-variance weights ``s`` as
 ``l * exp(-s) + s``; the equivalent variance form ``l / sigma2 + log(sigma2)``
 is provided for cross-checking.
 
-A ``PoseSample`` normalizes its raw predicted quaternion once, into the
-checked ``predicted`` pose that every loss reads. The quaternion residual is
-deliberately the plain Euclidean norm against that normalized prediction,
-with no hemisphere alignment: antipodal quaternions encode the same rotation
-but still score a nonzero loss here. Use ``geometry.angular_distance`` when
-a rotation metric is wanted instead.
+A ``PoseSample``, slotted since a batch holds one per line, normalizes its
+raw predicted quaternion once, into the checked ``predicted`` pose that
+every loss reads. The quaternion residual is deliberately the plain
+Euclidean norm against that normalized prediction, with no hemisphere
+alignment: antipodal quaternions encode the same rotation but still score
+a nonzero loss here; ``geometry.angular_distance`` is a rotation metric.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class InvalidSetupError(Exception):
     outside the geometry this loss is defined for."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PoseSample:
     """One evaluation sample: ground-truth pose plus raw network outputs.
 
@@ -79,7 +79,7 @@ class PoseSample:
         raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
         if raw.shape != (4,):
             raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
-        if not np.isfinite(raw).all() or not 0.0 < vector_norm(raw) < math.inf:
+        if not 0.0 < vector_norm(raw) < math.inf:  # a NaN or infinite component fails too
             raise ValueError("raw orientation must be finite with a finite, nonzero norm")
         predicted = CameraPose(self.predicted_position, raw / vector_norm(raw))
         if not math.isfinite(vector_norm(self.true_pose.position - predicted.position)):
@@ -89,7 +89,7 @@ class PoseSample:
         object.__setattr__(self, "predicted_orientation_raw", raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossWeights:
     """Per-task log-variances: ``s = log(sigma^2)`` for position (s_x),
     orientation (s_q), and ICSC centre distance (s_c)."""

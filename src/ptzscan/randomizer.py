@@ -150,6 +150,8 @@ class DatasetManifest:
         draws = np.array(self.draws, dtype=np.float64)
         if draws.shape != (self.sizes.total, 39) or len(self.splits) != self.sizes.total:
             raise ValueError("draw rows and split counts must match the declared sizes")
+        if not 0.0 < self.hfov_deg < 180.0:  # NaN and infinities fail too
+            raise ValueError(f"hfov_deg must be finite and in (0, 180), got {self.hfov_deg}")
         names, lo, hi = column_ranges(self.boundary)
         top = lo + (hi - lo)
         outside = ~((lo <= draws) & (draws <= top))  # NaN is outside too

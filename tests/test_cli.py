@@ -385,6 +385,18 @@ class TestRandomize:
         assert str(boundary) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("hfov", ["nan", "-5", "0", "180", "inf"])
+    def test_render_fov_outside_0_180_exits_config_error(self, world, tmp_path, capsys, hfov):
+        # Before the manifest checked it, nan exited 4 with json's bare "Out of
+        # range float values" and -5 exited 0, writing a -5 degree render FOV.
+        out = tmp_path / "m.json"
+        argv = ["randomize", "--boundary", str(world / "boundary.json"), "--hfov-deg", hfov]
+        assert main([*argv, "--out", str(out)]) == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == (f"error: category=config-error: hfov_deg must be finite and in (0, 180),"
+                       f" got {float(hfov)}")
+        assert not out.exists()
+
     def test_unparsable_boundary_exits_parse_error(self, world, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptzscan.evaluation import evaluate, median_rmse
@@ -137,6 +138,137 @@ class TestSampleBatch:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"true": {}}\nnot json\n')
         with pytest.raises(FormatError, match="bad.jsonl:1"):
+            read_sample_batch(path)
+
+
+GOOD_RECORD = {
+    "true": {"position_m": [-7.0, 1.5, 6.0], "yaw_deg": 3.0, "pitch_deg": 30.0},
+    "predicted": {"position_m": [-7.1, 1.4, 6.1], "quaternion_wxyz": [0.9, 0.1, 0.2, 0.05]},
+}
+GOOD_LINE = json.dumps(GOOD_RECORD)
+_ZERO_QUAT = {"position_m": [0.0, 0.0, 0.0], "quaternion_wxyz": [0, 0, 0, 0]}
+# A bad batch line and the message that names it, after "file:line: ", as the
+# whole-text reader that splits with str.splitlines reported it.
+BAD_LINES = [
+    ("not json", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ('{"true": ', "invalid JSON (Expecting value: line 1 column 10 (char 9))"),
+    ('{"true": NaN}', "invalid JSON (non-finite number NaN)"),
+    ('{"true": {}}', "need 'true' and 'predicted' records"),
+    (json.dumps({**GOOD_RECORD, "predicted": _ZERO_QUAT}),
+     "raw orientation must be finite with a finite, nonzero norm"),
+    (json.dumps({**GOOD_RECORD, "true": {"position_m": [1e200, 0.0, 0.0], "yaw_deg": 0}}),
+     "true: vector must have a finite norm, got [1.e+200 0.e+000 0.e+000]"),
+    (json.dumps({**GOOD_RECORD, "weights": {"s_x": "a"}}),
+     "weights: expected numbers, got ['a', 0.0, 0.0]"),
+]
+
+
+@st.composite
+def batch_records(draw):
+    """A decoded batch line: a true pose by quaternion or yaw/pitch, a raw
+    predicted quaternion, and weights with any of their keys, or none."""
+    coordinates = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3)
+    quaternion = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    assume(np.linalg.norm(quaternion) > 1e-3)
+    true = {"position_m": draw(coordinates)}
+    if draw(st.booleans()):
+        true["quaternion_wxyz"] = (quaternion / np.linalg.norm(quaternion)).tolist()
+    else:
+        true["yaw_deg"] = draw(st.floats(-180.0, 180.0))
+        if draw(st.booleans()):
+            true["pitch_deg"] = draw(st.floats(-89.0, 89.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    predicted = {"position_m": draw(coordinates), "quaternion_wxyz": (scale * quaternion).tolist()}
+    record = {"true": true, "predicted": predicted}
+    keys = draw(st.one_of(st.none(), st.sets(st.sampled_from(["s_x", "s_q", "s_c"]))))
+    if keys is not None:
+        record["weights"] = {k: draw(st.floats(-3.0, 3.0)) for k in sorted(keys)}
+    return record
+
+
+def sample_from_record(record):
+    """The (sample, weights) pair a decoded batch record describes."""
+    true, predicted = record["true"], record["predicted"]
+    if "quaternion_wxyz" in true:
+        orientation = np.array(true["quaternion_wxyz"])
+    else:
+        orientation = quat_from_yaw_pitch(true["yaw_deg"], true.get("pitch_deg", 0.0))
+    sample = PoseSample(CameraPose(np.array(true["position_m"]), orientation),
+                        np.array(predicted["position_m"]), np.array(predicted["quaternion_wxyz"]))
+    weights = record.get("weights")
+    return sample, None if weights is None else LossWeights(**weights)
+
+
+def sample_bits(sample):
+    return [a.tobytes() for a in (
+        sample.true_pose.position, sample.true_pose.orientation, sample.predicted.position,
+        sample.predicted.orientation, sample.predicted_orientation_raw)]
+
+
+class TestStreamedBatch:
+    """The reader goes a line at a time; lines end at \n, \r\n or \r, as
+    str.splitlines ends them when no other separator is present."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(st.one_of(batch_records(), st.sampled_from(["", "  ", "\t"])), max_size=8),
+        st.one_of(st.none(), st.tuples(st.integers(0, 8), st.sampled_from(BAD_LINES))),
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=9, max_size=9),
+        st.booleans(),
+    )
+    def test_matches_whole_text_reading(self, items, bad, endings, final_newline):
+        lines = [item if isinstance(item, str) else json.dumps(item) for item in items]
+        if bad is not None:
+            lines.insert(min(bad[0], len(lines)), bad[1][0])
+        text = "".join(line + ending for line, ending in zip(lines, endings))
+        if lines and not final_newline:
+            text = text[: -len(endings[len(lines) - 1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.jsonl"
+            path.write_bytes(text.encode())
+            if bad is not None:
+                lineno = text.splitlines().index(bad[1][0]) + 1
+                with pytest.raises(FormatError) as raised:
+                    read_sample_batch(path)
+                assert str(raised.value) == f"{path}:{lineno}: {bad[1][1]}"
+                return
+            got = read_sample_batch(path)
+        expected = [sample_from_record(item) for item in items if not isinstance(item, str)]
+        assert len(got) == len(expected)
+        for (sample, weights), (want, want_weights) in zip(got, expected):
+            assert sample_bits(sample) == sample_bits(want)
+            assert weights == want_weights
+
+    def test_form_feed_is_not_a_line_end(self, tmp_path):
+        # str.splitlines also splits at \f (and \v, \x1c-\x1e, \x85, \u2028
+        # and \u2029). Lines are numbered by physical line: the \f line is
+        # blank, and "not json" is line 3, where splitlines made it line 4.
+        path = tmp_path / "batch.jsonl"
+        path.write_text(f"{GOOD_LINE}\n\f\nnot json\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: invalid JSON")):
+            read_sample_batch(path)
+        # Two records parted by a form feed are one line, which is not JSON.
+        path.write_text(f"{GOOD_LINE}\f{GOOD_LINE}\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: invalid JSON (Extra data")):
+            read_sample_batch(path)
+
+    def test_line_separator_inside_a_json_string_is_text(self, tmp_path):
+        record = {**GOOD_RECORD, "note": "one\u2028two"}  # valid raw in a JSON string
+        path = tmp_path / "batch.jsonl"
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        [(sample, weights)] = read_sample_batch(path)
+        assert sample_bits(sample) == sample_bits(sample_from_record(GOOD_RECORD)[0])
+        assert weights is None
+
+    def test_first_bad_line_is_reported_even_if_a_later_one_is_not_utf8(self, tmp_path):
+        # The whole-text reader decoded the file first and reported the bad
+        # byte; the streamed reader stops at the bad JSON line before it.
+        path = tmp_path / "batch.jsonl"
+        path.write_bytes(f"{GOOD_LINE}\nnot json\n".encode() + b"\xff\xfe\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: invalid JSON")):
+            read_sample_batch(path)
+        path.write_bytes(f"{GOOD_LINE}\r\n".encode() + b"\xff\xfe\nnot json\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: not UTF-8 text")):
             read_sample_batch(path)
 
 
@@ -378,6 +510,9 @@ def _reference_manifest_text(manifest, samples):
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, 0.1]
 anywhere = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
+# A render FOV lies in (0, 180) degrees, or the manifest refuses it.
+render_fovs = st.one_of(st.sampled_from([5e-324, 72.5, math.nextafter(180.0, 0.0)]),
+                        st.floats(0.0, 180.0, exclude_min=True, exclude_max=True))
 
 
 def within(lo, hi):
@@ -444,7 +579,7 @@ def manifests(draw):
         boundary=boundary,
         draws=np.array([_sample_values(s) for s in drawn]).reshape(len(drawn), 39),
         splits=tuple(draw(label) for _ in drawn),
-        hfov_deg=draw(anywhere),
+        hfov_deg=draw(render_fovs),
     )
     return manifest, drawn
 

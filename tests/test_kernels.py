@@ -19,6 +19,7 @@ from ptzscan.evaluation import evaluate
 from ptzscan.geometry import (
     FORWARD,
     CameraPose,
+    angular_distance,
     CylinderIntersectionError,
     CylinderModel,
     Ray,
@@ -209,3 +210,49 @@ class TestEvaluate:
         assert bits(stats.rmse_position) == bits(np.sqrt(np.mean(pos_err**2)))
         assert bits(stats.median_orientation) == bits(np.median(ori_err))
         assert bits(stats.rmse_orientation) == bits(np.sqrt(np.mean(ori_err**2)))
+
+
+def per_pair_orientation_error(q1, q2):
+    """One pair's orientation error, computed alone with the scalar kernels."""
+    r = quat_multiply(quat_conjugate(q1), q2)
+    return math.degrees(2.0 * math.atan2(vector_norm(r[1:]), abs(float(r[0]))))
+
+
+@st.composite
+def pose_pairs(draw):
+    """(prediction, truth) whose orientations are unrelated, identical,
+    antipodal, or a few ulps apart, at positions up to 1e150 m."""
+    coordinate = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e150, 1e150))
+    position = lambda: np.array(draw(st.lists(coordinate, min_size=3, max_size=3)))
+    q = draw(unit_quaternions())
+    relation = draw(st.sampled_from(["unrelated", "identical", "antipodal", "near"]))
+    if relation == "unrelated":
+        other = draw(unit_quaternions())
+    elif relation == "near":  # a few ulps off, renormalised: a tiny or zero angle
+        other = np.nextafter(q, draw(st.sampled_from([np.inf, -np.inf])))
+        other = other / vector_norm(other)
+    else:
+        other = q.copy() if relation == "identical" else -q
+    return CameraPose(position(), q), CameraPose(position(), other)
+
+
+class TestStackedEvaluate:
+    @SETTINGS
+    @given(st.lists(pose_pairs(), min_size=1, max_size=12))
+    def test_errors_match_the_per_pair_formula(self, pairs):
+        predictions, truths = (list(side) for side in zip(*pairs))
+        ori_err = [per_pair_orientation_error(p.orientation, g.orientation) for p, g in pairs]
+        a = np.array([p.orientation for p in predictions]).T
+        b = np.array([g.orientation for g in truths]).T
+        assert_same_bits(angular_distance(a, b), ori_err)
+        for (p, g), expected in zip(pairs, ori_err):
+            assert bits(angular_distance(p.orientation, g.orientation)) == bits(expected)
+            one = evaluate([p], [g])  # the median of one error is that error's bits
+            assert bits(one.median_position) == bits(vector_norm(p.position - g.position))
+            assert bits(one.median_orientation) == bits(expected)
+        pos_err = np.array([vector_norm(p.position - g.position) for p, g in pairs])
+        stats = evaluate(predictions, truths)
+        assert bits(stats.median_position) == bits(np.median(pos_err))
+        assert bits(stats.rmse_position) == bits(np.sqrt(np.mean(pos_err**2)))
+        assert bits(stats.median_orientation) == bits(np.median(ori_err))
+        assert bits(stats.rmse_orientation) == bits(np.sqrt(np.mean(np.square(ori_err))))

@@ -231,6 +231,13 @@ class TestDrawBlockCheck:
                 with pytest.raises(ValueError, match=re.escape(f": sample {row} {names[col]} = ")):
                     DatasetManifest(seed, sizes, boundary, draws, drawn.splits)
 
+    @pytest.mark.parametrize("hfov", [float("nan"), float("inf"), -5.0, 0.0, 180.0, -0.0])
+    def test_render_fov_outside_0_180_is_refused(self, q3_boundary, hfov):
+        with pytest.raises(ValueError, match=re.escape("hfov_deg must be finite and in (0, 180)")):
+            generate_manifest(q3_boundary, SplitSizes(train=2, val=0, test=0), seed=1, hfov_deg=hfov)
+        edge = generate_manifest(q3_boundary, SplitSizes(train=2, val=0, test=0), hfov_deg=5e-324)
+        assert edge.hfov_deg == 5e-324
+
     def test_column_names_are_record_paths(self, q3_boundary):
         record = sample_fields(list(range(39)))
         for col, name in enumerate(column_ranges(q3_boundary)[0]):
