@@ -107,8 +107,9 @@ def noisy_oracle(
     axis receives sigma_pos/sqrt(3). Yaw noise composes a small rotation
     about scene z onto the true orientation. Deterministic for a fixed seed.
     """
-    if sigma_pos < 0.0 or sigma_yaw_deg < 0.0:
-        raise ValueError("noise sigmas must be non-negative")
+    for name, sigma in (("sigma_pos", sigma_pos), ("sigma_yaw_deg", sigma_yaw_deg)):
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
     rng = np.random.default_rng(seed)
     offset = rng.normal(0.0, sigma_pos / math.sqrt(3.0), size=3)
     yaw_delta = rng.normal(0.0, sigma_yaw_deg)

@@ -13,13 +13,13 @@ one y value; lattice points outside the convex hull of the section's data
 are marked invalid. Input points are sorted and de-duplicated before
 triangulation so repeated runs are bit-identical regardless of file order.
 
-Each simplex's barycentric transform is a 2x2 LU solve that SciPy runs
-through LAPACK one simplex at a time; ``_barycentric_transforms`` runs it in
-numpy with the bundled OpenBLAS arithmetic, bit for bit, and leaves rows it
-cannot vouch for to SciPy. SciPy has no public way to supply a transform, so
-it goes in through ``Delaunay._transform``, the private cache ``find_simplex``
-reads (``tests/test_surface.py`` fails loudly if that changes); ``_linear_nd``
-then sums the barycentric terms as SciPy's interpolator would, in numpy.
+Each lattice node takes the value of the triangle it lies in, with the
+triangle's vertices in ascending index order, so its bits follow from that
+triangle alone, not from Qhull's vertex order or SciPy's LAPACK. SciPy's
+``find_simplex`` locates the nodes; it walks on every simplex's barycentric
+transform, which SciPy would compute with a LAPACK solve per simplex, so a
+plain numpy inverse goes in through ``Delaunay._transform``, the private
+cache it reads (``tests/test_surface.py`` fails loudly if that changes).
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     _, keep = np.unique(pts[:, axes], axis=0, return_index=True)
     keep.sort()
     pts = pts[keep]
-    # Column indexing yields Fortran order; the interpolator would keep a C copy.
+    # Column indexing yields Fortran order; Delaunay would keep a C copy.
     proj = np.ascontiguousarray(pts[:, axes])
 
     if len(proj) < 3 or np.linalg.matrix_rank(proj[1:] - proj[0], tol=1e-12) < 2:
@@ -300,16 +300,13 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         )
     # Imported on first use: only the commands that interpolate load SciPy.
     from scipy.spatial import Delaunay, QhullError
-    from scipy.spatial._qhull import _get_barycentric_transforms
 
     try:
         tri = Delaunay(proj)
     except QhullError as exc:
         raise DegenerateSectionError(f"section {spec.name!r}: triangulation failed ({exc})") from exc
-    # SciPy's own transform, bit for bit, set where find_simplex reads it.
-    transform, unsure = _barycentric_transforms(tri.points, tri.simplices)
-    transform[unsure] = _get_barycentric_transforms(tri.points, tri.simplices[unsure], _EPS)
-    tri._transform = transform
+    # find_simplex walks on the transform; SciPy's own takes a LAPACK solve per simplex.
+    tri._transform = _transforms(proj, tri.simplices)
 
     rows, cols = pts[:, spec.row_axis], pts[:, 1]
     row_values = _lattice(rows.min(), rows.max(), GRID_RESOLUTION)
@@ -318,7 +315,13 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     points = np.empty((len(row_values), len(col_values), 3), dtype=np.float64)
     points[..., spec.row_axis] = row_values[:, None]
     points[..., 1] = col_values[None, :]
-    interpolated = _linear_nd(tri, pts[:, spec.value_axis], points[..., axes].reshape(-1, 2))
+    xi = points[..., axes].reshape(-1, 2)
+    simplex = tri.find_simplex(xi)
+    found = simplex != -1
+    interpolated = np.full(len(xi), np.nan)
+    interpolated[found] = _node_values(
+        proj, pts[:, spec.value_axis], tri.simplices[simplex[found]], xi[found]
+    )
     interpolated = interpolated.reshape(points.shape[:2])
     valid = np.isfinite(interpolated)
     points[..., spec.value_axis] = interpolated
@@ -326,107 +329,41 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     return SurfaceGrid(spec, row_values, col_values, points, valid)
 
 
-@np.errstate(all="ignore")  # SciPy's loop warns about nothing either
-def _linear_nd(tri, values: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``LinearNDInterpolator(tri, values)(xi)``, bit for bit: SciPy's simplex
-    walk (``find_simplex``), then the interpolator's sum in its order. Next to
-    a NaN transform row find_simplex searches ten times wider than the
-    interpolator, so such a triangulation is left to the interpolator."""
-    if np.isnan(tri.transform).any():
-        from scipy.interpolate import LinearNDInterpolator
-        return LinearNDInterpolator(tri, values)(xi)
-    simplex = tri.find_simplex(xi)
-    t = tri.transform[simplex]
-    d = xi - t[:, 2]
-    c = (0.0 + t[:, :2, 0] * d[:, :1]) + t[:, :2, 1] * d[:, 1:]
-    v = values[tri.simplices[simplex]]
-    out = ((0.0 + c[:, 0] * v[:, 0]) + c[:, 1] * v[:, 1]) + ((1.0 - c[:, 0]) - c[:, 1]) * v[:, 2]
-    return np.where(simplex == -1, np.nan, out)
+@np.errstate(all="ignore")  # a singular row is NaN, not a warning
+def _transforms(points: np.ndarray, simplices: np.ndarray,
+                rcond_min: float = 1000 * np.finfo(np.float64).eps) -> np.ndarray:
+    """``Delaunay.transform`` of 2D simplices, from the plain 2x2 inverse.
 
-
-# Delaunay.transform's tolerance: SciPy's routine gives a simplex whose
-# LAPACK-estimated reciprocal condition number is under 1000 * _EPS a NaN
-# transform. That estimate never falls below the true value, so a row whose
-# true value clears 16 times the limit is one SciPy solves; the rest are
-# left to SciPy.
-_EPS = float(np.finfo(np.float64).eps)
-_RCOND_SURE = 16 * 1000 * _EPS
-
-
-def _two_sum(a, b):
-    """``a + b`` rounded, and its exact rounding error (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a):
-    """Veltkamp's split of ``a`` into two halves of at most 26 significant bits."""
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-@np.errstate(all="ignore")  # elements outside the exact range are flagged, not warned about
-def _fma(a, b, c):
-    """Elementwise ``a * b + c`` rounded once, and where that is guaranteed.
-
-    Boldo and Melquiond's emulation of a fused multiply-add: Dekker's exact
-    product p + e = a * b, Knuth's exact sum s + t = c + p, then t + e
-    rounded to odd, so that adding it to s rounds only once. Every step is
-    exact while |a|, |b| and |c| stay under 2**900 and a * b is zero or at
-    least 2**-900 in magnitude; the second array marks those elements.
-    """
-    p = a * b
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    s, t = _two_sum(c, p)
-    v, w = _two_sum(t, e)
-    # Round to odd: an inexact v whose last bit is even steps one ulp towards w.
-    even = v.view(np.int64) & 1 == 0
-    v = np.where((w != 0) & even, np.nextafter(v, np.copysign(np.inf, w)), v)
-    big = 2.0**900
-    exact = (abs(a) < big) & (abs(b) < big) & (abs(c) < big)
-    exact &= (a == 0) | (b == 0) | (abs(p) >= 1.0 / big)
-    return np.where(v == 0, s, s + v), exact  # s, not s + 0, keeps an exact -0
-
-
-@np.errstate(all="ignore")  # a singular or non-finite row is flagged, not warned about
-def _barycentric_transforms(points: np.ndarray, simplices: np.ndarray):
-    """``Delaunay.transform`` of 2D simplices, bit for bit, and the rows left to SciPy.
-
-    Row k of each (3, 2) block is column k of A^-1, where A has rows
-    e0 = p0 - p2 and e1 = p1 - p2 (SciPy's T, which Fortran sees
-    transposed); row 2 is p2. SciPy gets A^-1 from LAPACK's dgetrf and
-    dgetrs, which the bundled OpenBLAS runs as: swap the rows only when
-    |e1x| > |e0x|, then with pivot row (a, b) and other row (c, d),
-    l = c * (1/a) and u22 = d - l * b; each column (B0, B1) of the
-    row-permuted identity gives x1 = (B1 - l * B0) * (1/u22) and
-    x0 = fma(-b, x1, B0) * (1/a). The second array marks rows this cannot
-    vouch for: not finite, a reciprocal condition number within a factor
-    of 16 of SciPy's limit, or fma operands outside ``_fma``'s exact range.
+    A has columns e0 = p0 - p2 and e1 = p1 - p2; rows 0 and 1 of each (3, 2)
+    block are A^-1, its adjugate over its determinant, and row 2 is p2. A
+    simplex whose 1-norm reciprocal condition number
+    |det A| / (||A||_1 ||A||_inf) is under ``rcond_min`` is all NaN; the
+    default is SciPy's.
     """
     v = points[simplices]
     r = v[:, 2]
-    e0, e1 = v[:, 0] - r, v[:, 1] - r
-    swap = abs(e1[:, 0]) > abs(e0[:, 0])
-    (a, b), (c, d) = np.where(swap, e1.T, e0.T), np.where(swap, e0.T, e1.T)
+    (a, c), (b, d) = (v[:, 0] - r).T, (v[:, 1] - r).T
+    det = a * d - b * c
     out = np.empty((len(r), 3, 2))
+    out[:, 0, 0], out[:, 0, 1] = d / det, -b / det
+    out[:, 1, 0], out[:, 1, 1] = -c / det, a / det
     out[:, 2] = r
-    inv_a = 1.0 / a
-    l = c * inv_a
-    u22 = d - l * b
-    inv_u22 = 1.0 / u22
-    sure = np.ones(len(r), dtype=bool)
-    for k, b0 in enumerate((np.where(swap, 0.0, 1.0), np.where(swap, 1.0, 0.0))):
-        x1 = ((1.0 - b0) - l * b0) * inv_u22
-        x0, exact = _fma(-b, x1, b0)
-        out[:, k] = np.column_stack([x0 * inv_a, x1])
-        sure &= exact
-    # The 1-norm reciprocal condition number of a 2x2 A is
-    # |det A| / (||A||_1 ||A||_inf), with det A = a * u22; taken as two
-    # ratios, it neither overflows nor underflows where it matters.
-    norm_1 = np.maximum(abs(e0[:, 0]) + abs(e1[:, 0]), abs(e0[:, 1]) + abs(e1[:, 1]))
-    norm_inf = np.maximum(abs(e0).sum(axis=1), abs(e1).sum(axis=1))
-    sure &= abs(a) / norm_1 * (abs(u22) / norm_inf) >= _RCOND_SURE
-    return out, ~(sure & np.isfinite(out).all(axis=(1, 2)))
+    norm_1 = np.maximum(abs(a) + abs(c), abs(b) + abs(d))
+    norm_inf = np.maximum(abs(a) + abs(b), abs(c) + abs(d))
+    out[abs(det) / norm_1 / norm_inf < rcond_min] = np.nan
+    return out
+
+
+def _node_values(points: np.ndarray, values: np.ndarray, simplices: np.ndarray,
+                 xi: np.ndarray) -> np.ndarray:
+    """The linear interpolant at each node ``xi[k]`` over its triangle ``simplices[k]``,
+    its vertices in ascending index order: a node's bits follow from its
+    triangle and itself, not from Qhull's vertex order."""
+    simplices = np.sort(simplices, axis=1)
+    # No NaN rule: each simplex passed it in the vertex order find_simplex used.
+    t = _transforms(points, simplices, rcond_min=0.0)
+    d = xi - t[:, 2]
+    c0 = t[:, 0, 0] * d[:, 0] + t[:, 0, 1] * d[:, 1]
+    c1 = t[:, 1, 0] * d[:, 0] + t[:, 1, 1] * d[:, 1]
+    v = values[simplices]
+    return c0 * v[:, 0] + c1 * v[:, 1] + (1.0 - c0 - c1) * v[:, 2]

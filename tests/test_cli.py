@@ -318,6 +318,22 @@ class TestSimulate:
         assert len(study["draws"]) == 3
         assert study["error_median_m"] > 0.0
 
+    @pytest.mark.parametrize("option, value, name", [("--sigma-yaw", "inf", "sigma_yaw_deg"),
+                                                     ("--sigma-pos", "nan", "sigma_pos")])
+    def test_non_finite_sigma_exits_config_error_naming_it(
+        self, world, tmp_path, capsys, option, value, name
+    ):
+        out = tmp_path / "study.json"
+        code = main(
+            ["simulate", *_base(world), "--true-camera", str(world / "camera.json"),
+             "--quadrant", "3", "--draws", "2", option, value, "--out", str(out)]
+        )
+        assert code == 4
+        [err] = capsys.readouterr().err.splitlines()
+        assert err == (f"error: category=config-error: {name} must be finite and non-negative,"
+                       f" got {float(value)}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("estimated", [None, "{}"], ids=["absent", "not-a-pose"])
     def test_draws_mode_reads_no_estimated_camera(self, world, tmp_path, estimated):
         argv = ["simulate", *_base(world), "--true-camera", str(world / "camera.json"),

@@ -4,9 +4,9 @@ Every imported name must be used, and every ``__all__`` entry must name
 something the module defines or imports. ``__init__.py`` imports purely to
 re-export, so only its ``__all__`` (if any) is checked. SciPy may only be
 imported inside a function, so commands that never interpolate skip its
-import cost, and only ``surface`` may touch SciPy's private names
-(``scipy.spatial._qhull``, ``Delaunay._transform``), so a SciPy upgrade has
-one module to check. Every public name (``__all__`` entries and public methods)
+import cost. No module imports a private SciPy module or name, and only
+``surface`` and its unit tests may touch ``Delaunay._transform``, so a SciPy
+upgrade has one place to check. Every public name (``__all__`` entries and public methods)
 must have a caller outside the unit tests: the package itself, the demos,
 the benchmark or the acceptance suite. The package namespace is the
 ``__all__`` of every module but ``formats`` and ``cli``, and no name is in
@@ -73,7 +73,7 @@ CLI_OPTIONS = {
 }
 
 # ``wc -l src/ptzscan/*.py``: the most source lines the package may hold.
-LINE_BUDGET = 3264
+LINE_BUDGET = 3201
 
 
 def _parse(path: Path) -> ast.Module:
@@ -183,28 +183,27 @@ def test_scipy_is_not_imported_at_module_level(path):
     assert not lines, f"{path.name}: module-level scipy import at line(s) {lines}"
 
 
-# Modules that may touch SciPy's private names: the one place to check when
-# SciPy is upgraded.
-SCIPY_PRIVATE_ALLOWED = {"surface.py"}
-SCIPY_PRIVATE_ATTRIBUTES = {"_transform"}
+# The one SciPy private name the sources, demos, benchmark and tests may
+# touch, and where: the places to check when SciPy is upgraded.
+SCIPY_PRIVATE_ALLOWED = {"surface.py": {"_transform"}, "test_surface.py": {"_transform"}}
 
 
-def _scipy_private_uses(tree: ast.Module) -> list[int]:
-    """Lines that import a private SciPy module or name, or touch one of
-    ``SCIPY_PRIVATE_ATTRIBUTES`` (e.g. ``Delaunay._transform``)."""
-    lines = []
+def _scipy_private_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each private SciPy module or name imported, and of each
+    ``_transform`` attribute touched (``Delaunay._transform``)."""
+    uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-            names = [node.module, *(a.name for a in node.names)]
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr] if node.attr in SCIPY_PRIVATE_ATTRIBUTES else []
+            names = [node.attr] if node.attr == "_transform" else []
         else:
             continue
-        if any(part.startswith("_") for name in names for part in name.split(".")):
-            lines.append(node.lineno)
-    return lines
+        uses.extend((node.lineno, name) for name in names
+                    if any(part.startswith("_") for part in name.split(".")))
+    return uses
 
 
 def test_scipy_private_uses_finder():
@@ -218,12 +217,17 @@ def test_scipy_private_uses_finder():
         "x = tri.transform\n"
         "from numpy import _core\n"
     )
-    assert _scipy_private_uses(tree) == [3, 4, 5, 6]
+    assert _scipy_private_uses(tree) == [
+        (3, "scipy.spatial._qhull"), (3, "scipy.spatial._qhull.f"),
+        (4, "scipy.spatial._qhull"), (5, "scipy._lib"), (6, "_transform"),
+    ]
 
 
 def test_scipy_private_names_only_where_allowed():
-    users = {p.name for p in [*MODULES, *CALLERS] if _scipy_private_uses(_parse(p))}
-    assert users == SCIPY_PRIVATE_ALLOWED, f"modules using SciPy private names: {sorted(users)}"
+    paths = [*SOURCES, *CALLERS, *sorted((ROOT / "tests").glob("*.py"))]
+    found = {p.name: {name for _, name in _scipy_private_uses(_parse(p))} for p in paths}
+    found = {name: names for name, names in found.items() if names}
+    assert found == SCIPY_PRIVATE_ALLOWED, f"SciPy private names in use: {found}"
 
 
 def test_public_names_have_a_caller():
@@ -358,14 +362,14 @@ print(*sorted({name.split(".")[0] for name in set(sys.modules) - before}))
 
 
 # A sliver (its third point 2e-14 above the bottom edge): Delaunay gives it
-# a NaN transform row, so interpolate_section falls back to SciPy's interpolator.
+# a NaN transform row.
 SLIVER_CLOUD = "-1 10 1\n0 10 2\n-0.6686209525383975 10.000000000000021 3\n-1 11 4\n0 11 5\n"
 
 
 @pytest.mark.parametrize("name", ["pipeline", "simulate-draws", "sliver"])
-def test_only_a_degenerate_triangulation_loads_scipy_interpolate(tmp_path, name):
-    """The commands that interpolate load scipy.spatial; scipy.interpolate
-    only for a triangulation with a degenerate simplex."""
+def test_no_command_loads_scipy_interpolate(tmp_path, name):
+    """The commands that interpolate load scipy.spatial, and none loads
+    scipy.interpolate, a degenerate triangulation included."""
     inputs, outputs = tmp_path / "inputs", tmp_path / "outputs"
     golden.write_inputs(inputs)
     outputs.mkdir()
@@ -386,7 +390,7 @@ print("scipy.spatial" in sys.modules, "scipy.interpolate" in sys.modules)
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].split() == ["True", str(name == "sliver")]
+    assert result.stdout.splitlines()[-1].split() == ["True", "False"]
 
 
 def test_cli_options_are_recorded():

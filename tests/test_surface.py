@@ -1,13 +1,11 @@
 """Tests for point-cloud IO, sectioning, and lattice interpolation."""
 
-import math
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptzscan.surface as surface
@@ -449,130 +447,44 @@ class TestInterpolateSection:
         grid = interpolate_section(PointCloud(pts), make_spec())
         assert grid.valid.any()
 
-
     def test_interpolator_reads_the_transform_set_on_the_triangulation(self, monkeypatch):
         # interpolate_section hands its transform to SciPy's find_simplex
-        # through the private Delaunay._transform. A sentinel that halves the
-        # first two barycentric coordinates of the one triangle makes every
-        # lattice node read as inside it; if find_simplex stopped reading the
-        # attribute, half would not.
+        # through the private Delaunay._transform; SciPy computing its own
+        # costs seconds a section. A sentinel that halves the first two
+        # barycentric coordinates of the one triangle makes every lattice node
+        # read as inside it, and the node takes the triangle's plane there;
+        # if find_simplex stopped reading the attribute, half would not.
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 4.0], [1.0, 0.0, 2.0]])
         plain = interpolate_section(PointCloud(pts), make_spec())
         assert 0 < plain.valid.sum() < plain.valid.size
-        seen = []
 
-        def halved(points, simplices):
-            transform, unsure = real(points, simplices)
+        def halved(points, simplices, **kwargs):
+            # Only the first call, the triangulation's; the node values take the plain one.
+            monkeypatch.setattr(surface, "_transforms", real)
+            transform = real(points, simplices, **kwargs)
             transform[:, :2] *= 0.5
-            seen.append((transform.copy(), simplices.copy()))
-            return transform, unsure
+            return transform
 
-        real = surface._barycentric_transforms
-        monkeypatch.setattr(surface, "_barycentric_transforms", halved)
+        real = surface._transforms
+        monkeypatch.setattr(surface, "_transforms", halved)
         grid = interpolate_section(PointCloud(pts), make_spec())
         assert grid.valid.all()
-        [(transform, simplices)] = seen
-        c = transform[0, :2] @ (np.array([1.0, 1.0]) - transform[0, 2])
-        expected = np.array([*c, 1.0 - c.sum()]) @ pts[simplices[0], 2]
-        np.testing.assert_allclose(grid.points[-1, -1], [1.0, 1.0, expected], rtol=1e-12)
-        assert abs(expected - 5.0) > 0.1  # the plane through the points gives 5 there
+        np.testing.assert_allclose(grid.points[-1, -1], [1.0, 1.0, 5.0], rtol=1e-12)
 
 
-# --- The numpy barycentric transform against SciPy's own ---------------------
+# --- Point location and node values against SciPy ----------------------------
 
 _EPS = np.finfo(np.float64).eps
+LAYOUTS = ("scattered", "lattice", "cocircular", "sliver", "collinear")
 
 
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def _fma_reference(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, to nearest-even, from the exact rational value."""
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    return float(exact) if exact else a * b + c  # an exact zero keeps IEEE's sign rule
-
-
-# Significands that put products and sums on or next to rounding ties.
-significand = st.one_of(
-    st.integers(2**52, 2**53 - 1),
-    st.integers(0, 64).map(lambda k: 2**52 + k),
-    st.integers(1, 64).map(lambda k: 2**53 - k),
-    st.integers(0, 2**26).map(lambda k: 2**52 + k * 2**26),
-    st.integers(2**26, 2**27 - 1).map(lambda k: k * 2**26),
-)
-
-
-@st.composite
-def fma_operands(draw):
-    """(a, b, c) inside _fma's exact range: |a|, |b|, |c| < 2**900 and
-    2**-900 <= |a * b| < 2**900, or a zero factor."""
-    ea = draw(st.integers(-899, 898))
-    eb = draw(st.integers(max(-899, -898 - ea), min(898, 898 - ea)))
-    a = math.ldexp(draw(significand), ea - 52) * draw(st.sampled_from([1, -1]))
-    b = math.ldexp(draw(significand), eb - 52) * draw(st.sampled_from([1, -1]))
-    a, b = draw(st.sampled_from([(a, b)] * 9 + [(0.0, b), (a, -0.0)]))
-    p = a * b
-    kind = draw(st.sampled_from(["unit", "cancel", "power", "free"]))
-    if kind == "unit":  # the values the transform passes
-        c = draw(st.sampled_from([0.0, -0.0, 1.0, -1.0]))
-    elif kind == "cancel" and p:  # c within a few (fractional) ulps of -a * b
-        step = math.ulp(p) * draw(st.sampled_from([1, 0.5, 0.25, 2**-27, 2**-53]))
-        c = -p + draw(st.integers(-8, 8)) * step
-    elif kind == "power":  # a power of two near a * b: sums fall on half-ulps
-        shift = draw(st.integers(-60, 60))
-        c = math.ldexp(draw(st.sampled_from([1.0, -1.0, 1.5])), math.frexp(p or 1.0)[1] + shift)
-    else:
-        c = math.ldexp(draw(significand), draw(st.integers(-1074, 899)) - 52)
-    assume(abs(c) < 2.0**900)
-    return a, b, c
-
-
-# Operands on which rounding t + e to nearest, not to odd, before adding it
-# to s gives a result one ulp off (found by a random search).
-DOUBLE_ROUNDING = [
-    tuple(map(float.fromhex, case))
-    for case in [("-0x1.0000000000015p-130", "-0x1.fffffffffffd7p+227", "0x1p+151"),
-                 ("0x1.ffffffffffff5p-97", "0x1.0000000000006p+141", "0x1.8p+98")]
-]
-
-
-class TestFmaEmulation:
-    @settings(derandomize=True, deadline=None, max_examples=3000)
-    @given(fma_operands())
-    @example(DOUBLE_ROUNDING[0])
-    @example(DOUBLE_ROUNDING[1])
-    def test_correctly_rounded(self, operands):
-        a, b, c = operands
-        got, exact = surface._fma(np.array([a]), np.array([b]), np.array([c]))
-        assert exact[0]
-        assert _bits(got[0]) == _bits(_fma_reference(a, b, c)), (a.hex(), b.hex(), c.hex())
-
-    @pytest.mark.parametrize("operands", DOUBLE_ROUNDING)
-    def test_double_rounding_cases_are_real(self, operands):
-        # Without the rounding to odd these come out one ulp off, so the
-        # examples above do test it.
-        a, b, c = (np.array([v]) for v in operands)
-        p = a * b
-        (ah, al), (bh, bl) = surface._split(a), surface._split(b)
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        s, t = surface._two_sum(c, p)
-        assert (s + (t + e))[0] != _fma_reference(*operands)
-
-    @pytest.mark.parametrize(
-        "a, b, c",
-        [(2.0**900, 1.0, 0.0), (1.0, -(2.0**901), 1.0), (1.0, 1.0, 2.0**900),
-         (2.0**-500, 2.0**-401, 1.0), (5e-324, 1.0, 0.0), (math.inf, 1.0, 0.0),
-         (math.nan, 1.0, 1.0)],
-    )
-    def test_outside_the_exact_range_is_flagged(self, a, b, c):
-        _, exact = surface._fma(np.array([a]), np.array([b]), np.array([c]))
-        assert not exact[0]
-
-
-def _cloud_2d(draw, n):
+def _cloud_2d(draw, n, layouts=LAYOUTS):
     """n finite (x, y) points of one of the drawn layouts."""
-    layout = draw(st.sampled_from(["scattered", "lattice", "cocircular", "sliver", "collinear"]))
+    layout = draw(st.sampled_from(layouts))
     scale = 10.0 ** draw(st.integers(-6, 4))
     origin = np.array(draw(st.tuples(*[st.floats(-1e4, 1e4)] * 2)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -597,116 +509,139 @@ def _cloud_2d(draw, n):
     return origin + scale * xy
 
 
-def _scipy_rows(points, simplices):
-    """SciPy's own transform of the given simplices, with Delaunay.transform's eps."""
-    from scipy.spatial._qhull import _get_barycentric_transforms
+def _triangulation(draw, layouts=LAYOUTS):
+    """A drawn cloud's Delaunay triangulation, and queries: lattices on and
+    past its bounding box, its points and chord midpoints."""
+    from scipy.spatial import Delaunay, QhullError
 
-    return _get_barycentric_transforms(points, np.ascontiguousarray(simplices, dtype=np.intc), _EPS)
+    xy = _cloud_2d(draw, draw(st.integers(3, 40)), layouts)
+    try:
+        tri = Delaunay(xy)
+    except QhullError:
+        assume(False)
+    assume(tri.simplices.max() < len(xy))  # Qhull's point at infinity in a simplex
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    lattices = [np.stack(np.meshgrid(*np.linspace(lo - pad, hi + pad, 17).T), -1).reshape(-1, 2)
+                for pad in (0.0, 0.2 * (hi - lo))]
+    return tri, np.vstack([*lattices, xy, (xy + np.roll(xy, 1, axis=0)) / 2])
 
 
-class TestBarycentricTransforms:
+def _values(draw, n):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.choice([0.0, -0.0, 1.0, -2.5], n)
+    return rng.normal(0.0, 10.0 ** draw(st.integers(-6, 6)), n)
+
+
+def _locate(tri, queries):
+    """find_simplex on the transform interpolate_section sets."""
+    tri._transform = surface._transforms(tri.points, tri.simplices)
+    return tri.find_simplex(queries)
+
+
+def _rcond(points, simplices):
+    """Each triangle's 1-norm reciprocal condition number, as SciPy defines it."""
+    v = points[simplices]
+    e0, e1 = v[:, 0] - v[:, 2], v[:, 1] - v[:, 2]
+    det = e0[:, 0] * e1[:, 1] - e1[:, 0] * e0[:, 1]
+    norm_1 = np.maximum(abs(e0).sum(axis=1), abs(e1).sum(axis=1))
+    norm_inf = np.maximum(abs(e0[:, 0]) + abs(e1[:, 0]), abs(e0[:, 1]) + abs(e1[:, 1]))
+    return abs(det) / norm_1 / norm_inf
+
+
+class TestPointLocation:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
-    def test_matches_delaunay_transform_bit_for_bit(self, data):
-        from scipy.spatial import Delaunay, QhullError
+    def test_plain_transform_locates_as_scipys_own(self, data):
+        # find_simplex takes a query as inside a triangle when every
+        # barycentric coordinate is in [-tol, 1 + tol], tol = 100 eps. A query
+        # whose coordinate sits on that edge to within rounding can go either
+        # way on a last-bit change of the transform: on a 2 x 2 lattice of 1 cm
+        # cells at x = 2 m, a query on the diagonal reads -2.2204e-14 against a
+        # tol of 2.2204e-14. Every other query lands in SciPy's own triangle.
+        tri, queries = _triangulation(data.draw, ("scattered", "lattice"))
+        expected = tri.find_simplex(queries)  # SciPy's own transform, as nothing set the cache
+        t = tri.transform
+        c = np.einsum("sij,qsj->qsi", t[:, :2], queries[:, None] - t[:, 2])
+        c = np.concatenate([c, 1.0 - c.sum(axis=2, keepdims=True)], axis=2)
+        tol = 100 * _EPS
+        away = ((abs(c + tol) > 0.01 * tol) & (abs(c - 1.0 - tol) > 0.01 * tol)).all(axis=(1, 2))
+        np.testing.assert_array_equal(_locate(tri, queries)[away], expected[away])
 
-        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 40)))
-        try:
-            tri = Delaunay(xy)
-        except QhullError:
-            assume(False)
-        mine, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
-        reference = tri.transform  # SciPy's own, as nothing set the cache
-        sure = ~unsure
-        np.testing.assert_array_equal(_bits(mine[sure]), _bits(reference[sure]))
-        assert not np.isnan(reference[sure]).any()
-        # Filled from SciPy's routine with Delaunay's eps, the flagged rows match too.
-        mine[unsure] = _scipy_rows(tri.points, tri.simplices[unsure])
-        np.testing.assert_array_equal(_bits(mine), _bits(reference))
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
-    def test_singular_and_non_finite_rows_are_left_to_scipy(self, data):
-        # Arbitrary triangles over one point set: repeated vertices, collinear
-        # triples and NaN coordinates give SciPy's NaN rows.
-        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 12)))
-        xy = np.vstack([xy, xy[:2].mean(axis=0), xy[0] + 2 * (xy[1] - xy[0])])
-        xy[data.draw(st.lists(st.integers(0, len(xy) - 1), max_size=2)), data.draw(st.integers(0, 1))] = np.nan
-        simplices = np.array(
-            data.draw(st.lists(st.tuples(*[st.integers(0, len(xy) - 1)] * 3), min_size=1, max_size=30)),
-            dtype=np.intc,
-        )
-        reference = _scipy_rows(xy, simplices)
-        mine, unsure = surface._barycentric_transforms(xy, simplices)
-        assert unsure[np.isnan(reference).any(axis=(1, 2))].all()
-        np.testing.assert_array_equal(_bits(mine[~unsure]), _bits(reference[~unsure]))
+    def test_nan_rows_are_scipys(self, data):
+        tri, _ = _triangulation(data.draw)
+        mine = surface._transforms(tri.points, tri.simplices)
+        np.testing.assert_array_equal(np.isnan(mine).all(axis=(1, 2)), np.isnan(tri.transform[:, 0, 0]))
+        assert not np.isnan(mine[~np.isnan(mine).all(axis=(1, 2))]).any()
 
-    def test_benchmark_sized_lattice_and_scatter(self):
-        # About 20k simplices each: a lattice (cocircular everywhere) and a scatter.
-        from scipy.spatial import Delaunay
-
-        rng = np.random.default_rng(11)
-        xs, ys = np.meshgrid(np.arange(-1.8, 0.0, 0.01), np.arange(10.0, 10.6, 0.01))
-        for xy in (np.column_stack([xs.ravel(), ys.ravel()]), rng.uniform([-1.8, 0], [0, 0.6], (10_000, 2))):
-            tri = Delaunay(xy)
-            mine, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
-            assert not unsure.any()
-            np.testing.assert_array_equal(_bits(mine), _bits(tri.transform))
-
-
-# --- The numpy barycentric sum against SciPy's interpolator ------------------
 
 # A sliver (its third point 2e-14 above the bottom edge) beside a triangle
-# 1.3e-8 high. At the query, find_simplex's brute-force search, ten times
-# wider than the interpolator's next to a NaN transform row, finds a simplex
-# where the interpolator finds none (found by a random search).
+# 1.3e-8 high. At the query, find_simplex's search, ten times wider than the
+# interpolator's next to a NaN transform row, finds a triangle where
+# LinearNDInterpolator finds none (found by a random search).
 SLIVER = np.array([[0.0, 0.0], [1.0, 0.0], [0.3313790474616025, 2.1939325044749243e-14],
                    [0.25490852188700364, 1.2946690620719386e-08], [0.37274851746951454, 1.0],
                    [0.0, 1.0], [1.0, 1.0]])
 SLIVER_QUERY = np.array([[0.07343326958964913, 3.533790634915233e-15]])
 
 
-class TestLinearNdEvaluation:
+class TestNodeValues:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
-    def test_matches_linear_nd_interpolator_bit_for_bit(self, data):
-        from scipy.interpolate import LinearNDInterpolator
-        from scipy.spatial import Delaunay, QhullError
-
-        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 40)))
-        try:
-            tri = Delaunay(xy)
-        except QhullError:
-            assume(False)
-        assume(tri.simplices.max() < len(xy))  # Qhull's point at infinity in a simplex
+    def test_bits_do_not_depend_on_the_vertex_order(self, data):
+        tri, queries = _triangulation(data.draw)
+        values = _values(data.draw, tri.npoints)
+        simplex = _locate(tri, queries)
+        found = simplex != -1
+        simplices = tri.simplices[simplex[found]]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        if data.draw(st.booleans()):
-            values = rng.choice([0.0, -0.0, 1.0, -2.5], len(xy))  # signed zeros survive the sum
-        else:
-            values = rng.normal(0.0, 10.0 ** data.draw(st.integers(-6, 6)), len(xy))
-        tri._transform, unsure = surface._barycentric_transforms(tri.points, tri.simplices)
-        tri._transform[unsure] = _scipy_rows(tri.points, tri.simplices[unsure])
-        # Lattices on and past the bounding box, the points and chord midpoints.
-        lo, hi = xy.min(axis=0), xy.max(axis=0)
-        lattices = [np.stack(np.meshgrid(*np.linspace(lo - pad, hi + pad, 17).T), -1).reshape(-1, 2)
-                    for pad in (0.0, 0.2 * (hi - lo))]
-        queries = np.vstack([*lattices, xy, (xy + np.roll(xy, 1, axis=0)) / 2])
-        expected = LinearNDInterpolator(tri, values)(queries)
-        got = surface._linear_nd(tri, values, queries)
+        shuffled = rng.permuted(simplices, axis=1)
+        expected = surface._node_values(tri.points, values, simplices, queries[found])
+        got = surface._node_values(tri.points, values, shuffled, queries[found])
         np.testing.assert_array_equal(_bits(got), _bits(expected))
 
-    def test_nan_transform_row_goes_to_the_interpolator(self, monkeypatch):
-        import scipy.interpolate
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_bits_do_not_depend_on_the_input_row_order(self, data):
+        xy = _cloud_2d(data.draw, data.draw(st.integers(3, 40)))
+        assume(np.ptp(xy, axis=0).max() <= 10.0)  # at most 201 x 201 lattice nodes
+        pts = np.column_stack([xy, _values(data.draw, len(xy))])
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(pts))
+        try:
+            expected = interpolate_section(PointCloud(pts), make_spec())
+        except DegenerateSectionError:
+            assume(False)
+        got = interpolate_section(PointCloud(pts[order]), make_spec())
+        np.testing.assert_array_equal(got.valid, expected.valid)
+        np.testing.assert_array_equal(_bits(got.points), _bits(expected.points))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_values_agree_with_linear_nd_interpolator(self, data):
+        from scipy.interpolate import LinearNDInterpolator
+
+        tri, queries = _triangulation(data.draw)
+        values = _values(data.draw, tri.npoints)
+        expected = LinearNDInterpolator(tri, values)(queries)
+        simplex = _locate(tri, queries)
+        both = (simplex != -1) & np.isfinite(expected)
+        simplices = tri.simplices[simplex[both]]
+        got = surface._node_values(tri.points, values, simplices, queries[both])
+        # Within 4 eps of the triangle's largest vertex value, over its
+        # reciprocal condition number: 4e-16 relative on a right isosceles one.
+        bound = 4 * _EPS * abs(values[simplices]).max(axis=1) / _rcond(tri.points, simplices)
+        assert np.all(abs(got - expected[both]) <= bound)
+
+    def test_a_query_next_to_a_degenerate_triangle_takes_its_located_one(self):
+        from scipy.interpolate import LinearNDInterpolator
         from scipy.spatial import Delaunay
 
         tri = Delaunay(SLIVER)
-        assert np.isnan(tri.transform).any()
         values = np.arange(len(SLIVER), dtype=np.float64)
-        expected = scipy.interpolate.LinearNDInterpolator(tri, values)(SLIVER_QUERY)
-        assert np.isnan(expected[0]) and tri.find_simplex(SLIVER_QUERY)[0] != -1
-        calls = []
-        real = scipy.interpolate.LinearNDInterpolator
-        monkeypatch.setattr(scipy.interpolate, "LinearNDInterpolator", lambda *a: calls.append(a) or real(*a))
-        got = surface._linear_nd(tri, values, SLIVER_QUERY)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(_bits(got), _bits(expected))
+        assert np.isnan(LinearNDInterpolator(tri, values)(SLIVER_QUERY)).all()
+        [simplex] = _locate(tri, SLIVER_QUERY)
+        assert np.isnan(tri.transform).any() and simplex != -1
+        got = surface._node_values(tri.points, values, tri.simplices[[simplex]], SLIVER_QUERY)
+        assert np.isfinite(got).all()
