@@ -21,7 +21,6 @@ import argparse
 import math
 import sys
 import traceback
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -70,7 +69,6 @@ from ptzscan.randomizer import DatasetManifest, SplitSizes, generate_manifest
 from ptzscan.simulator import error_propagation, execute_plan
 from ptzscan.surface import (
     DegenerateSectionError,
-    EmptySectionWarning,
     PointCloudParseError,
     interpolate_section,
     load_point_cloud,
@@ -124,12 +122,13 @@ def _build_grids(cloud_path, sections_path):
     if not specs:
         raise CliError(EXIT_CONFIG, f"{sections_path}: no sections defined")
     cloud = load_point_cloud(cloud_path)
-    with warnings.catch_warnings():  # interpolate_section raises on an empty section
-        warnings.simplefilter("ignore", EmptySectionWarning)
-        return [interpolate_section(section_points(cloud, spec), spec) for spec in specs]
+    return [interpolate_section(section_points(cloud, spec), spec) for spec in specs]
 
 
-def _parse_cylinder(text: str) -> CylinderModel:
+def _parse_cylinder(text: Optional[str]) -> Optional[CylinderModel]:
+    """The ``--cylinder`` option's model; None when it is absent or empty."""
+    if not text:
+        return None
     try:
         radius, axis_height = (float(v) for v in text.split(","))
     except ValueError as exc:
@@ -152,6 +151,17 @@ def _plan(grids, pose: CameraPose, cfg: ScanConfig, quadrant: int):
     pantilts = [grid_to_pantilt(grid, setup) for grid in grids]
     triples = [(u, grid, grid.section.kind) for u, grid in zip(pantilts, grids)]
     return pantilts, plan_full(triples, cfg, quadrant)
+
+
+def _execute(plan, true_pose, estimated_pose, grids, cfg, args, cylinder, json_path, csv_path):
+    """Execute ``plan``, write its report as JSON (and CSV if ``csv_path``), and return
+    the report with its median labelling error as text."""
+    report = execute_plan(plan, true_pose, estimated_pose, grids, cfg, args.quadrant, cylinder=cylinder)
+    write_report_json(json_path, report)
+    if csv_path:
+        write_report_csv(csv_path, report)
+    med = report.label_error_median_m
+    return report, f"{med:.6f}" if math.isfinite(med) else "n/a"
 
 
 def cmd_interpolate(args) -> int:
@@ -194,34 +204,19 @@ def cmd_simulate(args) -> int:
     true_pose = read_pose_json(args.true_camera)
     estimated_pose = read_pose_json(args.estimated_camera) if inputs else None
     grids = _build_grids(args.cloud, args.sections)
-    cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
+    cylinder = _parse_cylinder(args.cylinder)
     if args.draws:
-        study = error_propagation(
-            true_pose,
-            grids,
-            cfg,
-            args.quadrant,
-            sigma_pos_m=args.sigma_pos,
-            sigma_yaw_deg=args.sigma_yaw,
-            n_draws=args.draws,
-            seed=args.seed,
-            cylinder=cylinder,
-        )
+        study = error_propagation(true_pose, grids, cfg, args.quadrant, sigma_pos_m=args.sigma_pos,
+                                  sigma_yaw_deg=args.sigma_yaw, n_draws=args.draws, seed=args.seed,
+                                  cylinder=cylinder)
         write_propagation_json(args.out, study)
         print(
             f"propagation: {len(study.draws)} draws, median error "
             f"{study.error_median_m:.4f} m -> {args.out}"
         )
         return EXIT_OK
-    plan = read_plan_json(args.plan)
-    report = execute_plan(
-        plan, true_pose, estimated_pose, grids, cfg, args.quadrant, cylinder=cylinder
-    )
-    write_report_json(args.out, report)
-    if args.csv:
-        write_report_csv(args.csv, report)
-    med = report.label_error_median_m
-    med_text = f"{med:.6f}" if math.isfinite(med) else "n/a"
+    report, med_text = _execute(read_plan_json(args.plan), true_pose, estimated_pose, grids, cfg,
+                                args, cylinder, args.out, args.csv)
     print(
         f"simulated {report.image_count} images, median labelling error {med_text} m, "
         f"{report.missed_count} missed -> {args.out}"
@@ -264,7 +259,7 @@ def cmd_loss_check(args) -> int:
     batch = read_sample_batch(args.predictions)
     if not batch:
         raise CliError(EXIT_CONFIG, f"{args.predictions}: no samples in batch")
-    cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
+    cylinder = _parse_cylinder(args.cylinder)
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
     l_x, l_q, l_c = [], [], []
     totals = []
@@ -333,14 +328,8 @@ def cmd_pipeline(args) -> int:
         write_grid_csv(out / f"{grid.section.name}_grid.csv", grid)
     _, plan = _plan(grids, estimated_pose, cfg, args.quadrant)
     write_plan_json(out / "plan.json", plan)
-    cylinder = _parse_cylinder(args.cylinder) if args.cylinder else None
-    report = execute_plan(
-        plan, true_pose, estimated_pose, grids, cfg, args.quadrant, cylinder=cylinder
-    )
-    write_report_json(out / "report.json", report)
-    write_report_csv(out / "report.csv", report)
-    med = report.label_error_median_m
-    med_text = f"{med:.6f}" if math.isfinite(med) else "n/a"
+    report, med_text = _execute(plan, true_pose, estimated_pose, grids, cfg, args,
+                                _parse_cylinder(args.cylinder), out / "report.json", out / "report.csv")
     print(
         f"pipeline: {len(plan)} planned images, median labelling error {med_text} m, "
         f"coverage {min((s.coverage for s in report.sections), default=0.0):.4f} -> {out}"

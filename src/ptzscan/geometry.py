@@ -6,7 +6,9 @@ quaternions scalar-first (w, x, y, z); angles in degrees at every public
 interface; ``FORWARD = (1, 0, 0)`` is the optical axis of a camera with
 identity orientation.
 
-All operations are pure functions on immutable values and are safe to call
+A value is checked once, where it is built (``vec3``, ``CameraPose``,
+``Ray``); the kernels take checked values and check nothing again. All
+operations are pure functions on immutable values and are safe to call
 concurrently.
 """
 
@@ -76,12 +78,31 @@ class GimbalLockWarning(UserWarning):
     """Yaw extraction hit the pitch = +/-90 degree degeneracy."""
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a 3-vector (metres, scene frame) with a finite norm."""
-    v = np.array([x, y, z], dtype=np.float64)
-    if not math.isfinite(v.dot(v)):
+def _finite_vec3(v, name: str = "vector") -> np.ndarray:
+    """``v`` as a new float64 3-vector, refused unless its norm is finite."""
+    v = np.array(v, dtype=np.float64)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {v.shape}")
+    x, y, z = v.tolist()
+    if not math.isfinite(x * x + y * y + z * z):  # overflows to inf without numpy's warning
         raise ValueError(f"vector must have a finite norm, got {v}")
     return v
+
+
+def _unit(v, name: str, size: int, failure: str) -> np.ndarray:
+    """``v`` as a float64 ``size``-vector, refused unless its norm is 1 to within ``_UNIT_TOL``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
+    n = vector_norm(v)
+    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
+        raise ValueError(f"{name} {failure} (norm {n})")
+    return v
+
+
+def vec3(x: float, y: float, z: float) -> np.ndarray:
+    """Build a 3-vector (metres, scene frame) with a finite norm."""
+    return _finite_vec3((x, y, z))
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -91,16 +112,6 @@ def vector_norm(v: np.ndarray) -> float:
     that expression without numpy's per-call dispatch.
     """
     return math.sqrt(v.dot(v))
-
-
-def _as_unit_quaternion(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    n = vector_norm(q)
-    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"quaternion is not normalized (norm {n})")
-    return q
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,13 +174,9 @@ class CameraPose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        position = np.array(self.position, dtype=np.float64)
-        if position.shape != (3,):
-            raise ValueError(f"position must have shape (3,), got {position.shape}")
-        if not math.isfinite(position.dot(position)):
-            raise ValueError(f"vector must have a finite norm, got {position}")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "orientation", _as_unit_quaternion(self.orientation))
+        object.__setattr__(self, "position", _finite_vec3(self.position, "position"))
+        q = _unit(self.orientation, "quaternion", 4, "is not normalized")
+        object.__setattr__(self, "orientation", q)
 
 
 @dataclass(frozen=True)
@@ -198,11 +205,8 @@ class Ray:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", vec3(*np.asarray(self.origin, dtype=np.float64)))
-        d = np.asarray(self.direction, dtype=np.float64)
-        n = vector_norm(d)
-        if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"ray direction must be unit length (norm {n})")
+        object.__setattr__(self, "origin", _finite_vec3(self.origin, "origin"))
+        d = _unit(self.direction, "ray direction", 3, "must be unit length")
         object.__setattr__(self, "direction", d)
 
     def at(self, t: float) -> np.ndarray:
@@ -210,16 +214,13 @@ class Ray:
 
 
 def rotate_vector(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate 3-vector ``v`` by unit quaternion ``q``; preserves the norm.
+    """Rotate float 3-vector ``v`` by checked unit quaternion ``q``; preserves the norm.
 
     Computes ``q v q*`` as ``v + 2 (w c + u x c)``, ``c = u x v``, on Python
     floats with ``np.cross``'s multiply-then-subtract steps: bit for bit the
     ``np.cross`` formula, without numpy's per-call dispatch.
     """
-    w, ux, uy, uz = _as_unit_quaternion(q).tolist()
-    v = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValueError(f"vector components must be finite, got {v}")
+    w, ux, uy, uz = q.tolist()
     vx, vy, vz = v.tolist()
     cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     dx, dy, dz = uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx
@@ -274,13 +275,12 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
 
 
 def yaw_from_quaternion(q: np.ndarray) -> float:
-    """Rotation about scene z under the intrinsic z-y'-x'' convention, degrees.
+    """Rotation about scene z of checked unit quaternion ``q`` (intrinsic z-y'-x''), degrees.
 
     Range (-180, 180]. At pitch +/-90 degrees the yaw/roll split is
     degenerate; yaw is then reported with roll fixed to zero and a
     GimbalLockWarning is issued.
     """
-    q = _as_unit_quaternion(q)
     r = quat_to_matrix(q)
     sin_pitch = -r[2, 0]
     if abs(sin_pitch) >= 1.0 - 1e-12:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptzscan.geometry import vec3, wrap_degrees
+from ptzscan.geometry import _finite_vec3, wrap_degrees
 
 __all__ = [
     "QUADRANT_PAN_OFFSETS",
@@ -80,7 +80,7 @@ class QuadrantSetup:
             raise ValueError(f"quadrant must be 1..4, got {self.quadrant}")
         if not math.isfinite(self.estimated_yaw_deg):
             raise ValueError("estimated yaw must be finite")
-        position = vec3(*np.asarray(self.camera_position, dtype=np.float64))
+        position = _finite_vec3(self.camera_position, "camera_position")
         object.__setattr__(self, "camera_position", position)
 
     @property

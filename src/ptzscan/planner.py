@@ -69,8 +69,9 @@ class ScanConfig:
     mu: float = 0.15
 
     def __post_init__(self):
-        if not (self.hfov_deg > 0.0 and self.vfov_deg > 0.0):
-            raise ValueError("FOVs must be positive")
+        for name in ("hfov_deg", "vfov_deg"):
+            if not 0.0 < (fov := getattr(self, name)) < 180.0:  # NaN and infinities fail too
+                raise ValueError(f"{name} must be finite and in (0, 180), got {fov}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must be in [0, 1), got {self.mu}")
 

@@ -12,6 +12,8 @@ Grid rows share one row coordinate (x, or z for the tail) and columns share
 one y value; lattice points outside the convex hull of the section's data
 are marked invalid. Input points are sorted and de-duplicated before
 triangulation so repeated runs are bit-identical regardless of file order.
+A section's points are checked once, by ``interpolate_section``: none, or
+collinear or near-collinear ones, are a DegenerateSectionError.
 
 Each lattice node takes the value of the triangle it lies in, with the
 triangle's vertices in ascending index order, so its bits follow from that
@@ -42,7 +44,6 @@ __all__ = [
     "RELEVANCE_BACK",
     "RELEVANCE_FRONT",
     "PointCloudParseError",
-    "EmptySectionWarning",
     "DegenerateSectionError",
     "PointCloud",
     "SectionSpec",
@@ -69,12 +70,8 @@ class PointCloudParseError(Exception):
     """A cloud file could not be parsed; message includes file and line."""
 
 
-class EmptySectionWarning(UserWarning):
-    """A section box selected no points; the section is unusable."""
-
-
 class DegenerateSectionError(Exception):
-    """Section points are too few or collinear after projection."""
+    """Section points are too few, or (near-)collinear, after projection."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +243,13 @@ def _parse_rows(path: Path, skip: int) -> np.ndarray:
 def section_points(cloud: PointCloud, spec: SectionSpec) -> PointCloud:
     """Points of ``cloud`` inside the section's closed box (bounds included).
 
-    An empty selection returns an empty cloud and raises
-    EmptySectionWarning; downstream interpolation will refuse it.
+    An empty selection is an empty cloud, which ``interpolate_section``
+    refuses.
     """
     lo = np.array(spec.box_min)
     hi = np.array(spec.box_max)
     mask = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
-    selected = cloud.points[mask]
-    if selected.shape[0] == 0:
-        warnings.warn(
-            f"section {spec.name!r} selected no points", EmptySectionWarning, stacklevel=2
-        )
-    return PointCloud(selected)
+    return PointCloud(cloud.points[mask])
 
 
 def _lattice(lo: float, hi: float, resolution: float) -> np.ndarray:
@@ -279,7 +271,8 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     Piecewise-linear over a Delaunay triangulation of the projected points;
     the lattice spans the projected bounding rectangle anchored at its min
     corner. Cells outside the convex hull are invalid. Raises
-    DegenerateSectionError for < 3 usable points or a collinear projection.
+    DegenerateSectionError for no points, < 3 usable points or a collinear
+    or near-collinear projection (Qhull's point at infinity in a triangle).
     """
     if len(sub) == 0:
         raise DegenerateSectionError(f"section {spec.name!r} has no points")
@@ -294,10 +287,9 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
     # Column indexing yields Fortran order; Delaunay would keep a C copy.
     proj = np.ascontiguousarray(pts[:, axes])
 
+    collinear = f"section {spec.name!r}: need >= 3 non-collinear projected points"
     if len(proj) < 3 or np.linalg.matrix_rank(proj[1:] - proj[0], tol=1e-12) < 2:
-        raise DegenerateSectionError(
-            f"section {spec.name!r}: need >= 3 non-collinear projected points"
-        )
+        raise DegenerateSectionError(collinear)
     # Imported on first use: only the commands that interpolate load SciPy.
     from scipy.spatial import Delaunay, QhullError
 
@@ -305,6 +297,8 @@ def interpolate_section(sub: PointCloud, spec: SectionSpec) -> SurfaceGrid:
         tri = Delaunay(proj)
     except QhullError as exc:
         raise DegenerateSectionError(f"section {spec.name!r}: triangulation failed ({exc})") from exc
+    if tri.simplices.max() >= len(proj):  # Qhull's Qz point at infinity: near-collinear points
+        raise DegenerateSectionError(collinear)
     # find_simplex walks on the transform; SciPy's own takes a LAPACK solve per simplex.
     tri._transform = _transforms(proj, tri.simplices)
 

@@ -53,6 +53,10 @@ def _write_cloud(path, step=0.02):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _xyz_lines(points) -> str:
+    return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist())
+
+
 def _write_batch(path, n, seed, pitch_deg):
     """JSON-lines pose pairs near the camera region; pitch > 0 aims down at
     the surface."""
@@ -199,6 +203,22 @@ class TestInterpolate:
         assert not out.exists()
 
 
+    def test_near_collinear_section_exits_compute_error(self, tmp_path):
+        """11 points along x spanning +-100 m, about 5e-13 m off the axis: Qhull
+        puts its point at infinity in a triangle, which is refused as collinear."""
+        rng = np.random.default_rng(0)
+        t, off = rng.uniform(-1, 1, 11), rng.uniform(-1, 1, 11) * 10**-14.25
+        (tmp_path / "line.xyz").write_text(_xyz_lines(np.column_stack([100 * t, 100 * off, np.ones(11)])))
+        section = {"name": "line", "kind": "fuselage", "box_min_m": [-200, -1, 0], "box_max_m": [200, 1, 2]}
+        (tmp_path / "sections.json").write_text(json.dumps({"sections": [section]}))
+        out = tmp_path / "grids"
+        code, stdout, stderr, _ = _run(["interpolate", "--cloud", str(tmp_path / "line.xyz"),
+                                        "--sections", str(tmp_path / "sections.json"), "--out", str(out)])
+        assert (code, stdout) == (5, "")
+        assert stderr == ("error: category=compute-error: section 'line': "
+                          "need >= 3 non-collinear projected points\n")
+
+
 class TestPlan:
     def test_plan_has_contiguous_sequences(self, plan_path):
         assert len(read_plan_json(plan_path)) > 10
@@ -237,7 +257,7 @@ class TestPlan:
         assert "category=config-error" in capsys.readouterr().err
 
     def test_empty_section_prints_one_error_line(self, world, tmp_path):
-        # section_points warns about the empty box, but the CLI reports it once.
+        # section_points returns the empty selection; interpolate_section refuses it.
         sections = json.loads((world / "sections.json").read_text())
         sections["sections"][0]["box_min_m"][0], sections["sections"][0]["box_max_m"][0] = 1e300, 1.5e300
         path = tmp_path / "sections.json"
@@ -628,6 +648,44 @@ class TestPipeline:
         # --true-camera defaults to --camera, so labelling is near exact.
         assert report["label_error_median_m"] < 1e-6
         assert "pipeline:" in capsys.readouterr().out
+
+
+    def test_empty_cylinder_option_means_no_cylinder(self, world, tmp_path, capsys):
+        argv = ["pipeline", *_base(world), "--camera", str(world / "camera.json"),
+                "--true-camera", str(world / "true_camera.json"), "--quadrant", "3"]
+        assert main([*argv, "--out", str(tmp_path / "without")]) == 0
+        assert main([*argv, "--cylinder", "", "--out", str(tmp_path / "empty")]) == 0
+        for name in ("plan.json", "report.json", "report.csv"):
+            assert (tmp_path / "empty" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+        without, empty = capsys.readouterr().out.splitlines()
+        assert empty == without.replace("without", "empty")
+
+
+class TestScanFovOptions:
+    """A scan FOV must be finite and in (0, 180): anything else is a config
+    error naming the field, raised before any input is read."""
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "180", "1e300"])
+    @pytest.mark.parametrize("option", ["--hfov-deg", "--vfov-deg"])
+    @pytest.mark.parametrize("command", ["plan", "simulate", "pipeline"])
+    def test_bad_fov_exits_config_error_naming_it(
+        self, world, plan_path, tmp_path, command, option, value
+    ):
+        out = tmp_path / "out"
+        argv = {
+            "plan": ["--camera", str(world / "camera.json")],
+            "simulate": ["--plan", str(plan_path), "--true-camera", str(world / "camera.json"),
+                         "--estimated-camera", str(world / "camera.json")],
+            "pipeline": ["--camera", str(world / "camera.json")],
+        }[command]
+        code, stdout, stderr, caught = _run(
+            [command, *_base(world), *argv, "--quadrant", "3", f"{option}={value}", "--out", str(out)]
+        )
+        field = option.lstrip("-").replace("-", "_")
+        assert (code, stdout, caught) == (4, "", [])
+        assert stderr == (f"error: category=config-error: {field} must be finite and in (0, 180),"
+                          f" got {float(value)}\n")
+        assert not out.exists()
 
 
 class TestMalformedPoseRecords:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptzscan.geometry as geometry
 from ptzscan.geometry import (
     FORWARD,
     T_MIN,
@@ -91,9 +92,53 @@ class TestQuaternionToolkit:
             rotate_vector(q, np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0], atol=1e-15
         )
 
-    def test_non_unit_quaternion_rejected_by_rotate(self):
-        with pytest.raises(ValueError):
-            rotate_vector(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
+
+class TestCheckedWhereBuilt:
+    """Each rule lives in the constructor of the value it guards; the
+    kernels that take a built value check nothing again."""
+
+    @pytest.mark.parametrize(
+        "position, orientation, message",
+        [
+            ([0.0, 0.0], [1.0, 0.0, 0.0, 0.0], r"^position must have shape \(3,\), got \(2,\)$"),
+            ([math.inf, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], r"^vector must have a finite norm"),
+            ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], r"^quaternion must have shape \(4,\), got \(3,\)$"),
+            ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], r"^quaternion is not normalized \(norm 1\.41"),
+            ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0], r"^quaternion is not normalized \(norm nan\)$"),
+        ],
+        ids=["position-shape", "position-norm", "quaternion-shape", "not-unit", "nan"],
+    )
+    def test_camera_pose_refuses(self, position, orientation, message):
+        with pytest.raises(ValueError, match=message):
+            CameraPose(position, orientation)
+
+    @pytest.mark.parametrize(
+        "origin, direction, message",
+        [
+            ([0.0, 0.0], [1.0, 0.0, 0.0], r"^origin must have shape \(3,\), got \(2,\)$"),
+            ([0.0, math.nan, 0.0], [1.0, 0.0, 0.0], r"^vector must have a finite norm"),
+            ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], r"^ray direction must have shape \(3,\)"),
+            ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], r"^ray direction must be unit length \(norm 1\.41"),
+        ],
+        ids=["origin-shape", "origin-norm", "direction-shape", "not-unit"],
+    )
+    def test_ray_refuses(self, origin, direction, message):
+        with pytest.raises(ValueError, match=message):
+            Ray(origin, direction)
+
+    def test_kernels_take_the_pose_values_unchecked(self, monkeypatch):
+        """rotate_vector and yaw_from_quaternion never take a norm: a pose's
+        orientation was checked when the pose was built."""
+        pose = CameraPose(vec3(-7.0, 1.0, 6.0), quat_from_yaw_pitch(20.0, 15.0))
+
+        def refuse(v):
+            raise AssertionError("a kernel took a norm")
+
+        monkeypatch.setattr(geometry, "vector_norm", refuse)
+        assert yaw_from_quaternion(pose.orientation) == pytest.approx(20.0, abs=1e-9)
+        assert rotate_vector(pose.orientation, FORWARD)[2] == pytest.approx(
+            -math.sin(math.radians(15.0)), abs=1e-12
+        )
 
 
 class TestYawExtraction:

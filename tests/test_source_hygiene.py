@@ -19,7 +19,10 @@ Every command-line option is recorded in ``CLI_OPTIONS``, so adding or
 removing a knob is a visible diff here too. ``formats`` calls ``float``,
 ``int`` or ``str`` on a decoded record's field only inside its two type
 checks, ``_floats`` and ``_integer``, so a mistyped field is refused in one
-place rather than coerced in another. The package sources stay within
+place rather than coerced in another. A vector's finite-norm check and a
+quaternion's or direction's unit-norm check each have one definition, which
+only ``vec3`` and the value constructors call, and no module filters one of
+the package's own warning classes. The package sources stay within
 ``LINE_BUDGET`` lines, so a change that grows them raises it in a visible
 diff. A pose batch's per-record values are slotted, and reading a batch
 peaks near the bytes it keeps, so a batch never costs its whole text too.
@@ -73,7 +76,7 @@ CLI_OPTIONS = {
 }
 
 # ``wc -l src/ptzscan/*.py``: the most source lines the package may hold.
-LINE_BUDGET = 3201
+LINE_BUDGET = 3185
 
 
 def _parse(path: Path) -> ast.Module:
@@ -296,6 +299,131 @@ def test_field_coercions_finder():
 def test_formats_reads_fields_only_through_its_type_checks():
     lines = _field_coercions(_parse(ROOT / "src" / "ptzscan" / "formats.py"))
     assert not lines, f"formats.py: float/int/str of a record field at line(s) {lines}"
+
+
+# The finite-3-vector and unit-norm checks, and the functions that may call
+# them: ``vec3`` and the constructors of the values they guard.
+VALUE_CHECKS = {"_finite_vec3", "_unit"}
+VALUE_BUILDERS = {"vec3", "__post_init__"}
+
+
+def _value_check_uses(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(enclosing function, use, line) of each definition and call of a
+    ``VALUE_CHECKS`` function, and of each test those checks make: a finite
+    squared norm, ``isfinite(v.dot(v))`` or ``isfinite(x * x + ...)``, and a
+    unit norm, ``abs(n - 1.0)``."""
+    out = []
+
+    def squared_norm(arg):
+        if getattr(getattr(arg, "func", None), "attr", None) == "dot":
+            return True
+        return isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add) and any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and ast.dump(n.left) == ast.dump(n.right) for n in ast.walk(arg)
+        )
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in VALUE_CHECKS:
+                out.append((function, f"def {node.name}", node.lineno))
+            function = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            arg = node.args[0] if len(node.args) == 1 else None
+            if name in VALUE_CHECKS:
+                out.append((function, f"call {name}", node.lineno))
+            elif name == "isfinite" and squared_norm(arg):
+                out.append((function, "finite test", node.lineno))
+            elif (name == "abs" and isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+                  and getattr(arg.right, "value", None) == 1.0):
+                out.append((function, "unit test", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return out
+
+
+def test_value_check_finder():
+    tree = ast.parse(
+        "def _finite_vec3(v):\n"
+        "    return math.isfinite(x * x + y * y + z * z)\n"
+        "def vec3(x, y, z):\n"
+        "    return _finite_vec3((x, y, z))\n"
+        "class Ray:\n"
+        "    def __post_init__(self):\n"
+        "        _unit(self.direction)\n"
+        "def kernel(q, v):\n"
+        "    assert abs(norm(q) - 1.0) < 1e-9 and np.isfinite(q).all()\n"
+        "    assert math.isfinite(v.dot(v)) and math.isfinite(v[0] * 2.0 + 1.0) and math.isfinite(r * r)\n"
+        "    return geometry._unit(q)\n"
+    )
+    assert _value_check_uses(tree) == [
+        (None, "def _finite_vec3", 1), ("_finite_vec3", "finite test", 2),
+        ("vec3", "call _finite_vec3", 4), ("__post_init__", "call _unit", 7),
+        ("kernel", "unit test", 9), ("kernel", "finite test", 10), ("kernel", "call _unit", 11),
+    ]
+
+
+def test_each_value_check_has_one_home():
+    """A vector is checked for a finite norm, and a quaternion or direction
+    for a unit one, once, where the value is built: the kernels handed a
+    built value check nothing again."""
+    uses = [(p.name, *use) for p in SOURCES for use in _value_check_uses(_parse(p))]
+    homes = sorted((path, use) for path, _, use, _ in uses if use.startswith("def "))
+    assert homes == [("geometry.py", "def _finite_vec3"), ("geometry.py", "def _unit")]
+    tests = {use: function for _, function, use, _ in uses if use.endswith(" test")}
+    assert tests == {"finite test": "_finite_vec3", "unit test": "_unit"}
+    inline = [u for u in uses if u[2].endswith(" test") and (u[2], u[1]) not in
+              {("finite test", "_finite_vec3"), ("unit test", "_unit")}]
+    assert not inline, f"value checks copied outside their home: {inline}"
+    callers = [u for u in uses if u[2].startswith("call ") and u[1] not in VALUE_BUILDERS]
+    assert not callers, f"value checks called outside vec3 and constructors: {callers}"
+
+
+def _warning_filters(tree: ast.Module) -> list[tuple[int, object]]:
+    """(line, category name or None) of each ``simplefilter`` or
+    ``filterwarnings`` call."""
+    out = []
+    for node in ast.walk(tree):
+        name = getattr(node, "func", None)
+        name = getattr(name, "attr", getattr(name, "id", None))
+        if name not in ("simplefilter", "filterwarnings"):
+            continue
+        position = 1 if name == "simplefilter" else 2  # filterwarnings(action, message, category)
+        keywords = [k.value for k in node.keywords if k.arg == "category"]
+        category = (keywords or node.args[position:position + 1] or [None])[0]
+        out.append((node.lineno, getattr(category, "id", getattr(category, "attr", None))))
+    return sorted(out, key=lambda r: r[0])
+
+
+def test_warning_filter_finder():
+    tree = ast.parse(
+        "warnings.simplefilter('ignore', EmptySectionWarning)\n"
+        "warnings.simplefilter('ignore', category=ptzscan.GimbalLockWarning)\n"
+        "warnings.filterwarnings('ignore', 'msg', UserWarning)\n"
+        "warnings.simplefilter('ignore')\n"
+        "warnings.warn('x', YawToleranceWarning)\n"
+        "simplefilter('error', SectionMismatchWarning)\n"
+    )
+    assert _warning_filters(tree) == [
+        (1, "EmptySectionWarning"), (2, "GimbalLockWarning"), (3, "UserWarning"), (4, None),
+        (6, "SectionMismatchWarning"),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_silences_a_package_warning(path):
+    """The package's own warnings reach the caller: no module filters one,
+    or filters every category at once."""
+    package_warnings = {
+        name for name in dir(ptzscan)
+        if isinstance(cls := getattr(ptzscan, name), type) and issubclass(cls, Warning)
+    }
+    assert {"GimbalLockWarning", "YawToleranceWarning", "SectionMismatchWarning"} <= package_warnings
+    filters = [(line, category) for line, category in _warning_filters(_parse(path))
+               if category is None or category in package_warnings]
+    assert not filters, f"{path.name}: (line, category) filters of package warnings {filters}"
 
 
 def _environment_reads(tree: ast.Module) -> list[tuple[int, object]]:

@@ -1,6 +1,7 @@
 """Tests for point-cloud IO, sectioning, and lattice interpolation."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ import ptzscan.surface as surface
 from ptzscan.surface import (
     GRID_RESOLUTION,
     DegenerateSectionError,
-    EmptySectionWarning,
     PointCloud,
     PointCloudParseError,
     SectionSpec,
@@ -24,6 +24,15 @@ from ptzscan.surface import (
 
 def _xyz_text(points):
     return "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist())
+
+
+def near_collinear_points():
+    """11 points along x spanning +-100 m, off the axis by about 5e-13 m:
+    Qhull's ``Qz`` point at infinity ends up in one of their triangles."""
+    rng = np.random.default_rng(0)
+    t = rng.uniform(-1, 1, 11)
+    off = rng.uniform(-1, 1, 11) * 10**-14.25
+    return np.column_stack([100 * t, 100 * off, np.ones(11)])
 
 
 def make_spec(name="patch", kind="fuselage", lo=(-10, -10, -10), hi=(10, 10, 10), **kw):
@@ -272,11 +281,15 @@ class TestSectionPoints:
         out = section_points(cloud, make_spec())
         np.testing.assert_array_equal(out.points, cloud.points)
 
-    def test_disjoint_box_warns_empty(self):
+    def test_disjoint_box_returns_an_empty_cloud_without_warning(self):
+        """An empty section is reported once, by interpolate_section."""
         cloud = PointCloud(np.array([[0.0, 0, 0]]))
-        with pytest.warns(EmptySectionWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = section_points(cloud, make_spec(lo=(5, 5, 5), hi=(6, 6, 6)))
-        assert len(out) == 0
+        assert len(out) == 0 and out.points.shape == (0, 3)
+        with pytest.raises(DegenerateSectionError, match="has no points"):
+            interpolate_section(out, make_spec())
 
     def test_boundary_inclusive(self):
         cloud = PointCloud(np.array([[1.0, 0, 0], [2.0, 0, 0], [2.5, 0, 0]]))
@@ -417,6 +430,13 @@ class TestInterpolateSection:
         pts = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 2, 10), np.ones(10)])
         with pytest.raises(DegenerateSectionError):
             interpolate_section(PointCloud(pts), make_spec())
+
+    def test_near_collinear_rejected(self):
+        """Points that pass the rank check but leave Qhull's point at infinity
+        in a triangle are refused like collinear ones, not with an IndexError."""
+        pts = near_collinear_points()
+        with pytest.raises(DegenerateSectionError, match="need >= 3 non-collinear projected points"):
+            interpolate_section(PointCloud(pts), make_spec(lo=(-200, -1, -1), hi=(200, 1, 2)))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateSectionError):
