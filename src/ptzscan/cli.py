@@ -10,9 +10,9 @@ Exit codes are categorised so scripts can react without parsing prose:
 0 success, 2 missing/unreadable files, 3 unparsable content, 4 invalid
 configuration, 5 computation failures on valid input, 1 anything else.
 An unexpected failure (exit 1) also prints its traceback before the error
-line. Every command is deterministic given its inputs and ``--seed``;
-rerunning one rewrites byte-identical outputs. No environment variable is
-read.
+line, and a warning is one ``warning: category=<class>: <message>`` line.
+Every command is deterministic given its inputs and ``--seed``; rerunning
+one rewrites byte-identical outputs. No environment variable is read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 import traceback
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -240,7 +241,7 @@ def cmd_randomize(args) -> int:
 def cmd_evaluate(args) -> int:
     _require_files(args.predictions)
     predictions, truths = load_external_predictions(args.predictions)
-    if not predictions:
+    if not len(truths[0]):  # no positions
         raise CliError(EXIT_CONFIG, f"{args.predictions}: no samples to evaluate")
     stats = evaluate(predictions, truths)
     sys.stdout.write(format_stats(stats))
@@ -430,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = warnings.formatwarning  # restored below: a caller recording warnings sees them as raised
+    warnings.formatwarning = lambda msg, category, *_: f"warning: category={category.__name__}: {msg}\n"
     try:
         return args.func(args)
     except CliError as exc:
@@ -458,6 +461,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traceback.print_exc()
         _report(EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
+    finally:
+        warnings.formatwarning = shown
 
 
 def _report(exit_code: int, message: str) -> None:

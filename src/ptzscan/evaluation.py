@@ -1,11 +1,12 @@
 """Pose-estimate abstraction and error statistics.
 
 A PoseEstimate is a ``CameraPose`` tagged with its source: ``noisy_oracle``
-or an external estimator. ``evaluate`` scores any camera poses (a batch's
-are checked once, when read) as stacked arrays, each error with the bits
-of its pair scored alone. ``median_rmse`` is the one median / RMSE formula:
-``evaluate`` applies it to position error (metres) and orientation error
-(degrees, quaternion angular distance), and the simulator to labelling errors.
+or an external estimator. ``evaluate`` scores camera poses, or a read
+batch's stacks (checked once, when read), as stacked arrays, each error
+with the bits of its pair scored alone. ``median_rmse`` is the one median
+/ RMSE formula: ``evaluate`` applies it to position error (metres) and
+orientation error (degrees, quaternion angular distance), and the
+simulator to labelling errors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ptzscan.geometry import (
     quat_from_axis_angle,
     quat_multiply,
     vector_norm,
+    vector_norms,
 )
 
 __all__ = [
@@ -76,22 +78,22 @@ def median_rmse(errors: np.ndarray) -> tuple[float, float]:
     return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
 
 
-def evaluate(predictions: list[CameraPose], ground_truths: list[CameraPose]) -> ErrorStats:
-    """Paired error statistics between estimates and ground-truth poses.
+def evaluate(predictions, ground_truths) -> ErrorStats:
+    """Paired error statistics between estimates and ground-truth poses: each a
+    list of camera poses, or ``formats.load_external_predictions``' stacks.
 
     Position error is the Euclidean distance; orientation error is the
     quaternion angular distance in degrees. Pairing is positional, so the
     result is invariant under any simultaneous permutation of both lists.
     """
-    if (n := len(predictions)) != (m := len(ground_truths)):
+    (p, p_quat), (g, g_quat) = (poses if isinstance(poses, tuple) else (
+        np.array([x.position for x in poses]).reshape(-1, 3),
+        np.array([x.orientation for x in poses]).reshape(-1, 4)) for poses in (predictions, ground_truths))
+    if (n := len(p)) != (m := len(g)):
         raise ValueError(f"length mismatch: {n} predictions vs {m} ground truths")
-    if not predictions:
+    if not n:
         raise ValueError("cannot evaluate an empty batch")
-    # Each stack lives only as long as it is used, which keeps the peak memory down.
-    stacks = (np.array([x.orientation for x in poses]).T for poses in (predictions, ground_truths))
-    ori_err = angular_distance(*stacks)
-    d = np.array([p.position for p in predictions]) - np.array([g.position for g in ground_truths])
-    pos_err = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())  # vector_norm's bits, stacked
+    pos_err, ori_err = vector_norms(p - g), angular_distance(p_quat.T, g_quat.T)
     return ErrorStats(*median_rmse(pos_err), *median_rmse(ori_err), n=n)
 
 
@@ -110,11 +112,14 @@ def noisy_oracle(
     for name, sigma in (("sigma_pos", sigma_pos), ("sigma_yaw_deg", sigma_yaw_deg)):
         if not 0.0 <= sigma < math.inf:
             raise ValueError(f"{name} must be finite and non-negative, got {sigma}")
-    rng = np.random.default_rng(seed)
-    offset = rng.normal(0.0, sigma_pos / math.sqrt(3.0), size=3)
-    yaw_delta = rng.normal(0.0, sigma_yaw_deg)
+    rng = np.random.default_rng(seed)  # abs: numpy refuses a sigma of -0.0 by its sign
+    offset = rng.normal(0.0, abs(sigma_pos) / math.sqrt(3.0), size=3)
+    yaw_delta = rng.normal(0.0, abs(sigma_yaw_deg))
     orientation = quat_multiply(
         quat_from_axis_angle(_Z_AXIS, yaw_delta), ground_truth.orientation
     )
     orientation = orientation / vector_norm(orientation)
-    return PoseEstimate(ground_truth.position + offset, orientation, SOURCE_NOISY_ORACLE)
+    try:  # the orientation is a unit product: only the position can be refused
+        return PoseEstimate(ground_truth.position + offset, orientation, SOURCE_NOISY_ORACLE)
+    except ValueError as exc:
+        raise ValueError(f"sigma_pos draws a position with no finite norm, got {sigma_pos}") from exc

@@ -13,10 +13,11 @@ manifest is written row by row from its draw block, a plan from its arrays.
 
 Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
-``pitch_deg``; no writer emits them. A batch is read a line at a time, so
-it costs one line of text plus its ``(PoseSample, weights)`` pairs; the
-sample is the one check of its poses, and a line it rejects (or one not
-UTF-8) is a ``FormatError`` naming the file and line.
+``pitch_deg``; no writer emits them. A batch is read a line at a time into
+a ``SampleBatch`` of arrays, so it costs one line of text plus 18 floats a
+row. Its rows are checked once, a block at a time, with the decisions of
+``CameraPose`` and ``PoseSample`` made on the stacks; a line they refuse
+(or one not UTF-8) is a ``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ import math
 import os
 import re
 import uuid
+from array import array
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
-from ptzscan.losses import LossWeights, PoseSample
+from ptzscan.geometry import CameraPose, _pose_rows, quat_from_yaw_pitch, vec3, vector_norms
+from ptzscan.losses import LossWeights, PoseSample, SampleBatch
 from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import GENERATOR_NAME, DatasetManifest, DeploymentBoundary, sample_fields
@@ -157,16 +159,16 @@ def _finite_or_none(value):
 # ---------------------------------------------------------------------------
 # Pose records and batch sample files (JSON Lines)
 
-def _pose_fields(record: dict, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _pose_fields(record: dict, context: str) -> tuple[list[float], list[float]]:
     """Position and (unvalidated) scalar-first quaternion of a pose record."""
     if not isinstance(record, dict) or "position_m" not in record:
         raise FormatError(f"{context}: missing 'position_m'")
-    position = np.array(_floats(record["position_m"], 3, context))
+    position = _floats(record["position_m"], 3, context)
     if "quaternion_wxyz" in record:
-        return position, np.array(_floats(record["quaternion_wxyz"], 4, context))
+        return position, _floats(record["quaternion_wxyz"], 4, context)
     if "yaw_deg" in record:
         yaw, pitch = _floats([record["yaw_deg"], record.get("pitch_deg", 0.0)], 2, context)
-        return position, quat_from_yaw_pitch(yaw, pitch)
+        return position, quat_from_yaw_pitch(yaw, pitch).tolist()
     raise FormatError(f"{context}: need 'quaternion_wxyz' or 'yaw_deg'")
 
 
@@ -183,43 +185,85 @@ def read_pose_json(path: Union[str, Path]) -> CameraPose:
     return record_to_pose(_load_json(path), str(path))
 
 
-@np.errstate(over="ignore")
-def read_sample_batch(path: Union[str, Path]) -> list[tuple[PoseSample, Optional[LossWeights]]]:
-    """(sample, weights) of each batch line; weights is None where the line has none.
-    Lines are read one at a time, each ended by LF, CR LF or CR, and the first
-    bad line, UTF-8 or not, is the one reported."""
-    out = []
+# A batch row holds a true position and quaternion, a predicted position and a raw
+# quaternion; the rows are checked a block at a time.
+_ROW, _BLOCK_ROWS = 14, 1024
+
+
+def _build_row(row, context: str) -> None:
+    """Build a batch row, as far as its line was read, with ``CameraPose`` and ``PoseSample``."""
+    if len(row) >= 7:
+        with _fields(f"{context}: true"):
+            true_pose = CameraPose(row[0:3], row[3:7])
+    if len(row) == _ROW:
+        with _fields(context):
+            PoseSample(true_pose, row[7:10], row[10:14])
+
+
+def _check_rows(path, rows: array, units: array, lines: array) -> None:
+    """Check the rows read since the last check with every decision ``CameraPose`` and
+    ``PoseSample`` make, made on the stacks (a row that fails one is built by them, so
+    that they refuse it), then append the rows' normalised quaternions to ``units``."""
+    done = len(units) // 4
+    block = np.frombuffer(rows[done * _ROW:]).reshape(-1, _ROW)  # a copy: rows may grow
+    true_position, true_quat, position, raw = np.split(block, [3, 7, 10], axis=1)
+    norms = vector_norms(raw)
+    unit = raw / norms[:, None]
+    ok = _pose_rows(true_position, true_quat) & _pose_rows(position, unit) & (0.0 < norms)
+    ok &= (norms < math.inf) & np.isfinite(vector_norms(true_position - position))
+    for k in np.flatnonzero(~ok):
+        _build_row(block[k], f"{path}:{lines[done + k]}")
+    units.frombytes(unit.tobytes())
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def read_sample_batch(path: Union[str, Path]) -> SampleBatch:
+    """The samples of a batch file, a row per non-blank line, with each line's weights
+    or None. Lines are read one at a time, each ended by LF, CR LF or CR; the rows read
+    are checked before a line's error is raised, so the first bad line is reported."""
+    rows, units, lines, weights = array("d"), array("d"), array("q"), []
     with open(path, "rb") as handle:
-        lines = (line for chunk in handle for line in chunk.splitlines())  # chunks end at \n
-        for lineno, data in enumerate(lines, start=1):
-            context = f"{path}:{lineno}"
+        physical = (line for chunk in handle for line in chunk.splitlines())  # chunks end at \n
+        for lineno, data in enumerate(physical, start=1):
+            context, row = f"{path}:{lineno}", []
             try:
                 line = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
-            if not line.strip():
-                continue
-            record = _decode(line, context)
-            if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
-                raise FormatError(f"{context}: need 'true' and 'predicted' records")
-            true_pose = record_to_pose(record["true"], f"{context}: true")
-            position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
-            with _fields(context):
-                sample = PoseSample(true_pose, position, raw)
-            w, weights = record.get("weights"), None
-            if w is not None:
-                with _fields(f"{context}: weights"):
-                    logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
-                    weights = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
-            out.append((sample, weights))
-    return out
+                if not line.strip():
+                    continue
+                record = _decode(line, context)
+                if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
+                    raise FormatError(f"{context}: need 'true' and 'predicted' records")
+                for side in ("true", "predicted"):
+                    for values in _pose_fields(record[side], f"{context}: {side}"):
+                        row += values
+                w = record.get("weights")
+                if w is not None:
+                    with _fields(f"{context}: weights"):
+                        logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
+                        w = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
+            except (FormatError, UnicodeDecodeError) as exc:
+                _check_rows(path, rows, units, lines)  # an earlier line's value is refused first,
+                _build_row(row, context)  # then one of this line read before its error
+                if isinstance(exc, UnicodeDecodeError):
+                    raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
+                raise
+            rows.extend(row)
+            lines.append(lineno)
+            weights.append(w)
+            if len(lines) - len(units) // 4 == _BLOCK_ROWS:
+                _check_rows(path, rows, units, lines)
+    _check_rows(path, rows, units, lines)
+    stacks = np.split(np.frombuffer(rows).reshape(-1, _ROW), [3, 7, 10], axis=1)
+    return SampleBatch(*stacks, np.frombuffer(units).reshape(-1, 4), tuple(weights),
+                       np.frombuffer(lines, dtype=np.int64))
 
 
-def load_external_predictions(path: Union[str, Path]) -> tuple[list[CameraPose], list[CameraPose]]:
-    """Read a batch file as (predicted poses, ground truths) for evaluation:
-    each prediction is its sample's ``predicted`` pose, normalized once."""
+def load_external_predictions(path: Union[str, Path]) -> tuple[tuple, tuple]:
+    """Read a batch file as the (positions, orientations) stacks of its predicted and
+    its true poses, for ``evaluate``; a predicted quaternion is normalised once."""
     batch = read_sample_batch(path)
-    return [s.predicted for s, _ in batch], [s.true_pose for s, _ in batch]
+    return ((batch.predicted_position, batch.predicted_orientation),
+            (batch.true_position, batch.true_orientation))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +449,7 @@ def write_manifest_json(path: Union[str, Path], manifest: DatasetManifest) -> No
 
     def chunks():
         yield head
-        for k, row in enumerate(manifest.draws.tolist()):
+        for k, row in enumerate(map(np.ndarray.tolist, manifest.draws)):  # a row at a time
             yield (",\n    " if k else "") + template.format(*map(repr, row))
         yield from tail
 

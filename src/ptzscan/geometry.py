@@ -33,6 +33,7 @@ __all__ = [
     "GimbalLockWarning",
     "vec3",
     "vector_norm",
+    "vector_norms",
     "quat_multiply",
     "quat_conjugate",
     "quat_from_axis_angle",
@@ -100,6 +101,13 @@ def _unit(v, name: str, size: int, failure: str) -> np.ndarray:
     return v
 
 
+def _pose_rows(positions: np.ndarray, quats: np.ndarray) -> np.ndarray:
+    """Which rows of (n, 3) and (n, 4) stacks ``CameraPose`` accepts: ``_finite_vec3``'s
+    squares and sums, and ``_unit``'s test on norms with ``vector_norm``'s bits."""
+    x, y, z = positions.T
+    return np.isfinite(x * x + y * y + z * z) & (np.abs(vector_norms(quats) - 1.0) <= _UNIT_TOL)
+
+
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a 3-vector (metres, scene frame) with a finite norm."""
     return _finite_vec3((x, y, z))
@@ -112,6 +120,12 @@ def vector_norm(v: np.ndarray) -> float:
     that expression without numpy's per-call dispatch.
     """
     return math.sqrt(v.dot(v))
+
+
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    """``vector_norm`` of each row of an (n, k) stack, bit for bit: ``@`` takes the same dot."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,8 +316,7 @@ def angular_distance(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     angles where an arccos-of-dot formulation loses precision.
     """
     r = quat_multiply(quat_conjugate(q1), q2)
-    v = np.ascontiguousarray(r[1:].T).reshape(-1, 3)
-    norms = np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())  # vector_norm's bits, stacked
+    norms = vector_norms(r[1:].T.reshape(-1, 3))
     # math.atan2 per element: np.arctan2's bits differ from it on some inputs.
     angles = (math.degrees(2.0 * math.atan2(n, abs(w))) for n, w in zip(norms, np.ravel(r[0])))
     return np.fromiter(angles, np.float64, len(norms)).reshape(r.shape[1:])

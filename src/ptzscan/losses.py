@@ -7,9 +7,9 @@ Components are combined with per-task log-variance weights ``s`` as
 ``l * exp(-s) + s``; the equivalent variance form ``l / sigma2 + log(sigma2)``
 is provided for cross-checking.
 
-A ``PoseSample``, slotted since a batch holds one per line, normalizes its
-raw predicted quaternion once, into the checked ``predicted`` pose that
-every loss reads. The quaternion residual is deliberately the plain
+A ``PoseSample`` normalizes its raw predicted quaternion once, into the
+checked ``predicted`` pose that every loss reads; a ``SampleBatch`` holds
+a read batch as arrays. The quaternion residual is deliberately the plain
 Euclidean norm against that normalized prediction, with no hemisphere
 alignment: antipodal quaternions encode the same rotation but still score
 a nonzero loss here; ``geometry.angular_distance`` is a rotation metric.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "ICSC_SKIPPED",
     "InvalidSetupError",
     "PoseSample",
+    "SampleBatch",
     "LossWeights",
     "LossBreakdown",
     "position_loss",
@@ -102,6 +103,28 @@ class LossWeights:
         for name in ("s_x", "s_q", "s_c"):
             if not (math.isfinite(s := getattr(self, name)) and s >= _MIN_LOG_VARIANCE):
                 raise ValueError(f"{name} must be finite and at least {_MIN_LOG_VARIANCE}, got {s}")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SampleBatch:
+    """A batch as stacks, a row per sample checked where ``formats.read_sample_batch``
+    built it; iterating builds each row's ``(PoseSample, weights or None)``."""
+
+    true_position: np.ndarray  # (n, 3)
+    true_orientation: np.ndarray  # (n, 4)
+    predicted_position: np.ndarray  # (n, 3)
+    predicted_orientation_raw: np.ndarray  # (n, 4)
+    predicted_orientation: np.ndarray  # (n, 4), the raw rows normalised
+    weights: tuple[Optional[LossWeights], ...]
+    lines: np.ndarray  # (n,) the physical line of each row
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __iter__(self) -> Iterator[tuple[PoseSample, Optional[LossWeights]]]:
+        for k, weights in enumerate(self.weights):
+            true_pose = CameraPose(self.true_position[k], self.true_orientation[k])
+            yield PoseSample(true_pose, self.predicted_position[k], self.predicted_orientation_raw[k]), weights
 
 
 @dataclass(frozen=True)

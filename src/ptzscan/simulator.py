@@ -34,6 +34,7 @@ from ptzscan.geometry import (
     Ray,
     intersect_cylinder,
     vector_norm,
+    vector_norms,
     wrap_degrees,
     yaw_from_quaternion,
 )
@@ -93,8 +94,7 @@ class SimulationReport:
         if self.hits.shape != (n, 3) or self.missed.shape != (n,):
             raise ValueError(f"hits {self.hits.shape} and missed {self.missed.shape} for {n} shots")
         d = self.hits - np.concatenate([np.empty((0, 3)), *(s.labels for s in self.plan.sections)])
-        # A stacked matmul computes each row's d.dot(d) bit for bit as vector_norm does.
-        object.__setattr__(self, "shot_errors", np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()))
+        object.__setattr__(self, "shot_errors", vector_norms(d))
         median, rmse = median_rmse(self.errors())
         object.__setattr__(self, "label_error_median_m", median)
         object.__setattr__(self, "label_error_rmse_m", rmse)

@@ -7,12 +7,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ptzscan import formats
 from ptzscan.evaluation import evaluate, median_rmse
 from ptzscan.formats import (
     FormatError,
@@ -129,10 +131,14 @@ class TestSampleBatch:
 
     def test_empty_batch(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert read_sample_batch(path) == []
-        path.write_text("\n  \n")
-        assert read_sample_batch(path) == []
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            batch = read_sample_batch(path)
+            assert len(batch) == 0 and list(batch) == []
+            shapes = [a.shape for a in (batch.true_position, batch.true_orientation,
+                                        batch.predicted_position, batch.predicted_orientation_raw,
+                                        batch.predicted_orientation)]
+            assert shapes == [(0, 3), (0, 4), (0, 3), (0, 4), (0, 4)]
 
     def test_bad_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -160,6 +166,13 @@ BAD_LINES = [
      "true: vector must have a finite norm, got [1.e+200 0.e+000 0.e+000]"),
     (json.dumps({**GOOD_RECORD, "weights": {"s_x": "a"}}),
      "weights: expected numbers, got ['a', 0.0, 0.0]"),
+    (json.dumps({"true": {"position_m": [1e154, 0.0, 0.0], "yaw_deg": 0.0},
+                 "predicted": {"position_m": [-1e154, 0.0, 0.0], "quaternion_wxyz": [1, 0, 0, 0]}}),
+     "position error must have a finite norm"),
+    (json.dumps({**GOOD_RECORD, "predicted": {**_ZERO_QUAT, "quaternion_wxyz": [3e-162, 0, 0, 0]}}),
+     "quaternion is not normalized (norm 0.9543637356285588)"),
+    (json.dumps({**GOOD_RECORD, "true": {**_ZERO_QUAT, "quaternion_wxyz": [1.0, 0.0, 0.0, 1e-4]}}),
+     "true: quaternion is not normalized (norm 1.000000005)"),
 ]
 
 
@@ -272,17 +285,160 @@ class TestStreamedBatch:
             read_sample_batch(path)
 
 
+# Values a batch line may hold that the scalar constructors may refuse: squares
+# that overflow, quaternions off unit by more or less than the 1e-9 tolerance,
+# raw quaternions whose squared norm underflows or overflows, position errors
+# that overflow, and log-variances whose exp(-s) overflows.
+EDGE_COORDINATES = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, 1e154, -1e154, 1e155, -1e200, 1.7e308, -1.7e308]),
+)
+QUATERNION_SCALES = st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-8, 5e-324, 1e-160, 3e-162, 0.0,
+                                     1e-3, 1e3, 1e153, 1e300])
+EDGE_LOG_VARIANCES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-709.0, -710.0, -1e300]))
+
+
+@st.composite
+def edge_records(draw):
+    """A well-typed batch record whose values may be refused."""
+    coordinates = st.lists(EDGE_COORDINATES, min_size=3, max_size=3)
+    quaternion = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    assume(np.linalg.norm(quaternion) > 1e-3)
+    unit = quaternion / np.linalg.norm(quaternion)
+    true = {"position_m": draw(coordinates)}
+    if draw(st.booleans()):
+        true["quaternion_wxyz"] = (draw(QUATERNION_SCALES) * unit).tolist()
+    else:
+        true["yaw_deg"] = draw(st.floats(-1e6, 1e6))
+    raw = (draw(QUATERNION_SCALES) * unit).tolist()
+    record = {"true": true, "predicted": {"position_m": draw(coordinates), "quaternion_wxyz": raw}}
+    if draw(st.booleans()):
+        record["weights"] = {k: draw(EDGE_LOG_VARIANCES) for k in ("s_x", "s_q", "s_c")}
+    return record
+
+
+@np.errstate(over="ignore")  # as the reader refuses an overflowing norm, without numpy's warning
+def scalar_sample(record, context):
+    """What the scalar constructors make of a well-typed batch record: its
+    (sample, weights), or the message naming the first value they refuse."""
+    true, predicted = record["true"], record["predicted"]
+    if "quaternion_wxyz" in true:
+        orientation = np.array(true["quaternion_wxyz"])
+    else:
+        orientation = quat_from_yaw_pitch(true["yaw_deg"], true.get("pitch_deg", 0.0))
+    try:
+        true_pose = CameraPose(np.array(true["position_m"]), orientation)
+    except ValueError as exc:
+        return f"{context}: true: {exc}"
+    try:
+        sample = PoseSample(true_pose, np.array(predicted["position_m"]),
+                            np.array(predicted["quaternion_wxyz"]))
+    except ValueError as exc:
+        return f"{context}: {exc}"
+    try:
+        weights = None if "weights" not in record else LossWeights(**record["weights"])
+    except ValueError as exc:
+        return f"{context}: weights: {exc}"
+    return sample, weights
+
+
+class TestBatchChecks:
+    """A read batch is checked once, a block of rows at a time, on its stacks;
+    it accepts exactly the lines the scalar constructors accept, refuses the
+    first line they refuse with their message, and keeps the bits they make."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.one_of(edge_records(), batch_records(), st.just("")), max_size=8),
+        st.one_of(st.none(), st.tuples(st.integers(0, 8), st.sampled_from(BAD_LINES))),
+        st.sampled_from([1, 2, 3, 1024]),
+    )
+    def test_accepts_what_the_scalar_constructors_accept(self, items, bad, block_rows):
+        lines = [item if isinstance(item, str) else json.dumps(item) for item in items]
+        if bad is not None:
+            lines.insert(min(bad[0], len(lines)), bad[1][0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.jsonl"
+            path.write_text("".join(line + "\n" for line in lines))
+            expected, refused = [], None
+            for lineno, line in enumerate(lines, start=1):
+                if bad is not None and line == bad[1][0]:
+                    refused = f"{path}:{lineno}: {bad[1][1]}"
+                    break
+                if line:
+                    got = scalar_sample(json.loads(line), f"{path}:{lineno}")
+                    if isinstance(got, str):
+                        refused = got
+                        break
+                    expected.append(got)
+            with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
+                if refused is not None:
+                    with pytest.raises(FormatError) as raised:
+                        read_sample_batch(path)
+                    assert str(raised.value) == refused
+                    return
+                batch = read_sample_batch(path)
+        assert len(batch) == len(expected)
+        for (sample, weights), (want, want_weights) in zip(batch, expected):
+            assert sample_bits(sample) == sample_bits(want)
+            assert weights == want_weights
+        if expected:
+            np.testing.assert_array_equal(
+                batch.predicted_orientation, [s.predicted.orientation for s, _ in expected])
+
+    @pytest.mark.parametrize("block_rows", [1, 1024])
+    def test_a_value_refused_before_a_later_parse_error_is_the_error(self, tmp_path, block_rows):
+        path = tmp_path / "batch.jsonl"
+        zero = json.dumps({**GOOD_RECORD, "predicted": _ZERO_QUAT})
+        path.write_text(f"{GOOD_LINE}\n{zero}\nnot json\n")
+        with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
+            with pytest.raises(FormatError) as raised:
+                read_sample_batch(path)
+        assert str(raised.value) == (
+            f"{path}:2: raw orientation must be finite with a finite, nonzero norm")
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"true": {"position_m": [1e200, 0.0, 0.0], "yaw_deg": 0.0},
+              "predicted": {"position_m": "x"}},
+             "true: vector must have a finite norm, got [1.e+200 0.e+000 0.e+000]"),
+            ({**GOOD_RECORD, "predicted": _ZERO_QUAT, "weights": {"s_x": "a"}},
+             "raw orientation must be finite with a finite, nonzero norm"),
+            ({**GOOD_RECORD, "weights": {"s_x": "a"}}, "weights: expected numbers, got ['a', 0.0, 0.0]"),
+        ],
+        ids=["true-value-then-predicted-type", "sample-value-then-weights-type", "weights-type"],
+    )
+    def test_a_value_read_before_its_lines_parse_error_is_the_error(self, tmp_path, record, message):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(f"{GOOD_LINE}\n{json.dumps(record)}\n")
+        with pytest.raises(FormatError) as raised:
+            read_sample_batch(path)
+        assert str(raised.value) == f"{path}:2: {message}"
+
+    def test_rows_keep_their_physical_line_numbers(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(f"\n{GOOD_LINE}\r\n  \r{GOOD_LINE}\n")
+        assert read_sample_batch(path).lines.tolist() == [2, 4]
+
+
 class TestExternalPredictions:
     def test_load_and_evaluate(self, tmp_path):
         samples = make_samples(8, seed=3)
         path = tmp_path / "pred.jsonl"
         write_batch(path, samples)
         predictions, truths = load_external_predictions(path)
-        assert len(predictions) == len(truths) == 8
-        for p, s in zip(predictions, samples):
-            assert np.linalg.norm(p.orientation) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_array_equal(p.orientation, s.predicted.orientation)
+        (positions, orientations), (true_positions, true_orientations) = predictions, truths
+        assert len(positions) == len(orientations) == len(true_positions) == 8
+        assert len(true_orientations) == 8
+        for k, s in enumerate(samples):
+            assert np.linalg.norm(orientations[k]) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(orientations[k], s.predicted.orientation)
+            np.testing.assert_array_equal(positions[k], s.predicted.position)
+            np.testing.assert_array_equal(true_orientations[k], s.true_pose.orientation)
+            np.testing.assert_array_equal(true_positions[k], s.true_pose.position)
         stats = evaluate(predictions, truths)
+        assert stats == evaluate([s.predicted for s in samples], [s.true_pose for s in samples])
         assert stats.n == 8
 
 
