@@ -2,17 +2,17 @@
 
 A PoseEstimate is a ``CameraPose`` tagged with its source: ``noisy_oracle``
 or an external estimator. ``evaluate`` scores camera poses, or a read
-batch's stacks (checked once, when read), as stacked arrays, each error
-with the bits of its pair scored alone. ``median_rmse`` is the one median
-/ RMSE formula: ``evaluate`` applies it to position error (metres) and
-orientation error (degrees, quaternion angular distance), and the
-simulator to labelling errors.
+batch's stacks, as stacked arrays, each error with the bits of its pair
+scored alone. ``median_rmse`` is the one median / RMSE formula: ``evaluate``
+applies it to position error (metres) and orientation error (degrees,
+quaternion angular distance), and the simulator to labelling errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -78,17 +78,25 @@ def median_rmse(errors: np.ndarray) -> tuple[float, float]:
     return float(np.median(errors)), float(np.sqrt(np.mean(errors**2)))
 
 
-def evaluate(predictions, ground_truths) -> ErrorStats:
-    """Paired error statistics between estimates and ground-truth poses: each a
-    list of camera poses, or ``formats.load_external_predictions``' stacks.
+_Poses = Union[Sequence[CameraPose], tuple[np.ndarray, np.ndarray]]
+
+
+def _stacks(poses: _Poses) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(poses, tuple) and len(poses) == 2 and all(isinstance(s, np.ndarray) for s in poses):
+        return poses
+    return (np.array([x.position for x in poses]).reshape(-1, 3),
+            np.array([x.orientation for x in poses]).reshape(-1, 4))
+
+
+def evaluate(predictions: _Poses, ground_truths: _Poses) -> ErrorStats:
+    """Paired error statistics between estimates and ground-truth poses, each a
+    sequence of camera poses or a read batch's (n, 3) and (n, 4) stacks of them.
 
     Position error is the Euclidean distance; orientation error is the
     quaternion angular distance in degrees. Pairing is positional, so the
     result is invariant under any simultaneous permutation of both lists.
     """
-    (p, p_quat), (g, g_quat) = (poses if isinstance(poses, tuple) else (
-        np.array([x.position for x in poses]).reshape(-1, 3),
-        np.array([x.orientation for x in poses]).reshape(-1, 4)) for poses in (predictions, ground_truths))
+    (p, p_quat), (g, g_quat) = map(_stacks, (predictions, ground_truths))
     if (n := len(p)) != (m := len(g)):
         raise ValueError(f"length mismatch: {n} predictions vs {m} ground truths")
     if not n:

@@ -15,9 +15,9 @@ Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
 ``pitch_deg``; no writer emits them. A batch is read a line at a time into
 a ``SampleBatch`` of arrays, so it costs one line of text plus 18 floats a
-row. Its rows are checked once, a block at a time, with the decisions of
-``CameraPose`` and ``PoseSample`` made on the stacks; a line they refuse
-(or one not UTF-8) is a ``FormatError`` naming the file and line.
+row. Each line is checked once, as it is read, by the ``CameraPose`` and
+``PoseSample`` it builds and drops; a line they reject (or one not UTF-8)
+is a ``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ptzscan.geometry import CameraPose, _pose_rows, quat_from_yaw_pitch, vec3, vector_norms
+from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.losses import LossWeights, PoseSample, SampleBatch
 from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
@@ -104,7 +104,7 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def _decode(text: str, context: str):
     try:
         return _DECODER.decode(text)
-    except ValueError as exc:  # JSONDecodeError, or a constant _reject_constant refused
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a refused constant, too deep
         raise FormatError(f"{context}: invalid JSON ({exc})") from exc
 
 
@@ -185,77 +185,41 @@ def read_pose_json(path: Union[str, Path]) -> CameraPose:
     return record_to_pose(_load_json(path), str(path))
 
 
-# A batch row holds a true position and quaternion, a predicted position and a raw
-# quaternion; the rows are checked a block at a time.
-_ROW, _BLOCK_ROWS = 14, 1024
-
-
-def _build_row(row, context: str) -> None:
-    """Build a batch row, as far as its line was read, with ``CameraPose`` and ``PoseSample``."""
-    if len(row) >= 7:
-        with _fields(f"{context}: true"):
-            true_pose = CameraPose(row[0:3], row[3:7])
-    if len(row) == _ROW:
-        with _fields(context):
-            PoseSample(true_pose, row[7:10], row[10:14])
-
-
-def _check_rows(path, rows: array, units: array, lines: array) -> None:
-    """Check the rows read since the last check with every decision ``CameraPose`` and
-    ``PoseSample`` make, made on the stacks (a row that fails one is built by them, so
-    that they refuse it), then append the rows' normalised quaternions to ``units``."""
-    done = len(units) // 4
-    block = np.frombuffer(rows[done * _ROW:]).reshape(-1, _ROW)  # a copy: rows may grow
-    true_position, true_quat, position, raw = np.split(block, [3, 7, 10], axis=1)
-    norms = vector_norms(raw)
-    unit = raw / norms[:, None]
-    ok = _pose_rows(true_position, true_quat) & _pose_rows(position, unit) & (0.0 < norms)
-    ok &= (norms < math.inf) & np.isfinite(vector_norms(true_position - position))
-    for k in np.flatnonzero(~ok):
-        _build_row(block[k], f"{path}:{lines[done + k]}")
-    units.frombytes(unit.tobytes())
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@np.errstate(over="ignore")
 def read_sample_batch(path: Union[str, Path]) -> SampleBatch:
     """The samples of a batch file, a row per non-blank line, with each line's weights
-    or None. Lines are read one at a time, each ended by LF, CR LF or CR; the rows read
-    are checked before a line's error is raised, so the first bad line is reported."""
-    rows, units, lines, weights = array("d"), array("d"), array("q"), []
+    or None. Lines are read and checked one at a time, each ended by LF, CR LF or CR,
+    and the first bad line, UTF-8 or not, is the one reported."""
+    rows, lines, weights = array("d"), array("q"), []
     with open(path, "rb") as handle:
         physical = (line for chunk in handle for line in chunk.splitlines())  # chunks end at \n
         for lineno, data in enumerate(physical, start=1):
-            context, row = f"{path}:{lineno}", []
+            context = f"{path}:{lineno}"
             try:
                 line = data.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = _decode(line, context)
-                if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
-                    raise FormatError(f"{context}: need 'true' and 'predicted' records")
-                for side in ("true", "predicted"):
-                    for values in _pose_fields(record[side], f"{context}: {side}"):
-                        row += values
-                w = record.get("weights")
-                if w is not None:
-                    with _fields(f"{context}: weights"):
-                        logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
-                        w = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
-            except (FormatError, UnicodeDecodeError) as exc:
-                _check_rows(path, rows, units, lines)  # an earlier line's value is refused first,
-                _build_row(row, context)  # then one of this line read before its error
-                if isinstance(exc, UnicodeDecodeError):
-                    raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
-                raise
-            rows.extend(row)
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
+            if not line.strip():
+                continue
+            record = _decode(line, context)
+            if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
+                raise FormatError(f"{context}: need 'true' and 'predicted' records")
+            true_pose = record_to_pose(record["true"], f"{context}: true")
+            position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
+            with _fields(context):  # the sample is the one check of the line's values
+                sample = PoseSample(true_pose, position, raw)
+            w = record.get("weights")
+            if w is not None:
+                with _fields(f"{context}: weights"):
+                    logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
+                    w = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
+            rows.extend(true_pose.position.tolist() + true_pose.orientation.tolist() + position + raw
+                        + sample.predicted.orientation.tolist())  # the row; the objects go
             lines.append(lineno)
             weights.append(w)
-            if len(lines) - len(units) // 4 == _BLOCK_ROWS:
-                _check_rows(path, rows, units, lines)
-    _check_rows(path, rows, units, lines)
-    stacks = np.split(np.frombuffer(rows).reshape(-1, _ROW), [3, 7, 10], axis=1)
-    return SampleBatch(*stacks, np.frombuffer(units).reshape(-1, 4), tuple(weights),
-                       np.frombuffer(lines, dtype=np.int64))
+    # A row: true position and quaternion, predicted position, raw and normalised quaternion.
+    stacks = np.split(np.frombuffer(rows).reshape(-1, 18), [3, 7, 10, 14], axis=1)
+    return SampleBatch(*stacks, tuple(weights), np.frombuffer(lines, dtype=np.int64))
 
 
 def load_external_predictions(path: Union[str, Path]) -> tuple[tuple, tuple]:

@@ -101,13 +101,6 @@ def _unit(v, name: str, size: int, failure: str) -> np.ndarray:
     return v
 
 
-def _pose_rows(positions: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """Which rows of (n, 3) and (n, 4) stacks ``CameraPose`` accepts: ``_finite_vec3``'s
-    squares and sums, and ``_unit``'s test on norms with ``vector_norm``'s bits."""
-    x, y, z = positions.T
-    return np.isfinite(x * x + y * y + z * z) & (np.abs(vector_norms(quats) - 1.0) <= _UNIT_TOL)
-
-
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a 3-vector (metres, scene frame) with a finite norm."""
     return _finite_vec3((x, y, z))

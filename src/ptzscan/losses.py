@@ -80,9 +80,9 @@ class PoseSample:
         raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
         if raw.shape != (4,):
             raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
-        if not 0.0 < vector_norm(raw) < math.inf:  # a NaN or infinite component fails too
+        if not 0.0 < (norm := vector_norm(raw)) < math.inf:  # a NaN or infinite component fails too
             raise ValueError("raw orientation must be finite with a finite, nonzero norm")
-        predicted = CameraPose(self.predicted_position, raw / vector_norm(raw))
+        predicted = CameraPose(self.predicted_position, raw / norm)
         if not math.isfinite(vector_norm(self.true_pose.position - predicted.position)):
             raise ValueError("position error must have a finite norm")
         object.__setattr__(self, "predicted", predicted)

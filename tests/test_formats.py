@@ -7,14 +7,12 @@ import math
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptzscan import formats
 from ptzscan.evaluation import evaluate, median_rmse
 from ptzscan.formats import (
     FormatError,
@@ -343,17 +341,16 @@ def scalar_sample(record, context):
 
 
 class TestBatchChecks:
-    """A read batch is checked once, a block of rows at a time, on its stacks;
-    it accepts exactly the lines the scalar constructors accept, refuses the
-    first line they refuse with their message, and keeps the bits they make."""
+    """A read batch is checked once, a line at a time, by the scalar
+    constructors; it accepts exactly the lines they accept, refuses the first
+    line they refuse with their message, and keeps the bits they make."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(
         st.lists(st.one_of(edge_records(), batch_records(), st.just("")), max_size=8),
         st.one_of(st.none(), st.tuples(st.integers(0, 8), st.sampled_from(BAD_LINES))),
-        st.sampled_from([1, 2, 3, 1024]),
     )
-    def test_accepts_what_the_scalar_constructors_accept(self, items, bad, block_rows):
+    def test_accepts_what_the_scalar_constructors_accept(self, items, bad):
         lines = [item if isinstance(item, str) else json.dumps(item) for item in items]
         if bad is not None:
             lines.insert(min(bad[0], len(lines)), bad[1][0])
@@ -371,13 +368,12 @@ class TestBatchChecks:
                         refused = got
                         break
                     expected.append(got)
-            with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
-                if refused is not None:
-                    with pytest.raises(FormatError) as raised:
-                        read_sample_batch(path)
-                    assert str(raised.value) == refused
-                    return
-                batch = read_sample_batch(path)
+            if refused is not None:
+                with pytest.raises(FormatError) as raised:
+                    read_sample_batch(path)
+                assert str(raised.value) == refused
+                return
+            batch = read_sample_batch(path)
         assert len(batch) == len(expected)
         for (sample, weights), (want, want_weights) in zip(batch, expected):
             assert sample_bits(sample) == sample_bits(want)
@@ -386,14 +382,14 @@ class TestBatchChecks:
             np.testing.assert_array_equal(
                 batch.predicted_orientation, [s.predicted.orientation for s, _ in expected])
 
-    @pytest.mark.parametrize("block_rows", [1, 1024])
-    def test_a_value_refused_before_a_later_parse_error_is_the_error(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("later", ["not json", "[" * 100_000 + "]" * 100_000],
+                             ids=["parse-error", "deeply-nested"])
+    def test_a_value_refused_before_a_later_bad_line_is_the_error(self, tmp_path, later):
         path = tmp_path / "batch.jsonl"
         zero = json.dumps({**GOOD_RECORD, "predicted": _ZERO_QUAT})
-        path.write_text(f"{GOOD_LINE}\n{zero}\nnot json\n")
-        with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
-            with pytest.raises(FormatError) as raised:
-                read_sample_batch(path)
+        path.write_text(f"{GOOD_LINE}\n{zero}\n{later}\n")
+        with pytest.raises(FormatError) as raised:
+            read_sample_batch(path)
         assert str(raised.value) == (
             f"{path}:2: raw orientation must be finite with a finite, nonzero norm")
 
@@ -415,6 +411,12 @@ class TestBatchChecks:
         with pytest.raises(FormatError) as raised:
             read_sample_batch(path)
         assert str(raised.value) == f"{path}:2: {message}"
+
+    def test_a_line_nested_too_deep_is_a_format_error(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(f"{GOOD_LINE}\n{'[' * 100_000}{']' * 100_000}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: invalid JSON"):
+            read_sample_batch(path)
 
     def test_rows_keep_their_physical_line_numbers(self, tmp_path):
         path = tmp_path / "batch.jsonl"
@@ -440,6 +442,12 @@ class TestExternalPredictions:
         stats = evaluate(predictions, truths)
         assert stats == evaluate([s.predicted for s in samples], [s.true_pose for s in samples])
         assert stats.n == 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_tuple_of_poses_is_scored_as_poses(self, n):
+        samples = make_samples(n, seed=4)
+        predicted, true = [s.predicted for s in samples], [s.true_pose for s in samples]
+        assert evaluate(tuple(predicted), tuple(true)) == evaluate(predicted, true)
 
 
 class TestSectionConfig:

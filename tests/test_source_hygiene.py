@@ -21,9 +21,8 @@ removing a knob is a visible diff here too. ``formats`` calls ``float``,
 checks, ``_floats`` and ``_integer``, so a mistyped field is refused in one
 place rather than coerced in another. A vector's finite-norm check and a
 quaternion's or direction's unit-norm check each have one definition, which
-only ``vec3`` and the value constructors call, plus one stacked form of
-both, which only the batch reader's block check calls; and no module
-filters one of the package's own warning classes. The package sources stay within
+only ``vec3`` and the value constructors call, and no module filters one of
+the package's own warning classes. The package sources stay within
 ``LINE_BUDGET`` lines, so a change that grows them raises it in a visible
 diff. A pose batch's per-record values are slotted, a read batch keeps its
 floats in arrays, and reading it peaks near the bytes it keeps, so a batch
@@ -78,7 +77,7 @@ CLI_OPTIONS = {
 }
 
 # ``wc -l src/ptzscan/*.py``: the most source lines the package may hold.
-LINE_BUDGET = 3275
+LINE_BUDGET = 3240
 
 
 def _parse(path: Path) -> ast.Module:
@@ -303,12 +302,10 @@ def test_formats_reads_fields_only_through_its_type_checks():
     assert not lines, f"formats.py: float/int/str of a record field at line(s) {lines}"
 
 
-# The finite-3-vector and unit-norm checks, their stacked form for a read
-# batch (``_pose_rows``, the same decisions a row at a time), and the
-# functions that may call them: ``vec3``, the constructors of the values they
-# guard, and ``formats._check_rows``, which checks a batch where it is read.
-VALUE_CHECKS = {"_finite_vec3", "_unit", "_pose_rows"}
-VALUE_BUILDERS = {"vec3", "__post_init__", "_check_rows"}
+# The finite-3-vector and unit-norm checks, and the functions that may call
+# them: ``vec3`` and the constructors of the values they guard.
+VALUE_CHECKS = {"_finite_vec3", "_unit"}
+VALUE_BUILDERS = {"vec3", "__post_init__"}
 
 
 def _value_check_uses(tree: ast.Module) -> list[tuple[str, str, int]]:
@@ -375,11 +372,12 @@ def test_each_value_check_has_one_home():
     built value check nothing again."""
     uses = [(p.name, *use) for p in SOURCES for use in _value_check_uses(_parse(p))]
     homes = sorted((path, use) for path, _, use, _ in uses if use.startswith("def "))
-    assert homes == [("geometry.py", f"def {name}") for name in ("_finite_vec3", "_pose_rows", "_unit")]
-    allowed = {("finite test", "_finite_vec3"), ("unit test", "_unit"),
-               ("finite test", "_pose_rows"), ("unit test", "_pose_rows")}
-    tests = Counter((use, function) for _, function, use, _ in uses if use.endswith(" test"))
-    assert tests == Counter(allowed), f"value checks copied outside their home: {tests}"
+    assert homes == [("geometry.py", "def _finite_vec3"), ("geometry.py", "def _unit")]
+    tests = {use: function for _, function, use, _ in uses if use.endswith(" test")}
+    assert tests == {"finite test": "_finite_vec3", "unit test": "_unit"}
+    inline = [u for u in uses if u[2].endswith(" test") and (u[2], u[1]) not in
+              {("finite test", "_finite_vec3"), ("unit test", "_unit")}]
+    assert not inline, f"value checks copied outside their home: {inline}"
     callers = [u for u in uses if u[2].startswith("call ") and u[1] not in VALUE_BUILDERS]
     assert not callers, f"value checks called outside vec3 and constructors: {callers}"
 
@@ -552,15 +550,15 @@ def test_pose_batch_values_are_slotted(cls):
 
 
 # Bytes a read batch may keep per record. It holds 18 floats (144 bytes), a
-# line number and a weights slot: 164 bytes a record on the 5,000-line batch
+# line number and a weights slot: 161 bytes a record on the 5,000-line batch
 # below, measured with tracemalloc under CPython 3.11 and NumPy 2, against
 # 906 when it held two poses, a sample and five small arrays per record.
 HELD_BYTES_PER_RECORD = 250
 
 
 def test_reading_a_batch_peaks_near_what_it_keeps(tmp_path):
-    """read_sample_batch goes a line at a time into arrays, checking a block of
-    rows at a time, so it keeps its floats, not objects, and peaks at about
+    """read_sample_batch goes a line at a time into arrays, dropping each line's
+    checked sample, so it keeps its floats, not objects, and peaks at about
     what it keeps, not at that plus the file's text and its lines."""
     rng = np.random.default_rng(1)
     path = tmp_path / "batch.jsonl"
