@@ -15,9 +15,10 @@ Pose records, read from pose files and batch lines, use ``position_m``
 plus either ``quaternion_wxyz`` (scalar first) or ``yaw_deg``/optional
 ``pitch_deg``; no writer emits them. A batch is read a line at a time into
 a ``SampleBatch`` of arrays, so it costs one line of text plus 18 floats a
-row. Each line is checked once, as it is read, by the ``CameraPose`` and
-``PoseSample`` it builds and drops; a line they reject (or one not UTF-8)
-is a ``FormatError`` naming the file and line.
+row. Each line's fields are type-checked as it is read; its values are
+checked once, a block of rows at a time, by ``geometry._check_rows``, the
+home of the checks ``CameraPose`` and ``PoseSample`` make. A line refused
+there (or one not UTF-8) is a ``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
-from ptzscan.losses import LossWeights, PoseSample, SampleBatch
+from ptzscan.geometry import CameraPose, _check_rows, quat_from_yaw_pitch, vec3
+from ptzscan.losses import LossWeights, SampleBatch
 from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import GENERATOR_NAME, DatasetManifest, DeploymentBoundary, sample_fields
@@ -178,48 +179,73 @@ def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
         return CameraPose(position, quat)
 
 
-# Pose readers reject an overflowing quaternion norm without numpy's warning.
-@np.errstate(over="ignore")
 def read_pose_json(path: Union[str, Path]) -> CameraPose:
     """A camera pose from a JSON file holding one pose record."""
     return record_to_pose(_load_json(path), str(path))
 
 
-@np.errstate(over="ignore")
+# A batch row: true position and quaternion, then predicted position and raw quaternion.
+_ROW = 14
+# Rows the stacked check takes at once: its temporaries stay small.
+_BLOCK_ROWS = 1024
+
+
 def read_sample_batch(path: Union[str, Path]) -> SampleBatch:
     """The samples of a batch file, a row per non-blank line, with each line's weights
-    or None. Lines are read and checked one at a time, each ended by LF, CR LF or CR,
-    and the first bad line, UTF-8 or not, is the one reported."""
-    rows, lines, weights = array("d"), array("q"), []
+    or None. Lines are read one at a time, each ended by LF, CR LF or CR, and their
+    values checked a block of rows at a time; the first bad line, UTF-8 or not, is the
+    one reported."""
+    rows, normalised, lines, weights = array("d"), array("d"), array("q"), []
+    lineno = checked = 0  # checked: the rows the stacked check has passed
+
+    def check_block():
+        """Refuse the first bad row past ``checked``, the line being read included."""
+        nonlocal checked
+        start, checked = checked, len(lines)
+        halves = np.frombuffer(rows, offset=8 * _ROW * start).reshape(-1, _ROW // 2)
+        true, predicted = halves[::2], halves[1::2]  # the line being read may lack a predicted half
+        _, true_refused = _check_rows(true[:, :3], true[:, 3:])
+        unit, refused = _check_rows(predicted[:, :3], raw=predicted[:, 3:],
+                                    true_position=true[: len(predicted), :3])
+        normalised.frombytes(unit[: checked - start].tobytes())
+        found = [(r[0], side, prefix + r[1])  # a row's true pose is checked before its sample
+                 for side, prefix, r in ((0, "true: ", true_refused), (1, "", refused)) if r]
+        if found:
+            i, _, message = min(found)
+            line = lines[start + i] if start + i < checked else lineno  # else the line being read
+            raise FormatError(f"{path}:{line}: {message}")
+
     with open(path, "rb") as handle:
         physical = (line for chunk in handle for line in chunk.splitlines())  # chunks end at \n
-        for lineno, data in enumerate(physical, start=1):
-            context = f"{path}:{lineno}"
-            try:
-                line = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
-            if not line.strip():
-                continue
-            record = _decode(line, context)
-            if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
-                raise FormatError(f"{context}: need 'true' and 'predicted' records")
-            true_pose = record_to_pose(record["true"], f"{context}: true")
-            position, raw = _pose_fields(record["predicted"], f"{context}: predicted")
-            with _fields(context):  # the sample is the one check of the line's values
-                sample = PoseSample(true_pose, position, raw)
-            w = record.get("weights")
-            if w is not None:
-                with _fields(f"{context}: weights"):
-                    logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
-                    w = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
-            rows.extend(true_pose.position.tolist() + true_pose.orientation.tolist() + position + raw
-                        + sample.predicted.orientation.tolist())  # the row; the objects go
-            lines.append(lineno)
-            weights.append(w)
-    # A row: true position and quaternion, predicted position, raw and normalised quaternion.
-    stacks = np.split(np.frombuffer(rows).reshape(-1, 18), [3, 7, 10, 14], axis=1)
-    return SampleBatch(*stacks, tuple(weights), np.frombuffer(lines, dtype=np.int64))
+        try:
+            for lineno, data in enumerate(physical, start=1):
+                context = f"{path}:{lineno}"
+                try:
+                    line = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{context}: not UTF-8 text ({exc})") from exc
+                if not line.strip():
+                    continue
+                record = _decode(line, context)
+                if not isinstance(record, dict) or "true" not in record or "predicted" not in record:
+                    raise FormatError(f"{context}: need 'true' and 'predicted' records")
+                for side in ("true", "predicted"):
+                    position, quaternion = _pose_fields(record[side], f"{context}: {side}")
+                    rows.extend(position + quaternion)
+                w = record.get("weights")
+                if w is not None:
+                    with _fields(f"{context}: weights"):
+                        logvars = [w.get("s_x", 0.0), w.get("s_q", 0.0), w.get("s_c", 0.0)]
+                        w = LossWeights(*_floats(logvars, 3, f"{context}: weights"))
+                lines.append(lineno)
+                weights.append(w)
+                if len(lines) - checked == _BLOCK_ROWS:
+                    check_block()
+        finally:  # every exception, a later line's included, reports the rows read before it
+            check_block()
+    stacks = np.split(np.frombuffer(rows).reshape(-1, _ROW), [3, 7, 10], axis=1)
+    return SampleBatch(*stacks, np.frombuffer(normalised).reshape(-1, 4), tuple(weights),
+                       np.frombuffer(lines, dtype=np.int64))
 
 
 def load_external_predictions(path: Union[str, Path]) -> tuple[tuple, tuple]:
@@ -351,8 +377,6 @@ def write_plan_json(path: Union[str, Path], plan: ScanPlan) -> None:
     _write_text(path, _dump_json({"sections": sections}))
 
 
-# A label whose norm overflows is rejected by vec3 without numpy's warning.
-@np.errstate(over="ignore")
 def read_plan_json(path: Union[str, Path]) -> ScanPlan:
     payload = _load_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("sections"), list):

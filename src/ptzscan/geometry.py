@@ -7,7 +7,8 @@ interface; ``FORWARD = (1, 0, 0)`` is the optical axis of a camera with
 identity orientation.
 
 A value is checked once, where it is built (``vec3``, ``CameraPose``,
-``Ray``); the kernels take checked values and check nothing again. All
+``Ray``), by ``_check_rows`` on one row, the batch reader's rows by it on
+a block; the kernels take checked values and check nothing again. All
 operations are pure functions on immutable values and are safe to call
 concurrently.
 """
@@ -79,31 +80,69 @@ class GimbalLockWarning(UserWarning):
     """Yaw extraction hit the pitch = +/-90 degree degeneracy."""
 
 
-def _finite_vec3(v, name: str = "vector") -> np.ndarray:
-    """``v`` as a new float64 3-vector, refused unless its norm is finite."""
+def _row(v, name: str, size: int) -> np.ndarray:
+    """``v`` as a new float64 (1, ``size``) stack, refused unless it is a ``size``-vector."""
     v = np.array(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {v.shape}")
-    x, y, z = v.tolist()
-    if not math.isfinite(x * x + y * y + z * z):  # overflows to inf without numpy's warning
-        raise ValueError(f"vector must have a finite norm, got {v}")
-    return v
-
-
-def _unit(v, name: str, size: int, failure: str) -> np.ndarray:
-    """``v`` as a float64 ``size``-vector, refused unless its norm is 1 to within ``_UNIT_TOL``."""
-    v = np.asarray(v, dtype=np.float64)
     if v.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
-    n = vector_norm(v)
-    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} {failure} (norm {n})")
-    return v
+    return v[None]
+
+
+@np.errstate(all="ignore")  # an overflowing or zero norm is refused, not warned about
+def _check_rows(position, unit=None, raw=None, true_position=None,
+                failure="quaternion is not normalized"):
+    """Every pose decision, over (n, k) stacks: the unit rows (``raw``'s, normalised,
+    when given) and the first refused row's ``(index, message)``, or None.
+
+    A row is refused where, in this order, ``raw`` has a norm that is zero or not
+    finite; ``position`` has a squared norm ``x * x + y * y + z * z`` that is not
+    finite; the unit row's norm is not 1 to within ``_UNIT_TOL``; or
+    ``true_position - position`` has a norm that is not finite. Each norm is
+    ``vector_norms``', so ``vector_norm``'s bits; the squared norm is summed in
+    that order, since a dot's rounding differs from it near overflow.
+    """
+    ones = [1.0] * len(position)
+    raw_norms = errors = ones
+    if raw is not None:
+        raw_norms = vector_norms(raw)
+        unit, raw_norms = raw / raw_norms[:, None], raw_norms.tolist()
+    norms = ones if unit is None else vector_norms(unit).tolist()
+    if true_position is not None:
+        errors = np.isfinite(vector_norms(true_position - position)).tolist()
+    rows = zip(position.tolist(), raw_norms, norms, errors)
+    for i, ((x, y, z), raw_norm, norm, finite_error) in enumerate(rows):
+        if not 0.0 < raw_norm < math.inf:  # a NaN component fails too
+            return unit, (i, "raw orientation must be finite with a finite, nonzero norm")
+        if not math.isfinite(x * x + y * y + z * z):
+            return unit, (i, f"vector must have a finite norm, got {position[i]}")
+        if not abs(norm - 1.0) <= _UNIT_TOL:
+            return unit, (i, f"{failure} (norm {norm})")
+        if not finite_error:
+            return unit, (i, "position error must have a finite norm")
+    return unit, None
+
+
+def _accept(checked) -> np.ndarray:
+    """The unit rows of ``_check_rows``' result, or its refusal as a ValueError."""
+    unit, refused = checked
+    if refused:
+        raise ValueError(refused[1])
+    return unit
+
+
+def _built(cls, **fields):
+    """A ``cls`` of ``fields`` that have passed its checks: it decides nothing."""
+    value = object.__new__(cls)
+    for name, v in fields.items():
+        object.__setattr__(value, name, v)
+    return value
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a 3-vector (metres, scene frame) with a finite norm."""
-    return _finite_vec3((x, y, z))
+    v = _row((x, y, z), "vector", 3)
+    _accept(_check_rows(v))
+    return v[0]
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -116,8 +155,11 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def vector_norms(v: np.ndarray) -> np.ndarray:
-    """``vector_norm`` of each row of an (n, k) stack, bit for bit: ``@`` takes the same dot."""
+    """``vector_norm`` of each row of an (n, k) stack, bit for bit: ``@`` takes the same dot,
+    and one row, where numpy's per-call cost would outweigh it, takes ``vector_norm``."""
     v = np.ascontiguousarray(v)
+    if len(v) == 1:
+        return np.array([vector_norm(v[0])])
     return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
 
 
@@ -181,9 +223,11 @@ class CameraPose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _finite_vec3(self.position, "position"))
-        q = _unit(self.orientation, "quaternion", 4, "is not normalized")
-        object.__setattr__(self, "orientation", q)
+        position = _row(self.position, "position", 3)
+        orientation = _row(self.orientation, "quaternion", 4)
+        _accept(_check_rows(position, orientation))
+        object.__setattr__(self, "position", position[0])
+        object.__setattr__(self, "orientation", orientation[0])
 
 
 @dataclass(frozen=True)
@@ -212,9 +256,10 @@ class Ray:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _finite_vec3(self.origin, "origin"))
-        d = _unit(self.direction, "ray direction", 3, "must be unit length")
-        object.__setattr__(self, "direction", d)
+        origin, direction = _row(self.origin, "origin", 3), _row(self.direction, "ray direction", 3)
+        _accept(_check_rows(origin, direction, failure="ray direction must be unit length"))
+        object.__setattr__(self, "origin", origin[0])
+        object.__setattr__(self, "direction", direction[0])
 
     def at(self, t: float) -> np.ndarray:
         return self.origin + t * self.direction

@@ -9,7 +9,8 @@ is provided for cross-checking.
 
 A ``PoseSample`` normalizes its raw predicted quaternion once, into the
 checked ``predicted`` pose that every loss reads; a ``SampleBatch`` holds
-a read batch as arrays. The quaternion residual is deliberately the plain
+a read batch as arrays, the reader's checked rows, and builds each row's
+sample unchecked. The quaternion residual is deliberately the plain
 Euclidean norm against that normalized prediction, with no hemisphere
 alignment: antipodal quaternions encode the same rotation but still score
 a nonzero loss here; ``geometry.angular_distance`` is a rotation metric.
@@ -25,6 +26,10 @@ import numpy as np
 
 from ptzscan.geometry import (
     CameraPose,
+    _built,
+    _accept,
+    _check_rows,
+    _row,
     CylinderIntersectionError,
     CylinderModel,
     intersect_cylinder,
@@ -77,17 +82,13 @@ class PoseSample:
     predicted: CameraPose = field(init=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.predicted_orientation_raw, dtype=np.float64)
-        if raw.shape != (4,):
-            raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
-        if not 0.0 < (norm := vector_norm(raw)) < math.inf:  # a NaN or infinite component fails too
-            raise ValueError("raw orientation must be finite with a finite, nonzero norm")
-        predicted = CameraPose(self.predicted_position, raw / norm)
-        if not math.isfinite(vector_norm(self.true_pose.position - predicted.position)):
-            raise ValueError("position error must have a finite norm")
+        raw = _row(self.predicted_orientation_raw, "raw orientation", 4)
+        position = _row(self.predicted_position, "position", 3)
+        [unit] = _accept(_check_rows(position, raw=raw, true_position=self.true_pose.position[None]))
+        predicted = _built(CameraPose, position=position[0], orientation=unit)
         object.__setattr__(self, "predicted", predicted)
         object.__setattr__(self, "predicted_position", predicted.position)
-        object.__setattr__(self, "predicted_orientation_raw", raw)
+        object.__setattr__(self, "predicted_orientation_raw", raw[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +109,7 @@ class LossWeights:
 @dataclass(frozen=True, eq=False, slots=True)
 class SampleBatch:
     """A batch as stacks, a row per sample checked where ``formats.read_sample_batch``
-    built it; iterating builds each row's ``(PoseSample, weights or None)``."""
+    read it; iterating builds each row's ``(PoseSample, weights or None)``, unchecked."""
 
     true_position: np.ndarray  # (n, 3)
     true_orientation: np.ndarray  # (n, 4)
@@ -122,9 +123,13 @@ class SampleBatch:
         return len(self.lines)
 
     def __iter__(self) -> Iterator[tuple[PoseSample, Optional[LossWeights]]]:
-        for k, weights in enumerate(self.weights):
-            true_pose = CameraPose(self.true_position[k], self.true_orientation[k])
-            yield PoseSample(true_pose, self.predicted_position[k], self.predicted_orientation_raw[k]), weights
+        rows = zip(self.true_position, self.true_orientation, self.predicted_position,
+                   self.predicted_orientation_raw, self.predicted_orientation, self.weights)
+        for true_position, true_orientation, position, raw, unit, weights in rows:
+            true_pose = _built(CameraPose, position=true_position, orientation=true_orientation)
+            predicted = _built(CameraPose, position=position, orientation=unit)
+            yield _built(PoseSample, true_pose=true_pose, predicted_position=position,
+                         predicted_orientation_raw=raw, predicted=predicted), weights
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ptzscan.evaluation import evaluate, median_rmse
 from ptzscan.formats import (
+    _BLOCK_ROWS,
     FormatError,
     format_stats,
     load_external_predictions,
@@ -422,6 +423,36 @@ class TestBatchChecks:
         path = tmp_path / "batch.jsonl"
         path.write_text(f"\n{GOOD_LINE}\r\n  \r{GOOD_LINE}\n")
         assert read_sample_batch(path).lines.tolist() == [2, 4]
+
+
+# The batch lines whose values are refused, and those that fail to parse.
+REFUSED_LINES = [b for b in BAD_LINES if not b[1].startswith(("invalid JSON", "need ", "weights:"))]
+UNPARSED_LINES = [b for b in BAD_LINES if b[1].startswith(("invalid JSON", "need "))]
+
+
+class TestBlockBoundary:
+    """The reader checks values a block of rows at a time: a refused row on
+    either side of a block's end is the one reported, though the next line
+    fails to parse."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(-2, 2), st.sampled_from(REFUSED_LINES), st.sampled_from(UNPARSED_LINES))
+    def test_a_refused_row_is_reported_before_the_next_lines_error(self, offset, refused, later):
+        row = _BLOCK_ROWS + offset
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.jsonl"
+            path.write_text(f"{GOOD_LINE}\n" * (row - 1) + f"{refused[0]}\n{later[0]}\n")
+            with pytest.raises(FormatError) as raised:
+                read_sample_batch(path)
+        assert str(raised.value) == f"{path}:{row}: {refused[1]}"
+
+    def test_every_block_is_read(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(f"{GOOD_LINE}\n" * (2 * _BLOCK_ROWS + 1))
+        batch = read_sample_batch(path)
+        assert batch.lines.tolist() == list(range(1, 2 * _BLOCK_ROWS + 2))
+        want = sample_bits(sample_from_record(GOOD_RECORD)[0])
+        assert all(sample_bits(sample) == want for sample, _ in batch)
 
 
 class TestExternalPredictions:

@@ -1,6 +1,7 @@
 """Tests for scene geometry: quaternions, view rays, cylinder intersection."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -27,10 +28,12 @@ from ptzscan.geometry import (
     quat_to_matrix,
     rotate_vector,
     vec3,
+    vector_norm,
     view_ray,
     wrap_degrees,
     yaw_from_quaternion,
 )
+from ptzscan.losses import PoseSample
 
 
 def random_unit_quaternion(rng):
@@ -139,6 +142,193 @@ class TestCheckedWhereBuilt:
         assert rotate_vector(pose.orientation, FORWARD)[2] == pytest.approx(
             -math.sin(math.radians(15.0)), abs=1e-12
         )
+
+
+# The checks the one stacked home replaced, copied verbatim from the scalar
+# code (``_finite_vec3``, ``_unit`` and ``PoseSample.__post_init__``): the
+# reference that ``geometry._check_rows`` is held to, row by row.
+_UNIT_TOL = 1e-9
+
+
+def _finite_vec3(v, name: str = "vector") -> np.ndarray:
+    """``v`` as a new float64 3-vector, refused unless its norm is finite."""
+    v = np.array(v, dtype=np.float64)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {v.shape}")
+    x, y, z = v.tolist()
+    if not math.isfinite(x * x + y * y + z * z):  # overflows to inf without numpy's warning
+        raise ValueError(f"vector must have a finite norm, got {v}")
+    return v
+
+
+def _unit(v, name: str, size: int, failure: str) -> np.ndarray:
+    """``v`` as a float64 ``size``-vector, refused unless its norm is 1 to within ``_UNIT_TOL``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {v.shape}")
+    n = vector_norm(v)
+    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
+        raise ValueError(f"{name} {failure} (norm {n})")
+    return v
+
+
+def _sample_checks(true_position, predicted_position, predicted_orientation_raw):
+    """``PoseSample.__post_init__``'s checks, its predicted ``CameraPose``'s
+    included, given the true pose's position: the normalised quaternion."""
+    raw = np.asarray(predicted_orientation_raw, dtype=np.float64)
+    if raw.shape != (4,):
+        raise ValueError(f"raw orientation must have shape (4,), got {raw.shape}")
+    if not 0.0 < (norm := vector_norm(raw)) < math.inf:  # a NaN or infinite component fails too
+        raise ValueError("raw orientation must be finite with a finite, nonzero norm")
+    position = _finite_vec3(predicted_position, "position")
+    unit = _unit(raw / norm, "quaternion", 4, "is not normalized")
+    if not math.isfinite(vector_norm(true_position - position)):
+        raise ValueError("position error must have a finite norm")
+    return unit
+
+
+def _pose_checks(position, orientation):
+    _finite_vec3(position, "position")
+    return _unit(orientation, "quaternion", 4, "is not normalized")
+
+
+def _ray_checks(origin, direction):
+    _finite_vec3(origin, "origin")
+    return _unit(direction, "ray direction", 3, "must be unit length")
+
+
+def _outcome(build):
+    """The message of the ValueError ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _reference(checks, *stacks):
+    """Each row's result under the scalar ``checks`` (its unit vector, or the
+    message refusing it), and the first refused row's (index, message) or None."""
+    results = []
+    with np.errstate(all="ignore"):  # the scalar checks warned as they refused
+        for row in zip(*stacks):
+            try:
+                results.append(checks(*row))
+            except ValueError as exc:
+                results.append(str(exc))
+    refused = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
+    return results, refused[0] if refused else None
+
+
+def _edge(size: int):
+    """Components of a ``size``-vector whose squared norm is within a few ulps of
+    overflowing (about 7.7e153 for three)."""
+    edge = math.sqrt(sys.float_info.max / size)
+    return st.builds(lambda k, sign: sign * edge * (1.0 + k * 2.0**-52),
+                     st.integers(-8, 8), st.sampled_from([1.0, -1.0]))
+
+
+def _vectors(size: int):
+    """Ordinary, overflowing, underflowing and non-finite ``size``-vectors."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, 3e-162, 1e-160, 1e154, -1e200, 1.7e308,
+                               math.inf, -math.inf, math.nan])
+    return st.one_of(
+        st.lists(st.one_of(st.floats(-50.0, 50.0), special), min_size=size, max_size=size),
+        st.lists(_edge(size), min_size=size, max_size=size),
+    )
+
+
+@st.composite
+def _unitish(draw, size: int):
+    """A ``size``-vector whose norm is 1, or within a few ulps of the 1e-9
+    tolerance either side; or, now and then, any of ``_vectors``."""
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+    if draw(st.integers(0, 4)) == 0 or not np.linalg.norm(v) > 1e-3:
+        return draw(_vectors(size))
+    edge = draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+    scale = 1.0 + edge + draw(st.integers(-8, 8)) * 2.0**-52
+    return (scale * v / np.linalg.norm(v)).tolist()
+
+
+def _stacks(*columns):
+    """Rows drawn from ``columns``, one to 12 of them, as one float64 stack a column."""
+    rows = st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.tuples(*columns), min_size=n, max_size=n))
+    return rows.map(lambda rows: [np.array(c, dtype=np.float64) for c in zip(*rows)])
+
+
+class TestOneHomeOfThePoseChecks:
+    """``_check_rows`` makes every decision the scalar checks made, on every
+    row of a stack: it refuses the first row they refuse, with their message,
+    and normalises each raw quaternion to their bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_stacks(_vectors(3), _unitish(4)))
+    def test_poses(self, stacks):
+        positions, orientations = stacks
+        assert geometry._check_rows(positions, orientations)[1] == _reference(_pose_checks, *stacks)[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_stacks(_vectors(3), _unitish(3)))
+    def test_rays(self, stacks):
+        checked = geometry._check_rows(*stacks, failure="ray direction must be unit length")
+        assert checked[1] == _reference(_ray_checks, *stacks)[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_stacks(_vectors(3), _vectors(3), _unitish(4)))
+    def test_samples(self, stacks):
+        true, predicted, raw = stacks
+        results, refused = _reference(_sample_checks, *stacks)
+        unit, checked = geometry._check_rows(predicted, raw=raw, true_position=true)
+        assert checked == refused
+        for k, result in enumerate(results):
+            if not isinstance(result, str):
+                assert unit[k].tobytes() == result.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_vectors(3), _unitish(4), _unitish(3), _vectors(3))
+    def test_each_constructor_decides_its_one_row_alike(self, position, quaternion, direction,
+                                                        predicted):
+        """Run with no ``errstate``: a constructor refuses an overflowing value
+        without numpy's warning, which pytest's filter would make an error."""
+        true_pose = CameraPose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        with np.errstate(all="ignore"):
+            accepted = _outcome(lambda: _pose_checks(position, quaternion)) is None
+        if accepted:
+            true_pose = CameraPose(position, quaternion)
+        cases = [
+            (lambda: vec3(*position), lambda: _finite_vec3(position)),
+            (lambda: CameraPose(position, quaternion), lambda: _pose_checks(position, quaternion)),
+            (lambda: Ray(position, direction), lambda: _ray_checks(position, direction)),
+            (lambda: PoseSample(true_pose, predicted, quaternion),
+             lambda: _sample_checks(true_pose.position, predicted, quaternion)),
+        ]
+        for build, checks in cases:
+            with np.errstate(all="ignore"):
+                expected = _outcome(checks)
+            assert _outcome(build) == expected
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CameraPose([0, 0, 0], [1e300, 0, 0, 0]), "quaternion is not normalized (norm inf)"),
+            (lambda: Ray([0, 0, 0], [0, 0, 1e300]), "ray direction must be unit length (norm inf)"),
+            (lambda: vec3(1e300, 0, 0), "vector must have a finite norm, got [1.e+300 0.e+000 0.e+000]"),
+            (lambda: PoseSample(CameraPose([1e154, 0, 0], [1, 0, 0, 0]), [-1e154, 0, 0], [1e300, 0, 0, 0]),
+             "raw orientation must be finite with a finite, nonzero norm"),
+            (lambda: PoseSample(CameraPose([1e154, 0, 0], [1, 0, 0, 0]), [-1e154, 0, 0], [0, 0, 0, 0]),
+             "raw orientation must be finite with a finite, nonzero norm"),
+            (lambda: PoseSample(CameraPose([1e154, 0, 0], [1, 0, 0, 0]), [-1e154, 0, 0], [1, 0, 0, 0]),
+             "position error must have a finite norm"),
+        ],
+        ids=["pose", "ray", "vec3", "raw-overflow", "raw-zero", "error-overflow"],
+    )
+    def test_an_overflow_is_refused_without_a_warning(self, build, message):
+        """No ``errstate`` here: under pytest's ``error::RuntimeWarning`` filter
+        numpy's overflow warning would be raised in place of the refusal."""
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 class TestYawExtraction:
