@@ -22,6 +22,7 @@ import math
 import sys
 import traceback
 import warnings
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,6 +61,7 @@ from ptzscan.geometry import (
 from ptzscan.losses import (
     InvalidSetupError,
     LossWeights,
+    batch_losses,
     combined_loss,
     finite_difference_grad,
     optimal_log_variance,
@@ -262,25 +264,10 @@ def cmd_loss_check(args) -> int:
         raise CliError(EXIT_CONFIG, f"{args.predictions}: no samples in batch")
     cylinder = _parse_cylinder(args.cylinder)
     default_weights = LossWeights(s_x=args.s_x, s_q=args.s_q, s_c=args.s_c)
-    l_x, l_q, l_c = [], [], []
-    totals = []
-    for k, (sample, weights) in enumerate(batch, start=1):
-        weights = weights or default_weights
-        breakdown = combined_loss(
-            sample,
-            weights,
-            cylinder=cylinder,
-            include_icsc=cylinder is not None,
-        )
-        l_x.append(breakdown.l_x)
-        l_q.append(breakdown.l_q)
-        if breakdown.l_c is not None:
-            l_c.append(breakdown.l_c)
-        totals.append(breakdown.total)
-        if math.isinf(breakdown.total):  # name its overflowing term; an overflowing sum is named below
-            for w, loss in zip(("s_x", "s_q", "s_c"), (breakdown.l_x, breakdown.l_q, breakdown.l_c)):
-                if loss is not None and math.isinf(loss * math.exp(-getattr(weights, w))):
-                    raise CliError(EXIT_CONFIG, f"{args.predictions}: sample {k}: weighted {w} term overflows")
+    l_x, l_q, l_c, totals, refused = batch_losses(batch, default_weights, cylinder)
+    if refused is not None:
+        _refuse_sample(args.predictions, batch, refused, default_weights, cylinder)
+    l_c = l_c[~np.isnan(l_c)]
     with np.errstate(over="ignore"):  # finite totals can sum past the float range
         mean_total = float(np.mean(totals))
     if math.isinf(mean_total):
@@ -296,7 +283,7 @@ def cmd_loss_check(args) -> int:
     channels = {"s_x": ("mean_position_loss", l_x), "s_q": ("mean_orientation_loss", l_q)}
     if cylinder is not None:
         report["surface_skipped"] = len(batch) - len(l_c)
-        if l_c:
+        if len(l_c):
             channels["s_c"] = ("mean_surface_loss", l_c)
     for weight, (key, losses) in channels.items():
         report[key] = mean = float(np.mean(losses))
@@ -316,6 +303,22 @@ def cmd_loss_check(args) -> int:
     if not report["gradient_check_passed"]:
         raise CliError(EXIT_COMPUTE, "finite-difference gradient check failed")
     return EXIT_OK
+
+
+def _refuse_sample(path, batch, k: int, default_weights, cylinder) -> None:
+    """Raise ``combined_loss``'s refusal of row ``k``, which ``batch_losses`` refused,
+    naming its batch line, or name its weighted term that overflows."""
+    sample, weights = next(islice(batch, k, None))
+    weights = weights or default_weights
+    try:
+        breakdown = combined_loss(sample, weights, cylinder=cylinder, include_icsc=cylinder is not None)
+    except (ValueError, InvalidSetupError) as exc:
+        raise type(exc)(f"{path}:{batch.lines[k]}: {exc}") from exc
+    if math.isinf(breakdown.total):  # name its overflowing term; an overflowing sum is named by the caller
+        for w, loss in zip(("s_x", "s_q", "s_c"), (breakdown.l_x, breakdown.l_q, breakdown.l_c)):
+            if loss is not None and math.isinf(loss * math.exp(-getattr(weights, w))):
+                raise CliError(EXIT_CONFIG, f"{path}: sample {k + 1}: weighted {w} term overflows")
+    raise CliError(EXIT_INTERNAL, f"{path}:{batch.lines[k]}: the batched and per-sample losses disagree")
 
 
 def cmd_pipeline(args) -> int:

@@ -39,7 +39,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from ptzscan.geometry import CameraPose, _check_rows, quat_from_yaw_pitch, vec3
-from ptzscan.losses import LossWeights, SampleBatch
+from ptzscan.losses import _BLOCK_ROWS, LossWeights, SampleBatch
 from ptzscan.pantilt import PanTilt, PanTiltGrid
 from ptzscan.planner import ScanPlan, SectionPlan
 from ptzscan.randomizer import GENERATOR_NAME, DatasetManifest, DeploymentBoundary, sample_fields
@@ -186,8 +186,6 @@ def read_pose_json(path: Union[str, Path]) -> CameraPose:
 
 # A batch row: true position and quaternion, then predicted position and raw quaternion.
 _ROW = 14
-# Rows the stacked check takes at once: its temporaries stay small.
-_BLOCK_ROWS = 1024
 
 
 def read_sample_batch(path: Union[str, Path]) -> SampleBatch:

@@ -7,10 +7,11 @@ interface; ``FORWARD = (1, 0, 0)`` is the optical axis of a camera with
 identity orientation.
 
 A value is checked once, where it is built (``vec3``, ``CameraPose``,
-``Ray``), by ``_check_rows`` on one row, the batch reader's rows by it on
-a block; the kernels take checked values and check nothing again. All
-operations are pure functions on immutable values and are safe to call
-concurrently.
+``Ray``), by ``_check_rows`` on one row, the batch reader's rows and
+``view_rays``' directions by it on a block; the kernels take checked values
+and check nothing again. ``_cylinder_roots`` is the one home of the
+ray-cylinder quadratic, for one ray and for a stack of rays alike. All
+operations are pure functions on immutable values, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ __all__ = [
     "quat_to_matrix",
     "rotate_vector",
     "view_ray",
+    "view_rays",
     "intersect_cylinder",
+    "intersect_cylinders",
     "yaw_from_quaternion",
     "angular_distance",
     "wrap_degrees",
@@ -58,6 +61,7 @@ FORWARD = np.array([1.0, 0.0, 0.0])
 T_MIN = 1e-6
 
 _UNIT_TOL = 1e-9
+_UNIT_RAY = "ray direction must be unit length"
 
 
 class CylinderIntersectionError(Exception):
@@ -257,7 +261,7 @@ class Ray:
 
     def __post_init__(self):
         origin, direction = _row(self.origin, "origin", 3), _row(self.direction, "ray direction", 3)
-        _accept(_check_rows(origin, direction, failure="ray direction must be unit length"))
+        _accept(_check_rows(origin, direction, failure=_UNIT_RAY))
         object.__setattr__(self, "origin", origin[0])
         object.__setattr__(self, "direction", direction[0])
 
@@ -265,26 +269,57 @@ class Ray:
         return self.origin + t * self.direction
 
 
+def _rotated(w, ux, uy, uz, vx, vy, vz):
+    """``v + 2 (w c + u x c)``, ``c = u x v``, with ``np.cross``'s multiply-then-subtract
+    steps, on floats or on the columns of stacks alike."""
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    dx, dy, dz = uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx
+    return vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)
+
+
 def rotate_vector(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate float 3-vector ``v`` by checked unit quaternion ``q``; preserves the norm.
 
-    Computes ``q v q*`` as ``v + 2 (w c + u x c)``, ``c = u x v``, on Python
-    floats with ``np.cross``'s multiply-then-subtract steps: bit for bit the
+    Computes ``q v q*`` with ``_rotated`` on Python floats: bit for bit the
     ``np.cross`` formula, without numpy's per-call dispatch.
     """
-    w, ux, uy, uz = q.tolist()
-    vx, vy, vz = v.tolist()
-    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-    dx, dy, dz = uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx
-    return np.array(
-        [vx + 2.0 * (w * cx + dx), vy + 2.0 * (w * cy + dy), vz + 2.0 * (w * cz + dz)]
-    )
+    return np.array(_rotated(*q.tolist(), *v.tolist()))
 
 
 def view_ray(pose: CameraPose) -> Ray:
     """Optical-axis ray of a camera pose: origin at the position, direction
     FORWARD rotated by the orientation."""
     return Ray(pose.position, rotate_vector(pose.orientation, FORWARD))
+
+
+def view_rays(positions: np.ndarray, orientations: np.ndarray):
+    """``view_ray``'s direction for each pose of (n, 3) and (n, 4) stacks, bit for bit,
+    each checked as ``Ray`` checks it: the directions and the first refused row's
+    ``(index, message)``, or None."""
+    directions = np.stack(_rotated(*orientations.T, *FORWARD.tolist()), axis=1)
+    return _check_rows(positions, directions, failure=_UNIT_RAY)
+
+
+def _pick(condition, x, y):
+    return x if condition else y  # ``np.where`` on one ray's scalars
+
+
+@np.errstate(all="ignore")  # a refused ray's overflow, zero division or negative root is not warned about
+def _cylinder_roots(origin_xz, direction_xz, cylinder: CylinderModel, where=np.where):
+    """The quadratic of the ray ``o + t v`` meeting the cylinder, on one ray's scalars
+    or on stack rows alike: its ``a`` and discriminant, and its numerically stable
+    roots, ordered as ``sorted`` orders them (a tie, 0.0 and -0.0, keeps its order)."""
+    (ox, oz), (vx, vz) = origin_xz, direction_xz
+    oz = oz - float(cylinder.axis_height)
+    a = vx * vx + vz * vz
+    b = 2.0 * (ox * vx + oz * vz)
+    c = ox * ox + oz * oz - float(cylinder.radius**2)
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(disc)
+    qv = where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
+    first, second = where(qv != 0.0, qv / a, 0.0), where(qv != 0.0, c / qv, -b / a)
+    swap = second < first
+    return a, disc, where(swap, second, first), where(swap, first, second)
 
 
 def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
@@ -298,32 +333,29 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
         NoIntersectionError: the ray misses the surface.
         BehindCameraError: both roots are at or behind the origin.
     """
-    # Python floats: numpy's IEEE operations, but overflow is silent (disc goes non-finite).
-    ox, oz = float(ray.origin[0]), float(ray.origin[2]) - float(cylinder.axis_height)
-    vx, vz = float(ray.direction[0]), float(ray.direction[2])
-    a = vx * vx + vz * vz
-    b = 2.0 * (ox * vx + oz * vz)
-    c = ox * ox + oz * oz - float(cylinder.radius**2)
-
+    # The direction's numpy scalars make each division numpy's: inf or NaN, as on a stack.
+    a, disc, lo, hi = _cylinder_roots(ray.origin[::2].tolist(), ray.direction[::2], cylinder, _pick)
     if a == 0.0:
-        raise AxisParallelRayError(
-            "ray is parallel to the cylinder axis; intersection is empty or degenerate"
-        )
-    disc = b * b - 4.0 * a * c
+        raise AxisParallelRayError("ray is parallel to the cylinder axis; intersection is empty or degenerate")
     if not math.isfinite(disc):
         raise NoIntersectionError(f"intersection quadratic overflows (discriminant {disc})")
     if disc < 0.0:
         raise NoIntersectionError(f"ray misses the cylinder (discriminant {disc:.3e})")
-
-    # Numerically stable pair of roots.
-    sq = math.sqrt(disc)
-    qv = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
-    roots = sorted((qv / a, c / qv)) if qv != 0.0 else sorted((0.0, -b / a))
-
-    for t in roots:
+    for t in (lo, hi):
         if t > T_MIN:
             return ray.at(t)
-    raise BehindCameraError(f"both intersections behind the camera (t = {roots})")
+    raise BehindCameraError(f"both intersections behind the camera (t = {[float(lo), float(hi)]})")
+
+
+@np.errstate(all="ignore")  # a refused ray's hit is NaN, not warned about
+def intersect_cylinders(origins: np.ndarray, directions: np.ndarray, cylinder: CylinderModel):
+    """``intersect_cylinder`` of each ray ``origins + t * directions`` of (n, 3) stacks,
+    bit for bit: the (n, 3) hits, NaN where it refuses the ray."""
+    a, disc, lo, hi = _cylinder_roots(origins[:, ::2].T, directions[:, ::2].T, cylinder)
+    t = np.where(lo > T_MIN, lo, hi)
+    hits = origins + t[:, None] * directions
+    hits[(a == 0.0) | ~np.isfinite(disc) | ~(t > T_MIN)] = np.nan
+    return hits
 
 
 def yaw_from_quaternion(q: np.ndarray) -> float:

@@ -10,7 +10,8 @@ is provided for cross-checking.
 A ``PoseSample`` normalizes its raw predicted quaternion once, into the
 checked ``predicted`` pose that every loss reads; a ``SampleBatch`` holds
 a read batch as arrays, the reader's checked rows, and builds each row's
-sample unchecked. The quaternion residual is deliberately the plain
+sample unchecked; ``batch_losses`` scores it on those arrays with
+``combined_loss``'s bits. The quaternion residual is deliberately the plain
 Euclidean norm against that normalized prediction, with no hemisphere
 alignment: antipodal quaternions encode the same rotation but still score
 a nonzero loss here; ``geometry.angular_distance`` is a rotation metric.
@@ -33,8 +34,11 @@ from ptzscan.geometry import (
     CylinderIntersectionError,
     CylinderModel,
     intersect_cylinder,
+    intersect_cylinders,
     vector_norm,
+    vector_norms,
     view_ray,
+    view_rays,
 )
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "orientation_loss",
     "icsc_loss",
     "combined_loss",
+    "batch_losses",
     "sigma_weighted_total",
     "optimal_log_variance",
     "finite_difference_grad",
@@ -58,6 +63,8 @@ ICSC_HIT = "hit"
 ICSC_SKIPPED = "fallback-skipped"
 # The smallest log-variance s whose loss weight exp(-s) is a finite float.
 _MIN_LOG_VARIANCE = -math.log(np.finfo(np.float64).max)
+# Rows a batch is checked and scored in at a time: the temporaries stay small.
+_BLOCK_ROWS = 1024
 
 
 class InvalidSetupError(Exception):
@@ -209,6 +216,42 @@ def combined_loss(
     if l_c is not None:
         total = total + l_c * math.exp(-weights.s_c) + weights.s_c
     return LossBreakdown(l_x=l_x, l_q=l_q, l_c=l_c, total=total, icsc_status=status)
+
+
+def batch_losses(batch: SampleBatch, weights: LossWeights, cylinder: Optional[CylinderModel] = None):
+    """``combined_loss`` of every row of ``batch``, bit for bit, a block at a time, with
+    ``weights`` for a row that has none and the ICSC term when ``cylinder`` is given:
+    the ``l_x``, ``l_q``, ``l_c`` (NaN where skipped) and total stacks, and the first
+    row that ``combined_loss`` refuses (a view ray refused, a true ray missing) or whose
+    total overflows in a weighted term, or None; rows past it are not scored. Weights
+    go through ``math.exp``, since ``np.exp`` rounds differently on some inputs."""
+    n = len(batch)
+    l_x, l_q, l_c, total = np.empty(n), np.empty(n), np.full(n, np.nan), np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        tp, tq, pp, pq = (s[rows] for s in (batch.true_position, batch.true_orientation,
+                                           batch.predicted_position, batch.predicted_orientation))
+        row_weights = [w or weights for w in batch.weights[rows]]
+        e_x, s_x, e_q, s_q, e_c, s_c = np.array([(math.exp(-w.s_x), w.s_x, math.exp(-w.s_q), w.s_q,
+                                                  math.exp(-w.s_c), w.s_c) for w in row_weights]).T
+        l_x[rows], l_q[rows] = x, q = vector_norms(tp - pp), vector_norms(tq - pq)
+        refused = []
+        with np.errstate(all="ignore"):  # an overflowing term is refused below, not warned about
+            t = x * e_x + s_x + q * e_q + s_q
+            overflows = np.isinf(x * e_x) | np.isinf(q * e_q)
+            if cylinder is not None:
+                (true_directions, true_ray), (directions, ray) = view_rays(tp, tq), view_rays(pp, pq)
+                true_hits = intersect_cylinders(tp, true_directions, cylinder)
+                refused += [r[0] for r in (true_ray, ray) if r]
+                refused += np.flatnonzero(np.isnan(true_hits[:, 0]))[:1].tolist()
+                l_c[rows] = c = vector_norms(true_hits - intersect_cylinders(pp, directions, cylinder))
+                t = np.where(np.isnan(c), t, t + c * e_c + s_c)
+                overflows |= np.isinf(c * e_c)
+        total[rows] = t
+        refused += np.flatnonzero(np.isinf(t) & overflows)[:1].tolist()
+        if refused:
+            return l_x, l_q, l_c, total, start + min(refused)
+    return l_x, l_q, l_c, total, None
 
 
 def sigma_weighted_total(

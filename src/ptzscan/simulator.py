@@ -165,9 +165,8 @@ def _grid_offset(grid: SurfaceGrid, plane: np.ndarray, pts: np.ndarray) -> np.nd
     return pts[:, spec.value_axis] - _grid_value(grid, plane, pts[:, spec.row_axis], pts[:, 1])
 
 
-def _cast_to_grid(
-    origin: np.ndarray, directions: np.ndarray, grid: SurfaceGrid
-) -> tuple[np.ndarray, np.ndarray]:
+def _cast_to_grid(origin: np.ndarray, directions: np.ndarray,
+                  grid: SurfaceGrid) -> tuple[np.ndarray, np.ndarray]:
     """First crossing of each ray ``origin + t * directions[i]`` with the
     grid surface: one march at half resolution for all rays, then
     bisection of every bracket together, for at most 60 steps. Bisection
@@ -214,13 +213,9 @@ def _cast_to_grid(
     return hits, missed
 
 
-def cast_to_surface(
-    true_pose: CameraPose,
-    pans_deg: Sequence[float],
-    tilts_deg: Sequence[float],
-    alpha_true_deg: float,
-    target: Union[CylinderModel, SurfaceGrid],
-) -> tuple[np.ndarray, np.ndarray]:
+def cast_to_surface(true_pose: CameraPose, pans_deg: Sequence[float], tilts_deg: Sequence[float],
+                    alpha_true_deg: float,
+                    target: Union[CylinderModel, SurfaceGrid]) -> tuple[np.ndarray, np.ndarray]:
     """Where each commanded pan/tilt, executed from the true pose, strikes
     the target surface.
 
@@ -275,15 +270,9 @@ def _check_cells(section_plan: SectionPlan, grid: SurfaceGrid) -> None:
         raise ValueError(f"plan section {section_plan.name!r} point {k}: cell ({i[k]}, {j[k]}) {what}")
 
 
-def execute_plan(
-    plan: ScanPlan,
-    true_pose: CameraPose,
-    estimated_pose: CameraPose,
-    sections: list[SurfaceGrid],
-    cfg: ScanConfig,
-    quadrant: int,
-    cylinder: Optional[CylinderModel] = None,
-) -> SimulationReport:
+def execute_plan(plan: ScanPlan, true_pose: CameraPose, estimated_pose: CameraPose,
+                 sections: list[SurfaceGrid], cfg: ScanConfig, quadrant: int,
+                 cylinder: Optional[CylinderModel] = None) -> SimulationReport:
     """Execute a plan from the true pose and measure what it achieved.
 
     The plan's pan/tilt values were computed under ``estimated_pose``; here
@@ -311,37 +300,19 @@ def execute_plan(
             raise ValueError(f"plan lists section {section_plan.name!r} more than once")
         _check_cells(section_plan, grid)
         u_true = grid_to_pantilt(grid, true_setup)
-        section_hits, section_missed = cast_to_surface(
-            true_pose,
-            section_plan.pans,
-            section_plan.tilts,
-            alpha_true,
-            cylinder if cylinder is not None else grid,
-        )
+        section_hits, section_missed = cast_to_surface(true_pose, section_plan.pans, section_plan.tilts,
+                                                       alpha_true, cylinder if cylinder is not None else grid)
         hits.append(section_hits)
         missed.append(section_missed)
         footprints = [footprint(u_true, shot, cfg) for shot in section_plan]
         covered = np.any(footprints, axis=0)
         present = int(grid.valid.sum())
         coverage = int(np.count_nonzero(covered)) / present if present else 0.0
-        overlaps = tuple(
-            _overlap_ratio(a, b) for a, b in zip(footprints, footprints[1:])
-        )
-        section_reports.append(
-            SectionReport(
-                name=section_plan.name,
-                image_count=len(section_plan),
-                coverage=coverage,
-                overlaps=overlaps,
-            )
-        )
-
-    return SimulationReport(
-        plan=plan,
-        sections=tuple(section_reports),
-        hits=np.concatenate(hits),
-        missed=np.concatenate(missed),
-    )
+        overlaps = tuple(_overlap_ratio(a, b) for a, b in zip(footprints, footprints[1:]))
+        section_reports.append(SectionReport(name=section_plan.name, image_count=len(section_plan),
+                                             coverage=coverage, overlaps=overlaps))
+    return SimulationReport(plan=plan, sections=tuple(section_reports), hits=np.concatenate(hits),
+                            missed=np.concatenate(missed))
 
 
 @dataclass(frozen=True)
@@ -377,17 +348,9 @@ class PropagationStudy:
         return median_rmse(self.all_errors_m)[1]
 
 
-def error_propagation(
-    true_pose: CameraPose,
-    sections: list[SurfaceGrid],
-    cfg: ScanConfig,
-    quadrant: int,
-    sigma_pos_m: float,
-    sigma_yaw_deg: float,
-    n_draws: int,
-    seed: int,
-    cylinder: Optional[CylinderModel] = None,
-) -> PropagationStudy:
+def error_propagation(true_pose: CameraPose, sections: list[SurfaceGrid], cfg: ScanConfig, quadrant: int,
+                      sigma_pos_m: float, sigma_yaw_deg: float, n_draws: int, seed: int,
+                      cylinder: Optional[CylinderModel] = None) -> PropagationStudy:
     """Monte-Carlo pose-error propagation: each draw perturbs the estimated
     pose, replans the scan from it, executes from the true pose, and
     records the labelling-error outcome. Deterministic per seed."""
@@ -398,36 +361,18 @@ def error_propagation(
     errors: list[np.ndarray] = []
     for k in range(n_draws):
         est_pose = noisy_oracle(true_pose, sigma_pos_m, sigma_yaw_deg, seed=int(draw_seeds[k]))
-        est_setup = QuadrantSetup(
-            quadrant, yaw_from_quaternion(est_pose.orientation), est_pose.position
-        )
+        est_setup = QuadrantSetup(quadrant, yaw_from_quaternion(est_pose.orientation), est_pose.position)
         triples = [(grid_to_pantilt(g, est_setup), g, g.section.kind) for g in sections]
         plan = plan_full(triples, cfg, quadrant)
-        report = execute_plan(
-            plan, true_pose, est_pose, sections, cfg, quadrant, cylinder=cylinder
-        )
+        report = execute_plan(plan, true_pose, est_pose, sections, cfg, quadrant, cylinder=cylinder)
         errors.append(report.errors())
-        draws.append(
-            PropagationDraw(
-                draw=k,
-                position_error_m=vector_norm(est_pose.position - true_pose.position),
-                yaw_error_deg=abs(
-                    wrap_degrees(
-                        yaw_from_quaternion(est_pose.orientation)
-                        - yaw_from_quaternion(true_pose.orientation)
-                    )
-                ),
-                image_count=len(plan),
-                label_error_median_m=report.label_error_median_m,
-                label_error_rmse_m=report.label_error_rmse_m,
-                coverage_min=min((s.coverage for s in report.sections), default=0.0),
-                missed_count=report.missed_count,
-            )
-        )
-    return PropagationStudy(
-        seed=seed,
-        sigma_pos_m=sigma_pos_m,
-        sigma_yaw_deg=sigma_yaw_deg,
-        draws=tuple(draws),
-        all_errors_m=np.concatenate(errors),  # n_draws >= 1
-    )
+        draws.append(PropagationDraw(
+            draw=k, position_error_m=vector_norm(est_pose.position - true_pose.position),
+            yaw_error_deg=abs(wrap_degrees(yaw_from_quaternion(est_pose.orientation)
+                                           - yaw_from_quaternion(true_pose.orientation))),
+            image_count=len(plan), label_error_median_m=report.label_error_median_m,
+            label_error_rmse_m=report.label_error_rmse_m,
+            coverage_min=min((s.coverage for s in report.sections), default=0.0),
+            missed_count=report.missed_count))
+    return PropagationStudy(seed=seed, sigma_pos_m=sigma_pos_m, sigma_yaw_deg=sigma_yaw_deg,
+                            draws=tuple(draws), all_errors_m=np.concatenate(errors))  # n_draws >= 1

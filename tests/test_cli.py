@@ -585,6 +585,23 @@ class TestLossCheck:
         [err] = capsys.readouterr().err.splitlines()
         assert f"category=parse-error: {batch}:1: weights: s_q must be finite and at least" in err
 
+    @pytest.mark.parametrize("true, code, refusal", [
+        # A quaternion 0.95e-9 off unit is accepted, but a turn of about 90
+        # degrees takes its view ray's norm to about 1 + 1.9e-9, which Ray refuses.
+        ({"position_m": [0.0, 0.0, 0.0],
+          "quaternion_wxyz": (quat_from_yaw_pitch(90.0, 20.0) * (1.0 + 0.95e-9)).tolist()},
+         4, "config-error: {batch}:1: ray direction must be unit length (norm 1.0000000019"),
+        ({"position_m": [-10.0, 0.0, 20.0], "yaw_deg": 0.0},
+         5, "compute-error: {batch}:1: true-pose view ray misses the cylinder: ray misses"),
+    ], ids=["ray-off-unit", "true-miss"])
+    def test_a_refused_sample_names_its_batch_line(self, tmp_path, capsys, true, code, refusal):
+        batch = tmp_path / "batch.jsonl"
+        predicted = {"position_m": [-10.0, 0.0, 2.0], "yaw_deg": 0.0}
+        batch.write_text(json.dumps({"true": true, "predicted": predicted}) + "\n")
+        assert main(["loss-check", "--predictions", str(batch), "--cylinder", "2.0,2.0"]) == code
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: category={refusal.format(batch=batch)}")
+
     def test_weighted_term_that_overflows_names_file_sample_and_channel(self, world, tmp_path, capsys):
         # exp(709.7) is finite, but 100 m times it is not.
         lines = (world / "batch.jsonl").read_text().splitlines()[:2]

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptzscan.geometry as geometry
@@ -16,6 +16,7 @@ from ptzscan.geometry import (
     AxisParallelRayError,
     BehindCameraError,
     CameraPose,
+    CylinderIntersectionError,
     CylinderModel,
     GimbalLockWarning,
     NoIntersectionError,
@@ -284,6 +285,20 @@ class TestOneHomeOfThePoseChecks:
         for k, result in enumerate(results):
             if not isinstance(result, str):
                 assert unit[k].tobytes() == result.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_stacks(st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3), _unitish(4)))
+    def test_view_rays(self, stacks):
+        """``view_rays`` gives each pose that ``CameraPose`` accepts ``view_ray``'s
+        direction bits, and refuses the first row that ``Ray`` refuses, alike."""
+        with np.errstate(all="ignore"):
+            accepted = [_outcome(lambda: _pose_checks(p, q)) is None for p, q in zip(*stacks)]
+        positions, orientations = (s[accepted] for s in stacks)
+        assume(len(positions))
+        directions, refused = geometry.view_rays(positions, orientations)
+        expected = np.array([rotate_vector(q, FORWARD) for q in orientations])
+        assert directions.tobytes() == expected.tobytes()
+        assert refused == _reference(_ray_checks, positions, expected)[1]
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_vectors(3), _unitish(4), _unitish(3), _vectors(3))
@@ -579,6 +594,122 @@ class TestIntersectionMatchesNumpyScalars:
         else:
             got = intersect_cylinder(ray, cylinder)
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def _scalar_intersection(ray, cylinder):
+    """``intersect_cylinder`` as it stood on Python floats, one ray at a time:
+    the hit point, or the ``(error class, message)`` it raised."""
+    ox, oz = float(ray.origin[0]), float(ray.origin[2]) - float(cylinder.axis_height)
+    vx, vz = float(ray.direction[0]), float(ray.direction[2])
+    a = vx * vx + vz * vz
+    b = 2.0 * (ox * vx + oz * vz)
+    c = ox * ox + oz * oz - float(cylinder.radius**2)
+    if a == 0.0:
+        return AxisParallelRayError, (
+            "ray is parallel to the cylinder axis; intersection is empty or degenerate")
+    disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):
+        return NoIntersectionError, f"intersection quadratic overflows (discriminant {disc})"
+    if disc < 0.0:
+        return NoIntersectionError, f"ray misses the cylinder (discriminant {disc:.3e})"
+    sq = math.sqrt(disc)
+    qv = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
+    roots = sorted((qv / a, c / qv)) if qv != 0.0 else sorted((0.0, -b / a))
+    for t in roots:
+        if t > T_MIN:
+            return ray.at(t)
+    return BehindCameraError, f"both intersections behind the camera (t = {roots})"
+
+
+def _hit_or_error(call):
+    """The hit's bits, or the ``(error class, message)`` that ``call`` raised."""
+    try:
+        return call().view(np.int64).tolist()
+    except CylinderIntersectionError as exc:
+        return type(exc), str(exc)
+
+
+_CYLINDER = CylinderModel(axis_height=2.0, radius=2.0)
+
+
+class TestIntersectionMessagesAndRootOrder:
+    """Each of ``intersect_cylinder``'s three errors keeps its message, and its
+    roots keep ``sorted``'s order, ``-0.0`` against ``0.0`` included."""
+
+    @pytest.mark.parametrize("origin, direction, error, message", [
+        ([0.0, -10.0, 2.0], [0.0, 1.0, 0.0], AxisParallelRayError,
+         "ray is parallel to the cylinder axis; intersection is empty or degenerate"),
+        ([1.3e154, 1.0, 2.0], [-1.0, 0.0, 0.0], NoIntersectionError,
+         "intersection quadratic overflows (discriminant nan)"),
+        ([-10.0, 0.0, 10.0], [1.0, 0.0, 0.0], NoIntersectionError,
+         "ray misses the cylinder (discriminant -2.400e+02)"),
+        ([-10.0, 0.0, 2.0], [-1.0, 0.0, 0.0], BehindCameraError,
+         "both intersections behind the camera (t = [-12.0, -8.0])"),
+        # b == +0.0 and a zero discriminant: qv == 0, and sorted((0.0, -0.0)) keeps 0.0 first.
+        ([2.0, 0.0, 2.0], [0.0, 0.6, 0.8], BehindCameraError,
+         "both intersections behind the camera (t = [0.0, -0.0])"),
+        # b == -0.0: the second root is -(-0.0) / a == 0.0.
+        ([0.0, 0.0, 4.0], [-0.6, 0.8, -0.0], BehindCameraError,
+         "both intersections behind the camera (t = [0.0, 0.0])"),
+    ])
+    def test_message(self, origin, direction, error, message):
+        ray = Ray(np.array(origin), np.array(direction))
+        assert _scalar_intersection(ray, _CYLINDER) == (error, message)
+        with pytest.raises(error) as info:
+            intersect_cylinder(ray, _CYLINDER)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("origin, direction, expected", [
+        ([-10.0, 0.0, 2.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 2.0]),  # both roots ahead: the nearer
+        ([0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 2.0]),  # inside: the root ahead
+        ([-2.0, 0.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 2.0]),  # on the surface: t = 0 is behind
+    ])
+    def test_root_order(self, origin, direction, expected):
+        ray = Ray(np.array(origin), np.array(direction))
+        assert intersect_cylinder(ray, _CYLINDER).tolist() == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(cylinders_and_rays())
+    def test_matches_the_scalar_formula(self, case):
+        cylinder, ray = case
+        expected = _scalar_intersection(ray, cylinder)
+        if isinstance(expected, tuple):
+            assert _hit_or_error(lambda: intersect_cylinder(ray, cylinder)) == expected
+        else:
+            assert _hit_or_error(lambda: intersect_cylinder(ray, cylinder)) == expected.view(np.int64).tolist()
+
+
+# Rays that reach each of the three errors and both branches of the roots.
+_EDGE_RAYS = [
+    Ray(np.array(origin), np.array(direction)) for origin, direction in [
+        ([0.0, -10.0, 2.0], [0.0, 1.0, 0.0]), ([1.3e154, 1.0, 2.0], [-1.0, 0.0, 0.0]),
+        ([-10.0, 0.0, 10.0], [1.0, 0.0, 0.0]), ([-10.0, 0.0, 2.0], [-1.0, 0.0, 0.0]),
+        ([2.0, 0.0, 2.0], [0.0, 0.6, 0.8]), ([0.0, 0.0, 4.0], [-0.6, 0.8, -0.0]),
+        ([-2.0, 0.0, 2.0], [1.0, 0.0, 0.0]),
+    ]
+]
+
+
+class TestStackedIntersection:
+    """``intersect_cylinders`` gives each row of a stack its one-row call's hit,
+    bit for bit, and NaN where the one-row call refuses the ray."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3),
+           st.lists(st.one_of(free_rays(), st.sampled_from(_EDGE_RAYS)), min_size=1, max_size=12))
+    def test_each_row_is_its_one_row_call(self, radius, axis_height, rays):
+        cylinder = CylinderModel(axis_height=axis_height, radius=radius)
+        origins = np.array([ray.origin for ray in rays])
+        directions = np.array([ray.direction for ray in rays])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = geometry.intersect_cylinders(origins, directions, cylinder)
+        for hit, ray in zip(hits, rays):
+            expected = _hit_or_error(lambda: intersect_cylinder(ray, cylinder))
+            if isinstance(expected, tuple):
+                assert np.isnan(hit).all()
+            else:
+                assert hit.view(np.int64).tolist() == expected
 
 
 class TestRayMarchOracle:
