@@ -22,7 +22,6 @@ import math
 import sys
 import traceback
 import warnings
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -54,13 +53,13 @@ from ptzscan.formats import (
 )
 from ptzscan.geometry import (
     CameraPose,
-    CylinderIntersectionError,
     CylinderModel,
     yaw_from_quaternion,
 )
 from ptzscan.losses import (
     InvalidSetupError,
     LossWeights,
+    PoseSample,
     batch_losses,
     combined_loss,
     finite_difference_grad,
@@ -308,8 +307,9 @@ def cmd_loss_check(args) -> int:
 def _refuse_sample(path, batch, k: int, default_weights, cylinder) -> None:
     """Raise ``combined_loss``'s refusal of row ``k``, which ``batch_losses`` refused,
     naming its batch line, or name its weighted term that overflows."""
-    sample, weights = next(islice(batch, k, None))
-    weights = weights or default_weights
+    sample = PoseSample(CameraPose(batch.true_position[k], batch.true_orientation[k]),
+                        batch.predicted_position[k], batch.predicted_orientation_raw[k])
+    weights = batch.weights[k] or default_weights
     try:
         breakdown = combined_loss(sample, weights, cylinder=cylinder, include_icsc=cylinder is not None)
     except (ValueError, InvalidSetupError) as exc:
@@ -447,11 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         _report(EXIT_IO, str(exc))
         return EXIT_IO
-    except (
-        DegenerateSectionError,
-        CylinderIntersectionError,
-        InvalidSetupError,
-    ) as exc:
+    except (DegenerateSectionError, InvalidSetupError) as exc:
         _report(EXIT_COMPUTE, str(exc))
         return EXIT_COMPUTE
     except OSError as exc:

@@ -48,7 +48,6 @@ from ptzscan.surface import RELEVANCE_BACK, SectionSpec, SurfaceGrid
 
 __all__ = [
     "FormatError",
-    "record_to_pose",
     "read_pose_json",
     "read_sample_batch",
     "load_external_predictions",
@@ -173,15 +172,11 @@ def _pose_fields(record: dict, context: str) -> tuple[list[float], list[float]]:
     raise FormatError(f"{context}: need 'quaternion_wxyz' or 'yaw_deg'")
 
 
-def record_to_pose(record: dict, context: str = "pose record") -> CameraPose:
-    position, quat = _pose_fields(record, context)
-    with _fields(context):
-        return CameraPose(position, quat)
-
-
 def read_pose_json(path: Union[str, Path]) -> CameraPose:
     """A camera pose from a JSON file holding one pose record."""
-    return record_to_pose(_load_json(path), str(path))
+    position, quat = _pose_fields(_load_json(path), str(path))
+    with _fields(str(path)):
+        return CameraPose(position, quat)
 
 
 # A batch row: true position and quaternion, then predicted position and raw quaternion.

@@ -134,14 +134,6 @@ def _accept(checked) -> np.ndarray:
     return unit
 
 
-def _built(cls, **fields):
-    """A ``cls`` of ``fields`` that have passed its checks: it decides nothing."""
-    value = object.__new__(cls)
-    for name, v in fields.items():
-        object.__setattr__(value, name, v)
-    return value
-
-
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     """Build a 3-vector (metres, scene frame) with a finite norm."""
     v = _row((x, y, z), "vector", 3)

@@ -9,25 +9,24 @@ is provided for cross-checking.
 
 A ``PoseSample`` normalizes its raw predicted quaternion once, into the
 checked ``predicted`` pose that every loss reads; a ``SampleBatch`` holds
-a read batch as arrays, the reader's checked rows, and builds each row's
-sample unchecked; ``batch_losses`` scores it on those arrays with
-``combined_loss``'s bits. The quaternion residual is deliberately the plain
-Euclidean norm against that normalized prediction, with no hemisphere
-alignment: antipodal quaternions encode the same rotation but still score
-a nonzero loss here; ``geometry.angular_distance`` is a rotation metric.
+a read batch as arrays, the reader's checked rows; ``batch_losses`` scores
+it on those arrays with ``combined_loss``'s bits. The quaternion residual
+is deliberately the plain Euclidean norm against that normalized
+prediction, with no hemisphere alignment: antipodal quaternions encode the
+same rotation but still score a nonzero loss here;
+``geometry.angular_distance`` is a rotation metric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ptzscan.geometry import (
     CameraPose,
-    _built,
     _accept,
     _check_rows,
     _row,
@@ -92,7 +91,7 @@ class PoseSample:
         raw = _row(self.predicted_orientation_raw, "raw orientation", 4)
         position = _row(self.predicted_position, "position", 3)
         [unit] = _accept(_check_rows(position, raw=raw, true_position=self.true_pose.position[None]))
-        predicted = _built(CameraPose, position=position[0], orientation=unit)
+        predicted = CameraPose(position[0], unit)
         object.__setattr__(self, "predicted", predicted)
         object.__setattr__(self, "predicted_position", predicted.position)
         object.__setattr__(self, "predicted_orientation_raw", raw[0])
@@ -116,7 +115,7 @@ class LossWeights:
 @dataclass(frozen=True, eq=False, slots=True)
 class SampleBatch:
     """A batch as stacks, a row per sample checked where ``formats.read_sample_batch``
-    read it; iterating builds each row's ``(PoseSample, weights or None)``, unchecked."""
+    read it, and each row's weights or None."""
 
     true_position: np.ndarray  # (n, 3)
     true_orientation: np.ndarray  # (n, 4)
@@ -128,15 +127,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    def __iter__(self) -> Iterator[tuple[PoseSample, Optional[LossWeights]]]:
-        rows = zip(self.true_position, self.true_orientation, self.predicted_position,
-                   self.predicted_orientation_raw, self.predicted_orientation, self.weights)
-        for true_position, true_orientation, position, raw, unit, weights in rows:
-            true_pose = _built(CameraPose, position=true_position, orientation=true_orientation)
-            predicted = _built(CameraPose, position=position, orientation=unit)
-            yield _built(PoseSample, true_pose=true_pose, predicted_position=position,
-                         predicted_orientation_raw=raw, predicted=predicted), weights
 
 
 @dataclass(frozen=True)

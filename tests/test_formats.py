@@ -21,9 +21,9 @@ from ptzscan.formats import (
     load_external_predictions,
     read_boundary_config,
     read_plan_json,
+    read_pose_json,
     read_sample_batch,
     read_section_config,
-    record_to_pose,
     write_grid_csv,
     write_manifest_json,
     write_pantilt_csv,
@@ -89,26 +89,38 @@ def make_samples(n, seed=0):
     return samples
 
 
+def batch_rows(batch):
+    """Each row of a read batch, rebuilt by the checked constructors as
+    ``loss-check`` rebuilds a refused row: its (sample, weights or None)."""
+    return [(PoseSample(CameraPose(batch.true_position[k], batch.true_orientation[k]),
+                        batch.predicted_position[k], batch.predicted_orientation_raw[k]),
+             batch.weights[k]) for k in range(len(batch))]
+
+
+def read_pose_record(tmp_path, record):
+    path = tmp_path / "pose.json"
+    path.write_text(json.dumps(record))
+    return read_pose_json(path)
+
+
 class TestPoseRecords:
-    def test_round_trip_is_bitwise(self):
+    def test_round_trip_is_bitwise(self, tmp_path):
         pose = CameraPose(np.array([-9.5, 13.0, 6.75]), quat_from_yaw_pitch(20.0, -5.0))
-        record = json.loads(json.dumps(pose_record(pose.position, pose.orientation)))
-        back = record_to_pose(record)
+        back = read_pose_record(tmp_path, pose_record(pose.position, pose.orientation))
         np.testing.assert_array_equal(back.position, pose.position)
         np.testing.assert_array_equal(back.orientation, pose.orientation)
 
-    def test_yaw_variant(self):
-        record = {"position_m": [1.0, 2.0, 3.0], "yaw_deg": 20.0}
-        pose = record_to_pose(record)
+    def test_yaw_variant(self, tmp_path):
+        pose = read_pose_record(tmp_path, {"position_m": [1.0, 2.0, 3.0], "yaw_deg": 20.0})
         np.testing.assert_array_equal(pose.orientation, quat_from_yaw_pitch(20.0))
 
-    def test_missing_orientation_rejected(self):
+    def test_missing_orientation_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="quaternion_wxyz"):
-            record_to_pose({"position_m": [0.0, 0.0, 0.0]})
+            read_pose_record(tmp_path, {"position_m": [0.0, 0.0, 0.0]})
 
-    def test_wrong_arity_rejected(self):
+    def test_wrong_arity_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="expected 3 values"):
-            record_to_pose({"position_m": [0.0, 1.0], "yaw_deg": 0.0})
+            read_pose_record(tmp_path, {"position_m": [0.0, 1.0], "yaw_deg": 0.0})
 
 
 class TestSampleBatch:
@@ -119,7 +131,7 @@ class TestSampleBatch:
         write_batch(path, samples, weights)
         back = read_sample_batch(path)
         assert len(back) == 5
-        for orig, (got, got_weights), w in zip(samples, back, weights):
+        for orig, (got, got_weights), w in zip(samples, batch_rows(back), weights):
             np.testing.assert_array_equal(got.predicted_position, orig.predicted_position)
             np.testing.assert_array_equal(
                 got.predicted_orientation_raw, orig.predicted_orientation_raw
@@ -133,7 +145,7 @@ class TestSampleBatch:
         for text in ("", "\n  \n"):
             path.write_text(text)
             batch = read_sample_batch(path)
-            assert len(batch) == 0 and list(batch) == []
+            assert len(batch) == 0 and batch.weights == ()
             shapes = [a.shape for a in (batch.true_position, batch.true_orientation,
                                         batch.predicted_position, batch.predicted_orientation_raw,
                                         batch.predicted_orientation)]
@@ -247,9 +259,11 @@ class TestStreamedBatch:
             got = read_sample_batch(path)
         expected = [sample_from_record(item) for item in items if not isinstance(item, str)]
         assert len(got) == len(expected)
-        for (sample, weights), (want, want_weights) in zip(got, expected):
+        for (sample, weights), (want, want_weights) in zip(batch_rows(got), expected):
             assert sample_bits(sample) == sample_bits(want)
             assert weights == want_weights
+        assert ([r.tobytes() for r in got.predicted_orientation]
+                == [s.predicted.orientation.tobytes() for s, _ in expected])
 
     def test_form_feed_is_not_a_line_end(self, tmp_path):
         # str.splitlines also splits at \f (and \v, \x1c-\x1e, \x85, \u2028
@@ -268,7 +282,7 @@ class TestStreamedBatch:
         record = {**GOOD_RECORD, "note": "one\u2028two"}  # valid raw in a JSON string
         path = tmp_path / "batch.jsonl"
         path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
-        [(sample, weights)] = read_sample_batch(path)
+        [(sample, weights)] = batch_rows(read_sample_batch(path))
         assert sample_bits(sample) == sample_bits(sample_from_record(GOOD_RECORD)[0])
         assert weights is None
 
@@ -376,12 +390,11 @@ class TestBatchChecks:
                 return
             batch = read_sample_batch(path)
         assert len(batch) == len(expected)
-        for (sample, weights), (want, want_weights) in zip(batch, expected):
+        for (sample, weights), (want, want_weights) in zip(batch_rows(batch), expected):
             assert sample_bits(sample) == sample_bits(want)
             assert weights == want_weights
-        if expected:
-            np.testing.assert_array_equal(
-                batch.predicted_orientation, [s.predicted.orientation for s, _ in expected])
+        assert ([r.tobytes() for r in batch.predicted_orientation]
+                == [s.predicted.orientation.tobytes() for s, _ in expected])
 
     @pytest.mark.parametrize("later", ["not json", "[" * 100_000 + "]" * 100_000],
                              ids=["parse-error", "deeply-nested"])
@@ -451,8 +464,9 @@ class TestBlockBoundary:
         path.write_text(f"{GOOD_LINE}\n" * (2 * _BLOCK_ROWS + 1))
         batch = read_sample_batch(path)
         assert batch.lines.tolist() == list(range(1, 2 * _BLOCK_ROWS + 2))
-        want = sample_bits(sample_from_record(GOOD_RECORD)[0])
-        assert all(sample_bits(sample) == want for sample, _ in batch)
+        want = sample_from_record(GOOD_RECORD)[0]
+        assert all(sample_bits(sample) == sample_bits(want) for sample, _ in batch_rows(batch))
+        assert {r.tobytes() for r in batch.predicted_orientation} == {want.predicted.orientation.tobytes()}
 
 
 class TestExternalPredictions:

@@ -29,8 +29,10 @@ from ptzscan.geometry import (
     quat_multiply,
     rotate_vector,
     vector_norm,
+    vector_norms,
 )
 from ptzscan.losses import (
+    _BLOCK_ROWS,
     ICSC_HIT,
     ICSC_SKIPPED,
     InvalidSetupError,
@@ -157,6 +159,20 @@ class TestVectorNorm:
         v = np.array(values)
         with np.errstate(over="ignore"):
             assert bits(vector_norm(v)) == bits(np.linalg.norm(v))
+
+    @SETTINGS
+    @given(st.sampled_from([2, 7, _BLOCK_ROWS + 1]), st.sampled_from([3, 4]),
+           st.floats(-160.0, 154.0), st.integers(0, 2**32 - 1), st.booleans())
+    def test_stacked_norms_match_row_norms(self, n, k, exponent, seed, contiguous):
+        """The batch reader normalises a block with ``vector_norms`` and
+        ``PoseSample`` one row with ``vector_norm``, so a batch row rebuilt by
+        the constructors keeps the reader's bits only if the two agree. Each row
+        is copied, as a constructor copies what it takes: ``dot`` of a strided
+        row can round otherwise."""
+        stack = np.random.default_rng(seed).normal(size=(n, k if contiguous else 2 * k)) * 10.0**exponent
+        v = stack if contiguous else stack[:, ::2]
+        with np.errstate(over="ignore"):
+            assert_same_bits(vector_norms(v), [vector_norm(np.array(row)) for row in v])
 
 
 class TestRotateVector:

@@ -310,12 +310,15 @@ def _batch_lines(draw):
 
 
 def _scalar_path(path, batch, weights, cylinder):
-    """``combined_loss`` row by row, as ``loss-check`` once ran it: the breakdowns
+    """``combined_loss`` row by row, as ``loss-check`` once ran it, each row rebuilt by
+    the checked constructors as ``loss-check`` rebuilds a refused row: the breakdowns
     up to the first refused row, then that row's index and its error's
     ``(class, message)`` with its line named, or None and None."""
     breakdowns = []
-    for k, (sample, row_weights) in enumerate(batch):
-        row_weights = row_weights or weights
+    for k in range(len(batch)):
+        sample = PoseSample(CameraPose(batch.true_position[k], batch.true_orientation[k]),
+                            batch.predicted_position[k], batch.predicted_orientation_raw[k])
+        row_weights = batch.weights[k] or weights
         try:
             breakdown = combined_loss(sample, row_weights, cylinder=cylinder,
                                       include_icsc=cylinder is not None)
