@@ -10,7 +10,7 @@ A value is checked once, where it is built (``vec3``, ``CameraPose``,
 ``Ray``), by ``_check_rows`` on one row, the batch reader's rows and
 ``view_rays``' directions by it on a block; the kernels take checked values
 and check nothing again. ``_cylinder_roots`` is the one home of the
-ray-cylinder quadratic, for one ray and for a stack of rays alike. All
+ray-cylinder quadratic, on a stack of rays; one ray is a one-row stack. All
 operations are pure functions on immutable values, safe to call concurrently.
 """
 
@@ -151,11 +151,8 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 def vector_norms(v: np.ndarray) -> np.ndarray:
-    """``vector_norm`` of each row of an (n, k) stack, bit for bit: ``@`` takes the same dot,
-    and one row, where numpy's per-call cost would outweigh it, takes ``vector_norm``."""
+    """``vector_norm`` of each row of an (n, k) stack, bit for bit: ``@`` takes the same dot."""
     v = np.ascontiguousarray(v)
-    if len(v) == 1:
-        return np.array([vector_norm(v[0])])
     return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
 
 
@@ -292,14 +289,10 @@ def view_rays(positions: np.ndarray, orientations: np.ndarray):
     return _check_rows(positions, directions, failure=_UNIT_RAY)
 
 
-def _pick(condition, x, y):
-    return x if condition else y  # ``np.where`` on one ray's scalars
-
-
 @np.errstate(all="ignore")  # a refused ray's overflow, zero division or negative root is not warned about
-def _cylinder_roots(origin_xz, direction_xz, cylinder: CylinderModel, where=np.where):
-    """The quadratic of the ray ``o + t v`` meeting the cylinder, on one ray's scalars
-    or on stack rows alike: its ``a`` and discriminant, and its numerically stable
+def _cylinder_roots(origin_xz, direction_xz, cylinder: CylinderModel):
+    """The quadratic of each ray ``o + t v`` meeting the cylinder, over the (2, n)
+    x and z rows of a stack: its ``a`` and discriminant, and its numerically stable
     roots, ordered as ``sorted`` orders them (a tie, 0.0 and -0.0, keeps its order)."""
     (ox, oz), (vx, vz) = origin_xz, direction_xz
     oz = oz - float(cylinder.axis_height)
@@ -308,10 +301,10 @@ def _cylinder_roots(origin_xz, direction_xz, cylinder: CylinderModel, where=np.w
     c = ox * ox + oz * oz - float(cylinder.radius**2)
     disc = b * b - 4.0 * a * c
     sq = np.sqrt(disc)
-    qv = where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
-    first, second = where(qv != 0.0, qv / a, 0.0), where(qv != 0.0, c / qv, -b / a)
+    qv = np.where(b >= 0.0, -0.5 * (b + sq), -0.5 * (b - sq))
+    first, second = np.where(qv != 0.0, qv / a, 0.0), np.where(qv != 0.0, c / qv, -b / a)
     swap = second < first
-    return a, disc, where(swap, second, first), where(swap, first, second)
+    return a, disc, np.where(swap, second, first), np.where(swap, first, second)
 
 
 def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
@@ -325,8 +318,7 @@ def intersect_cylinder(ray: Ray, cylinder: CylinderModel) -> np.ndarray:
         NoIntersectionError: the ray misses the surface.
         BehindCameraError: both roots are at or behind the origin.
     """
-    # The direction's numpy scalars make each division numpy's: inf or NaN, as on a stack.
-    a, disc, lo, hi = _cylinder_roots(ray.origin[::2].tolist(), ray.direction[::2], cylinder, _pick)
+    a, disc, lo, hi = (v[0] for v in _cylinder_roots(ray.origin[::2, None], ray.direction[::2, None], cylinder))
     if a == 0.0:
         raise AxisParallelRayError("ray is parallel to the cylinder axis; intersection is empty or degenerate")
     if not math.isfinite(disc):
@@ -384,12 +376,14 @@ def angular_distance(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return np.fromiter(angles, np.float64, len(norms)).reshape(r.shape[1:])
 
 
-def wrap_degrees(angle: float) -> float:
-    """Wrap an angle into (-180, 180] degrees.
+@np.errstate(invalid="ignore")  # an infinite angle wraps to NaN, not warned about
+def wrap_degrees(angle):
+    """Wrap an angle (a float) or each of an array of angles into (-180, 180] degrees.
 
-    In-range inputs are returned unchanged (no round-trip through the
+    In-range values are returned unchanged (no round-trip through the
     modulo, which would otherwise perturb small angles by an ulp or two).
     """
-    if -180.0 < angle <= 180.0:
-        return float(angle)
-    return 180.0 - ((180.0 - angle) % 360.0)
+    angle = np.array(angle, dtype=np.float64)  # a copy, wrapped in place
+    out = ~((angle > -180.0) & (angle <= 180.0))  # the float remainder is costly, so only these take it
+    angle[out] = 180.0 - ((180.0 - angle[out]) % 360.0)
+    return angle if angle.ndim else float(angle)

@@ -129,13 +129,10 @@ def compute_alpha(setup: QuadrantSetup) -> float:
 
 def _pantilt(d: np.ndarray, alpha_deg: float) -> tuple[np.ndarray, np.ndarray]:
     """Pan and tilt (degrees) of displacements ``d`` (..., 3) under mount
-    offset alpha; pan is wrapped like ``wrap_degrees``, leaving in-range
-    values untouched."""
+    offset alpha; pan is wrapped by ``wrap_degrees``."""
     with np.errstate(invalid="ignore"):
         horizontal = np.hypot(d[..., 0], d[..., 1])
-        pans = np.degrees(np.arctan2(d[..., 1], d[..., 0])) - alpha_deg
-        wrapped = 180.0 - ((180.0 - pans) % 360.0)
-        pans = np.where((pans > -180.0) & (pans <= 180.0), pans, wrapped)
+        pans = wrap_degrees(np.degrees(np.arctan2(d[..., 1], d[..., 0])) - alpha_deg)
         return pans, np.degrees(np.arctan2(d[..., 2], horizontal))
 
 

@@ -124,6 +124,15 @@ def _roles(u: PanTiltGrid, cfg: ScanConfig, kind: Optional[str]):
     return u.tilts, u.pans, cfg.vfov_deg, cfg.hfov_deg
 
 
+def _row_medians(channel: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``np.median`` of each row's present cells (NaN for none), from one sort: the
+    mean of the middle one or two. Bit for bit below 1e307 in magnitude, but for a
+    zero's sign, which ``np.median``'s partition leaves to chance in a 0.0/-0.0 tie."""
+    ordered = np.sort(np.where(valid, channel, np.nan), axis=1)  # absent cells sort last
+    n, rows = valid.sum(axis=1), np.arange(len(valid))
+    return (ordered[rows, (n - 1) // 2] + ordered[rows, n // 2]) / 2.0
+
+
 def _select_cells(
     row_channel: np.ndarray,
     col_channel: np.ndarray,
@@ -139,12 +148,13 @@ def _select_cells(
     skipped; medians run over present cells only. The supplementary
     last-row/last-cell rule admits a trailing gap larger than half a FOV.
     """
-    present_rows = [i for i in range(valid.shape[0]) if valid[i].any()]
+    present_rows = np.nonzero(valid.any(axis=1))[0].tolist()
+    medians = _row_medians(row_channel, valid).tolist()
     selected: list[tuple[int, int]] = []
     m_last: Optional[float] = None  # None: first present row admits by construction
     for i in present_rows:
         cols = np.nonzero(valid[i])[0]
-        m_next = float(np.median(row_channel[i, cols]))
+        m_next = medians[i]
         admit_row = (
             m_last is None
             or abs(m_last - m_next) >= lam * row_fov
@@ -237,16 +247,12 @@ def estimate_image_count(
         raise ValueError(f"unknown section kind {kind!r}")
     row_channel, col_channel, row_fov, col_fov = _roles(u, cfg, kind)
     lam = cfg.spacing_factor
-    medians, spans = [], []
-    for i in range(u.shape[0]):
-        present = u.valid[i]
-        if not present.any():
-            continue
-        medians.append(float(np.median(row_channel[i][present])))
-        row = col_channel[i][present]
-        spans.append(float(row.max() - row.min()))
-    if not medians:
+    present = u.valid.any(axis=1)
+    if not present.any():
         return 0.0
-    rows_est = (max(medians) - min(medians)) / (lam * row_fov) + 1.0
+    medians = _row_medians(row_channel, u.valid)[present]
+    spans = (np.max(col_channel, axis=1, where=u.valid, initial=-np.inf)
+             - np.min(col_channel, axis=1, where=u.valid, initial=np.inf))[present]
+    rows_est = float(medians.max() - medians.min()) / (lam * row_fov) + 1.0
     cols_est = float(np.median(spans)) / (lam * col_fov) + 1.0
     return rows_est * cols_est

@@ -13,7 +13,7 @@ for the analytic cylinder. For grid surfaces every ray is marched at half
 the lattice resolution in one batch, and the first crossing of each is
 refined by bisection, all brackets together; a ray that brackets no
 crossing, or whose bisection reaches a hole in the grid, is a miss.
-Footprints are boolean masks over the section's pan-tilt grid. A report
+A section's footprints are one mask stack over its pan-tilt grid. A report
 is its plan plus the casts' hits and miss mask; its counts are derived.
 A plan runs only on the grids it was made from: each shot's cell must be
 present on its section's grid and hold the shot's label bit for bit.
@@ -39,7 +39,6 @@ from ptzscan.geometry import (
     yaw_from_quaternion,
 )
 from ptzscan.pantilt import (
-    PanTilt,
     PanTiltGrid,
     QuadrantSetup,
     compute_alpha,
@@ -111,20 +110,19 @@ class SimulationReport:
         return self.shot_errors[~self.missed]
 
 
-def footprint(u_true: PanTiltGrid, shot: PanTilt, cfg: ScanConfig) -> np.ndarray:
-    """Mask of present cells within half a FOV of the shot on the true
-    pan-tilt grid (same shape as ``u_true``).
+def footprint(u_true: PanTiltGrid, pans_deg: np.ndarray, tilts_deg: np.ndarray, cfg: ScanConfig) -> np.ndarray:
+    """Masks of the present cells within half a FOV of each shot on the true
+    pan-tilt grid: a (shots, rows, cols) stack, one ``u_true``-shaped mask a shot.
 
     Boundaries are closed: a cell exactly half an FOV away is included.
-    Pan differences are wrapped, so footprints behave across the +/-180
-    seam.
+    Pan differences are wrapped by ``wrap_degrees``, so footprints behave
+    across the +/-180 seam.
     """
     with np.errstate(invalid="ignore"):
-        inside = u_true.valid & (np.abs(u_true.tilts - shot.tilt_deg) <= cfg.vfov_deg / 2.0)
-        # The float remainder dominates the cost, so pan differences are
-        # wrapped only for cells already inside the tilt band.
-        dpan = np.abs(180.0 - ((180.0 - (u_true.pans[inside] - shot.pan_deg)) % 360.0))
-        inside[inside] = dpan <= cfg.hfov_deg / 2.0
+        inside = u_true.valid & (np.abs(u_true.tilts - tilts_deg[:, None, None]) <= cfg.vfov_deg / 2.0)
+        # Pan differences are taken only for the cells inside the tilt band, a fraction of the stack.
+        cells, shots = (np.broadcast_to(a, inside.shape)[inside] for a in (u_true.pans, pans_deg[:, None, None]))
+        inside[inside] = np.abs(wrap_degrees(cells - shots)) <= cfg.hfov_deg / 2.0
     return inside
 
 
@@ -240,14 +238,6 @@ def cast_to_surface(true_pose: CameraPose, pans_deg: Sequence[float], tilts_deg:
     return _cast_to_grid(true_pose.position, directions, target)
 
 
-def _overlap_ratio(a: np.ndarray, b: np.ndarray) -> float:
-    """Shared fraction of the smaller footprint; 0 when either is empty."""
-    na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
-    if not na or not nb:
-        return 0.0
-    return int(np.count_nonzero(a & b)) / min(na, nb)
-
-
 def _check_cells(section_plan: SectionPlan, grid: SurfaceGrid) -> None:
     """A plan runs only on the grids it was made from: the section's kind must
     be its grid's, and each shot's cell a present cell of ``grid`` whose point
@@ -304,11 +294,13 @@ def execute_plan(plan: ScanPlan, true_pose: CameraPose, estimated_pose: CameraPo
                                                        alpha_true, cylinder if cylinder is not None else grid)
         hits.append(section_hits)
         missed.append(section_missed)
-        footprints = [footprint(u_true, shot, cfg) for shot in section_plan]
-        covered = np.any(footprints, axis=0)
+        stack = footprint(u_true, section_plan.pans, section_plan.tilts, cfg)
         present = int(grid.valid.sum())
-        coverage = int(np.count_nonzero(covered)) / present if present else 0.0
-        overlaps = tuple(_overlap_ratio(a, b) for a, b in zip(footprints, footprints[1:]))
+        coverage = int(np.count_nonzero(stack.any(axis=0))) / present if present else 0.0
+        # Each overlap is the shared fraction of the smaller footprint, 0 when either is empty.
+        sizes = np.count_nonzero(stack, axis=(1, 2)).tolist()
+        shared = np.count_nonzero(stack[:-1] & stack[1:], axis=(1, 2)).tolist()
+        overlaps = tuple(s / min(a, b) if a and b else 0.0 for s, a, b in zip(shared, sizes, sizes[1:]))
         section_reports.append(SectionReport(name=section_plan.name, image_count=len(section_plan),
                                              coverage=coverage, overlaps=overlaps))
     return SimulationReport(plan=plan, sections=tuple(section_reports), hits=np.concatenate(hits),

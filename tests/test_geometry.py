@@ -423,6 +423,23 @@ class TestWrapDegrees:
                 (w - a) % 360.0, 360.0, abs_tol=1e-9
             )
 
+    EDGES = [180.0, -180.0, 0.0, -0.0, 540.0, -540.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.floats() | st.sampled_from(EDGES), max_size=30))
+    def test_array_is_the_scalar_call_per_element(self, angles):
+        # Bit for bit, NaN and the sign of zero included. The scalar call is
+        # also held to the scalar formula in Python floats, so the array
+        # path is not only compared with itself.
+        angles = np.array(angles + self.EDGES)
+        wrapped = wrap_degrees(angles)
+        assert isinstance(wrapped, np.ndarray) and wrapped.shape == angles.shape
+        scalars = [wrap_degrees(a) for a in angles.tolist()]
+        assert all(type(w) is float for w in scalars)
+        python = [a if -180.0 < a <= 180.0 else 180.0 - ((180.0 - a) % 360.0) for a in angles.tolist()]
+        assert wrapped.tobytes() == np.array(scalars).tobytes() == np.array(python).tobytes()
+        assert wrap_degrees(angles.reshape(-1, 1)).tobytes() == wrapped.tobytes()
+
 
 class TestViewRay:
     def test_identity_orientation_points_forward(self):

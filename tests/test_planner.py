@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptzscan.geometry import CameraPose, quat_from_yaw_pitch, vec3
 from ptzscan.pantilt import PanTiltGrid, QuadrantSetup, grid_to_pantilt
@@ -10,6 +12,7 @@ from ptzscan.planner import (
     ScanPlan,
     SectionMismatchWarning,
     SectionPlan,
+    _row_medians,
     estimate_image_count,
     plan_full,
     plan_section,
@@ -337,7 +340,69 @@ class TestAlignmentValidation:
             plan_section(u, grid, ScanConfig())
 
 
+@st.composite
+def median_rows(draw):
+    """A channel and its valid mask: each row holds 1-40 present cells
+    (duplicates and both zeros among them) at random places, and NaN at
+    absent ones."""
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(-180.0, 180.0)
+    rows = draw(st.integers(1, 6))
+    channel, valid = np.full((rows, 40), np.nan), np.zeros((rows, 40), dtype=bool)
+    for i in range(rows):
+        cols = draw(st.permutations(range(40)))[: draw(st.integers(1, 40))]
+        channel[i, cols] = draw(st.lists(values, min_size=len(cols), max_size=len(cols)))
+        valid[i, cols] = True
+    return channel, valid
+
+
+class TestRowMedians:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(median_rows())
+    def test_each_row_is_np_median_of_its_present_cells(self, rows):
+        # By value, and bit for bit but for the sign of zero: np.median's
+        # partition orders a 0.0 and -0.0 tie as it likes. A median only
+        # feeds abs(m_last - m_next) and max - min, where that sign is lost.
+        channel, valid = rows
+        medians = _row_medians(channel, valid)
+        for i, m in enumerate(medians.tolist()):
+            ref = float(np.median(channel[i][valid[i]]))
+            assert m == ref and (ref == 0.0 or np.float64(m).tobytes() == np.float64(ref).tobytes())
+
+    def test_row_without_present_cells_is_nan(self):
+        channel = np.array([[1.0, np.nan], [np.nan, np.nan]])
+        medians = _row_medians(channel, np.isfinite(channel))
+        assert medians[0] == 1.0 and np.isnan(medians[1])
+
+
+def _reference_estimate(u, cfg, kind=None):
+    """``estimate_image_count`` as a loop over rows with ``np.median``."""
+    row_channel, col_channel = (u.pans, u.tilts) if kind == "wing" else (u.tilts, u.pans)
+    row_fov, col_fov = (cfg.hfov_deg, cfg.vfov_deg) if kind == "wing" else (cfg.vfov_deg, cfg.hfov_deg)
+    medians, spans = [], []
+    for i in range(u.shape[0]):
+        present = u.valid[i]
+        if present.any():
+            medians.append(float(np.median(row_channel[i][present])))
+            spans.append(float(col_channel[i][present].max() - col_channel[i][present].min()))
+    if not medians:
+        return 0.0
+    lam = cfg.spacing_factor
+    return ((max(medians) - min(medians)) / (lam * row_fov) + 1.0) * (float(np.median(spans)) / (lam * col_fov) + 1.0)
+
+
 class TestEstimateImageCount:
+    @pytest.mark.parametrize("kind", [None, "wing"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_row_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        pans = rng.uniform(-60.0, 60.0, (12, 17))
+        tilts = rng.uniform(-60.0, 10.0, (12, 17))
+        pans[rng.random(pans.shape) < 0.3] = np.nan
+        pans[3] = np.nan  # a row with no present cell
+        u, _ = make_pair(pans, tilts)
+        cfg = ScanConfig(hfov_deg=6.15, vfov_deg=3.46, mu=0.15)
+        assert estimate_image_count(u, cfg, kind) == _reference_estimate(u, cfg, kind)
+
     def test_separable_grid_matches_hand_formula(self):
         # tilts depend only on the row, pans only on the column, so the
         # estimate reduces to (row span / lam V + 1)(col span / lam H + 1).

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptzscan.geometry import CameraPose, CylinderModel, Ray, quat_from_yaw_pitch
+from ptzscan.geometry import CameraPose, CylinderModel, Ray, quat_from_yaw_pitch, wrap_degrees
 from ptzscan.pantilt import (
     PanTilt,
     PanTiltGrid,
@@ -192,43 +192,83 @@ def flat_grid(valid=None):
     return lattice_grid(KIND_FUSELAGE, axis, axis, lambda x, y: np.full_like(x, 3.0), valid)
 
 
+def one_shot(u, shot, cfg):
+    """The footprint of one shot: its one-shot stack's only mask."""
+    stack = footprint(u, np.array([shot.pan_deg]), np.array([shot.tilt_deg]), cfg)
+    assert stack.shape == (1, *u.valid.shape)
+    return stack[0]
+
+
 class TestFootprint:
     def test_shot_on_cell_includes_it(self, cyl_grid, true_setup, cfg):
         u = grid_to_pantilt(cyl_grid, true_setup)
         shot = PanTilt(float(u.pans[5, 7]), float(u.tilts[5, 7]))
-        fp = footprint(u, shot, cfg)
+        fp = one_shot(u, shot, cfg)
         assert fp.shape == u.valid.shape
         assert fp[5, 7]
 
     def test_fov_wider_than_grid_covers_everything(self, cyl_grid, true_setup):
         u = grid_to_pantilt(cyl_grid, true_setup)
         wide = ScanConfig(hfov_deg=179.0, vfov_deg=179.0, mu=0.15)
-        fp = footprint(u, PanTilt(0.0, -30.0), wide)
+        fp = one_shot(u, PanTilt(0.0, -30.0), wide)
         np.testing.assert_array_equal(fp, u.valid)
 
     def test_boundary_is_closed(self):
         u = tiny_u([[0.0, 3.0, 3.0000001]], [[0.0, 0.0, 0.0]])
         cfg = ScanConfig(hfov_deg=6.0, vfov_deg=4.0, mu=0.0)
-        fp = footprint(u, PanTilt(0.0, 0.0), cfg)
+        fp = one_shot(u, PanTilt(0.0, 0.0), cfg)
         assert fp[0, 1]
         assert not fp[0, 2]
+
+    def test_boundary_is_closed_where_the_modulo_would_round(self):
+        # 180 - ((180 - 1/3) % 360) is 1/3 plus 9.5e-15, so a pan distance
+        # taken through the modulo puts these cells outside the half FOV.
+        third = 1.0 / 3.0
+        u = tiny_u([[third, -third, 2.0 * third]], [[0.0, 0.0, 0.0]])
+        cfg = ScanConfig(hfov_deg=2.0 / 3.0, vfov_deg=1.0, mu=0.0)
+        assert one_shot(u, PanTilt(0.0, 0.0), cfg).tolist() == [[True, True, False]]
 
     def test_pan_wraps_across_seam(self):
         u = tiny_u([[179.9, -179.9]], [[0.0, 0.0]])
         cfg = ScanConfig(hfov_deg=1.0, vfov_deg=1.0, mu=0.0)
-        fp = footprint(u, PanTilt(179.9, 0.0), cfg)
+        fp = one_shot(u, PanTilt(179.9, 0.0), cfg)
         assert fp.tolist() == [[True, True]]
 
     def test_absent_cells_never_included(self):
         u = tiny_u([[0.0, 0.1]], [[0.0, 0.0]], valid=[[True, False]])
         cfg = ScanConfig(hfov_deg=6.0, vfov_deg=4.0, mu=0.0)
-        assert np.argwhere(footprint(u, PanTilt(0.0, 0.0), cfg)).tolist() == [[0, 0]]
+        assert np.argwhere(one_shot(u, PanTilt(0.0, 0.0), cfg)).tolist() == [[0, 0]]
+
+    def test_stack_is_its_one_shot_masks(self, cyl_grid, true_setup, cfg, cyl_plan, report):
+        u = grid_to_pantilt(cyl_grid, true_setup)
+        plan = cyl_plan.sections[0]
+        stack = footprint(u, plan.pans, plan.tilts, cfg)
+        masks = [one_shot(u, plan[k], cfg) for k in range(len(plan))]
+        np.testing.assert_array_equal(stack, np.array(masks).reshape(stack.shape))
+        # The report's coverage and overlaps are the per-mask arithmetic:
+        # covered cells over present ones, and each consecutive pair's
+        # shared cells over the smaller mask, 0 when either is empty.
+        covered = np.any(masks, axis=0)
+        assert report.sections[0].coverage == int(np.count_nonzero(covered)) / int(cyl_grid.valid.sum())
+        overlaps = []
+        for a, b in zip(masks, masks[1:]):
+            na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+            overlaps.append(int(np.count_nonzero(a & b)) / min(na, nb) if na and nb else 0.0)
+        assert report.sections[0].overlaps == tuple(overlaps)
+
+    def test_each_shot_has_its_own_mask_empty_ones_included(self):
+        u = tiny_u([[0.0, 10.0]], [[0.0, 0.0]])
+        cfg = ScanConfig(hfov_deg=2.0, vfov_deg=2.0, mu=0.0)
+        stack = footprint(u, np.array([0.0, 50.0, 10.0]), np.array([0.0, 0.0, 0.0]), cfg)
+        assert stack.tolist() == [[[True, False]], [[False, False]], [[False, True]]]
 
 
 def _reference_footprint(u, shot, cfg):
     """Whole-grid form of the footprint test: the reference for the
-    tilt-banded one."""
-    dpan = np.abs(180.0 - ((180.0 - (u.pans - shot.pan_deg)) % 360.0))
+    tilt-banded one. The pan distance is ``|wrap_degrees(d)|``, which
+    leaves an in-range difference unchanged; ``|180 - ((180 - d) % 360)|``
+    would round some in-range differences up past a closed boundary."""
+    dpan = np.abs(wrap_degrees(u.pans - shot.pan_deg))
     dtilt = np.abs(u.tilts - shot.tilt_deg)
     with np.errstate(invalid="ignore"):
         return u.valid & (dpan <= cfg.hfov_deg / 2.0) & (dtilt <= cfg.vfov_deg / 2.0)
@@ -256,7 +296,7 @@ class TestFootprintMatchesReference:
         valid = rng.random(pans.shape) >= 0.1
         u = tiny_u(np.where(valid, pans, np.nan), np.where(valid, tilts, np.nan), valid)
         shot, cfg = PanTilt(pan, tilt), ScanConfig(hfov_deg=hfov, vfov_deg=vfov, mu=0.0)
-        np.testing.assert_array_equal(footprint(u, shot, cfg), _reference_footprint(u, shot, cfg))
+        np.testing.assert_array_equal(one_shot(u, shot, cfg), _reference_footprint(u, shot, cfg))
 
 
 def cast_one(pose, pan, tilt, target):

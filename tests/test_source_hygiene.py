@@ -80,7 +80,7 @@ CLI_OPTIONS = {
 }
 
 # ``wc -l src/ptzscan/*.py``: the most source lines the package may hold.
-LINE_BUDGET = 3309
+LINE_BUDGET = 3298
 
 
 def _parse(path: Path) -> ast.Module:
